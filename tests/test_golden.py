@@ -1,0 +1,42 @@
+"""Golden reports: the SHA-256 of every command's stdout under TDUAL_SEED=0.
+
+The hashes pin the reports byte for byte, so a refactor or speed-up that
+changes any printed digit fails here.  They depend on the platform's floating-
+point library (libm and numpy's kernels): on another machine a hash may differ
+in the last digit of some float while every check still passes.  Regenerate
+them only for an intended report change, from the commit before that change.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tdual import cli
+
+GOLDEN = {
+    "geometry --n 1": "87ebf1b28e20cf4fb15786cb35cc6a9db919e7162e05856c2d66e626677022c8",
+    "geometry --n 2": "098c2f44a4f505fc7feb2a507a35e5d50ab9a5d6639a687acb3602f002acb874",
+    "geometry --n 3": "10f297a73485953217bf063515a813d78daf0f657a113d769024a056aa002fca",
+    "branes --n 1": "46096fcbdbdeec0d471e89dc6056a1fa9f36d95e35a7486a047631e26e04a473",
+    "branes --n 2": "b784d137277f056bf50a8183f129a09980cbecea8b6e4da134c8a90a54b03681",
+    "branes --n 3": "8de2320fa3d9c60054a58f214db2eba3f65c6c4eb086893d5e0fbd0f9dd68dc6",
+    "quiver --n 1": "88a824cd6eac10ba7436241876d72b239d3e3df204dea9d6e065b17c4cdeedca",
+    "quiver --n 2": "371967ad33ae4772d306c66ccf94e0c5f1dfd4dddeebee60283b1cdefffc95aa",
+    "quiver --n 3": "1c0927f4fc14cc9c9f6ddac5bbd3f13a7651c909c8dbdca1343be093a14b2ac1",
+    "verify --n 1": "ce096623a00ee3f7c4cacad9ec487be1887c354372aea8026d115b0a5e9373e9",
+    "verify --n 2": "dcd34779066f6ee199b186a3fdb1b6346632e8afd96fc17e3b6e2ee2f8a31e97",
+    "verify --n 3": "75caf546c65188987b77460016564c4a3c4c396d6213ccbd359511985aef1349",
+    "oracle --n 1": "18b5ade3bf0cc9d2c515d9e12e7f0de3300487fec6af418b786daeca9c8382d3",
+    "oracle --n 2": "2ee5bd420fc3de6161e101492628c6a822b7d2aa2d00a7b736a05789d2c35cdf",
+    "branes --n 4 --grid 10": "d6e5a0748c17a6ea2f1a8cc406d6591ea5417afd325221c77a4e746fabe8cc67",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_report_matches_golden_hash(command, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "0")
+    rc = cli.main(command.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
