@@ -34,8 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MirrorPoint, TangentVector, symplectic_form_eval
+from .geometry import TangentVector
 from .report import CheckReport
+
+# Grid points evaluated at once by the batch kernels; bounds their memory.
+CHUNK_POINTS = 1 << 14
+
+# Per-constraint slack, in unit-cell coordinates, of the graph-check samples.
+GRAPH_MARGIN = 0.05
 
 
 def hermitian_weight(k: int, r: tuple[float, ...] | np.ndarray) -> float:
@@ -74,10 +80,18 @@ def section_gamma(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[float, ...
     return tuple(v % 1.0 for v in section_gamma_unreduced(k, r))
 
 
-def base_potential(u: np.ndarray) -> float:
-    """Level -1 potential on the open simplex {u_i < 0, sum u_i > -1}."""
-    s = float(u.sum())
-    return float(0.5 * (u * np.log(-u)).sum() - 0.5 * (1.0 + s) * math.log1p(s))
+def base_potential(u: np.ndarray) -> float | np.ndarray:
+    """Level -1 potential on the open simplex {u_i < 0, sum u_i > -1}.
+
+    `u` is one point, or an array of points along its last axis; one point
+    gives a float, several give an array of values.
+    """
+    s = u.sum(axis=-1)
+    # math.log1p, not np.log1p: numpy's vector kernel differs from libm in the
+    # last bit for some inputs, and reports must not depend on batching.
+    log1p = np.array([math.log1p(v) for v in s.ravel().tolist()]).reshape(s.shape)
+    value = 0.5 * (u * np.log(-u)).sum(axis=-1) - 0.5 * (1.0 + s) * log1p
+    return float(value) if u.ndim == 1 else value
 
 
 @dataclass(frozen=True)
@@ -114,20 +128,27 @@ class LiftedCell:
         """Map a cell point to the level -1 domain: u = (gamma - a) / (-k)."""
         return (gamma - np.asarray(self.a, dtype=float)) / (-self.k)
 
-    def constraint_slacks(self, gamma: tuple[float, ...] | np.ndarray) -> tuple[float, ...]:
+    def constraint_slacks(self, gamma: tuple[float, ...] | np.ndarray) -> np.ndarray:
         """Positive parts required for membership: (a_i - g_i ..., sum slack).
 
-        Returns n+1 numbers, one per defining inequality; the point lies in
-        the open cell iff all are positive.
+        Returns n+1 numbers per point (along the last axis), one per defining
+        inequality; the point lies in the open cell iff all are positive.
         """
         g = np.asarray(gamma, dtype=float)
         a = np.asarray(self.a, dtype=float)
-        side = tuple(float(v) for v in (a - g))
-        total = float((g - a).sum() - self.k)
-        return side + (total,)
+        total = (g - a).sum(axis=-1) - self.k
+        return np.concatenate([a - g, total[..., None]], axis=-1)
 
     def contains(self, gamma: tuple[float, ...] | np.ndarray, margin: float = 0.0) -> bool:
-        return all(s > margin for s in self.constraint_slacks(gamma))
+        return bool(np.all(self.constraint_slacks(gamma) > margin))
+
+    def require_inside(self, points: tuple[float, ...] | np.ndarray) -> None:
+        """Raise ValueError naming the first point, in row order, outside the open cell."""
+        pts = np.asarray(points, dtype=float)
+        inside = np.all(self.constraint_slacks(pts) > 0.0, axis=-1)
+        if not np.all(inside):
+            bad = pts.reshape(-1, self.n)[np.argmin(np.ravel(inside))]
+            raise ValueError(f"point {tuple(bad)} lies outside the open cell {self}")
 
     def barycenter(self) -> tuple[float, ...]:
         """The center point a + k/(n+1) * (1, ..., 1), where grad f = 0."""
@@ -143,7 +164,7 @@ class LiftedCell:
         if not 0 < margin < 1.0 / (self.n + 1):
             raise ValueError("margin must lie in (0, 1/(n+1))")
         axis = np.linspace(-1.0 + margin, -margin, density)
-        pts = np.array(list(itertools.product(axis, repeat=self.n)))
+        pts = np.array(list(itertools.product(axis, repeat=self.n))).reshape(-1, self.n)
         pts = pts[pts.sum(axis=1) > -1.0 + margin]
         return np.asarray(self.a, dtype=float) + (-self.k) * pts
 
@@ -152,32 +173,36 @@ class LiftedCell:
 
         Solves the section equation for the radii: with u = (g - a)/(-k),
         r_i^2 = -u_i / (1 + sum u), so y_i = 1/2 log(-u_i / (1 + sum u)).
+        `gamma` is one point or an array of points along its last axis.
         """
         g = np.asarray(gamma, dtype=float)
-        if not self.contains(g):
-            raise ValueError(f"point {tuple(g)} lies outside the open cell {self}")
+        self.require_inside(g)
         u = self.to_unit(g)
-        return 0.5 * np.log(-u / (1.0 + u.sum()))
+        return 0.5 * np.log(-u / (1.0 + u.sum(axis=-1, keepdims=True)))
 
 
 def potential_value(
     cell: LiftedCell,
     gamma: tuple[float, ...] | np.ndarray,
     literal_scaling: bool = False,
-) -> float:
-    """Evaluate the cell's potential at an interior point.
+) -> float | np.ndarray:
+    """Evaluate the cell's potential at an interior point (or rows of points).
 
     The default is the rescaled lift (-k) * f((g - a)/(-k)) whose gradient is
     log r along the brane; ``literal_scaling=True`` evaluates the bare
     composition f((g - a)/(-k)) instead (gradient log(r)/(-k)).
 
-    Raises ValueError outside the open cell.
+    Raises ValueError if any point lies outside the open cell.
     """
     g = np.asarray(gamma, dtype=float)
-    if not cell.contains(g):
-        raise ValueError(f"point {tuple(g)} lies outside the open cell {cell}")
+    cell.require_inside(g)
     value = base_potential(cell.to_unit(g))
     return value if literal_scaling else (-cell.k) * value
+
+
+def _last_argmax(values: np.ndarray) -> int:
+    """Index of the last maximum of a 1-D array: the per-point loops' `>=` rule."""
+    return values.size - 1 - int(np.argmax(values[::-1]))
 
 
 def check_graph(
@@ -187,7 +212,7 @@ def check_graph(
     density: int = 12,
     fd_step: float = 1e-5,
     tol: float = 1e-7,
-    margin: float = 0.05,
+    margin: float = GRAPH_MARGIN,
     literal_scaling: bool = False,
 ) -> CheckReport:
     """Check that the potential's gradient reproduces the brane's log radii.
@@ -195,28 +220,32 @@ def check_graph(
     Central finite differences of the potential (step `fd_step`) are compared
     against the parametric values y = log r at a deterministic interior grid;
     `margin` is the per-constraint slack in u-coordinates, and must keep the
-    samples at least 2 * fd_step away from the cell boundary.
+    samples at least 2 * fd_step away from the cell boundary.  The witness is
+    the last sample of largest deviation.  An empty grid raises ValueError.
     """
     cell = LiftedCell(n, k, a if a is not None else (0,) * n)
     if (-k) * margin < 2 * fd_step:
         raise ValueError("sample margin too small for the requested fd step")
     samples = cell.interior_grid(density, margin)
+    if len(samples) == 0:
+        raise ValueError(f"density {density} leaves no interior samples in {cell}")
+    # Row 2i (2i+1) of `steps` moves a sample by +fd_step (-fd_step) along axis i.
+    steps = np.zeros((2 * n, n))
+    steps[0::2][np.diag_indices(n)] = fd_step
+    steps[1::2][np.diag_indices(n)] = -fd_step
+    rows = max(1, CHUNK_POINTS // (2 * n))
     worst = None
     max_dev = 0.0
-    for g in samples:
+    for start in range(0, len(samples), rows):
+        g = samples[start:start + rows]
         expected = cell.brane_log_radii(g)
-        fd = np.empty(n)
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = fd_step
-            fd[i] = (
-                potential_value(cell, g + step, literal_scaling)
-                - potential_value(cell, g - step, literal_scaling)
-            ) / (2 * fd_step)
-        dev = float(np.max(np.abs(fd - expected)))
-        if dev >= max_dev:
-            max_dev = dev
-            worst = {"gamma": list(g), "fd_gradient": list(fd), "log_radii": list(expected)}
+        values = potential_value(cell, g[:, None, :] + steps, literal_scaling)
+        fd = (values[:, 0::2] - values[:, 1::2]) / (2 * fd_step)
+        dev = np.abs(fd - expected).max(axis=1)
+        p = _last_argmax(dev)
+        if dev[p] >= max_dev:
+            max_dev = float(dev[p])
+            worst = {"gamma": list(g[p]), "fd_gradient": list(fd[p]), "log_radii": list(expected[p])}
     return CheckReport(
         check="branes.graph",
         parameters={
@@ -266,21 +295,44 @@ def check_exactness(
 
     Evaluates the form on all pairs of section tangent vectors over a
     `density`-per-axis grid of radii.  For n = 1 there are no pairs and the
-    check passes vacuously with deviation 0.
+    check passes vacuously with deviation 0.  The witness is the last
+    (point, pair) of largest deviation, points in `itertools.product` order.
+
+    On the frame of `section_tangent_frame` the form has the closed value
+    (2 pi)^n ((1/r_i) k g_j[i] - k g_i[j] (1/r_j)), with
+    g_i[j] = (-2 r_i) r_j r_j / (1 + sum r^2)^2; it is evaluated here on
+    CHUNK_POINTS grid points at a time, in the same operation order as
+    `symplectic_form_eval`, so the maximum is the per-point value bit for bit.
     """
+    if density < 1:
+        raise ValueError(f"density must be a positive integer, got {density}")
     axis = np.linspace(r_min, r_max, density)
+    if np.any(axis <= 0):
+        raise ValueError(f"fiber radii must be positive: r_range [{r_min}, {r_max}]")
+    pairs = list(itertools.combinations(range(n), 2))
+    scale = (2 * math.pi) ** n
     max_dev = 0.0
     worst = None
-    for r in itertools.product(axis, repeat=n):
-        rr = np.asarray(r)
-        base = MirrorPoint(tuple(rr), (0.0,) * n)
-        frame = section_tangent_frame(n, k, rr)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = abs(symplectic_form_eval(base, frame[i], frame[j]))
-                if val >= max_dev:
-                    max_dev = val
-                    worst = {"r": list(r), "pair": [i, j]}
+    total = density**n if pairs else 0
+    for start in range(0, total, CHUNK_POINTS):
+        flat = np.arange(start, min(start + CHUNK_POINTS, total))
+        r = axis[np.stack(np.unravel_index(flat, (density,) * n), axis=1)]
+        d = 1.0 + (r * r).sum(axis=1)  # row sums: the same summation order as one point
+        r = np.ascontiguousarray(r.T)  # r[i] is coordinate i
+        # Python's float power is libm pow, which differs from d * d in the
+        # last bit for some d; section_tangent_frame uses it.
+        d2 = np.array([v**2 for v in d.tolist()])
+        inv = 1.0 / r
+        m2 = -2.0 * r
+        vals = np.empty((len(d), len(pairs)))
+        for p, (i, j) in enumerate(pairs):
+            vg_i = k * (m2[j] * r[i] * r[i] / d2)
+            ug_j = k * (m2[i] * r[j] * r[j] / d2)
+            vals[:, p] = np.abs(scale * (inv[i] * vg_i - ug_j * inv[j]))
+        point, pair = divmod(_last_argmax(vals.ravel()), len(pairs))
+        if vals[point, pair] >= max_dev:
+            max_dev = float(vals[point, pair])
+            worst = {"r": list(r[:, point]), "pair": list(pairs[pair])}
     return CheckReport(
         check="branes.exactness",
         parameters={

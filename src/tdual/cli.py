@@ -23,13 +23,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import branes, bundles, cells, geometry, oracle
 from .report import CheckReport
@@ -69,128 +66,12 @@ class RunConfig:
         }
 
 
-def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
-    axis = np.linspace(0.05, 0.95, density)
-    return [
-        x
-        for x in itertools.product(axis, repeat=n)
-        if sum(x) < 0.98
-    ]
-
-
-def check_moment_round_trip(cfg: RunConfig) -> CheckReport:
-    """moment_map after fiber_radii_from_moment must be the identity."""
-    max_dev = 0.0
-    witness = None
-    grid = _moment_grid(cfg.n)
-    for x in grid:
-        image = geometry.MomentImage(x)
-        fiber = geometry.fiber_radii_from_moment(image)
-        point = geometry.ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber.r))
-        back = geometry.moment_map(point)
-        dev = max(abs(a - b) for a, b in zip(back.x, image.x))
-        if dev >= max_dev:
-            max_dev = dev
-            witness = {"x": list(x)}
-    return CheckReport(
-        check="geometry.moment_round_trip",
-        parameters={"n": cfg.n, "tol": cfg.tol, "grid_points": len(grid)},
-        max_deviation=max_dev,
-        witness=witness,
-        passed=max_dev <= cfg.tol,
-    )
-
-
-def check_mirror_modulus(cfg: RunConfig, num: int = 1000) -> CheckReport:
-    """-log|z_j| / 2 pi must equal the moment coordinate of the fiber."""
-    rng = np.random.default_rng(cfg.seed)
-    max_dev = 0.0
-    witness = None
-    for _ in range(num):
-        r = tuple(rng.uniform(0.2, 3.0, cfg.n))
-        gamma = tuple(rng.uniform(0.0, 1.0, cfg.n))
-        point = geometry.MirrorPoint(r, gamma)
-        z = geometry.mirror_coordinates(point)
-        fiber_point = geometry.ProjectivePoint((1.0 + 0j,) + tuple(complex(v) for v in r))
-        phi = geometry.moment_map(fiber_point).x
-        dev = max(
-            abs(-math.log(abs(zj)) / (2 * math.pi) - pj) for zj, pj in zip(z, phi)
-        )
-        if dev >= max_dev:
-            max_dev = dev
-            witness = {"r": list(r), "gamma": list(gamma)}
-    return CheckReport(
-        check="geometry.mirror_modulus",
-        parameters={"n": cfg.n, "tol": cfg.tol, "samples": num, "seed": cfg.seed},
-        max_deviation=max_dev,
-        witness=witness,
-        passed=max_dev <= cfg.tol,
-    )
-
-
-def check_two_form_algebra(cfg: RunConfig, num: int = 200) -> CheckReport:
-    """Antisymmetry and bilinearity of the reference two-form on random vectors."""
-    rng = np.random.default_rng(cfg.seed + 1)
-    base = geometry.MirrorPoint((1.0,) * cfg.n, (0.0,) * cfg.n)
-    max_dev = 0.0
-    for _ in range(num):
-        u = geometry.TangentVector(tuple(rng.normal(size=cfg.n)), tuple(rng.normal(size=cfg.n)))
-        v = geometry.TangentVector(tuple(rng.normal(size=cfg.n)), tuple(rng.normal(size=cfg.n)))
-        w = geometry.TangentVector(tuple(rng.normal(size=cfg.n)), tuple(rng.normal(size=cfg.n)))
-        c = float(rng.normal())
-        ev = geometry.symplectic_form_eval
-        scale = (2 * math.pi) ** cfg.n * 10
-        dev = abs(ev(base, u, v) + ev(base, v, u)) / scale
-        combo = geometry.TangentVector(
-            tuple(c * a + b for a, b in zip(u.y, w.y)),
-            tuple(c * a + b for a, b in zip(u.gamma, w.gamma)),
-        )
-        dev = max(dev, abs(ev(base, combo, v) - c * ev(base, u, v) - ev(base, w, v)) / scale)
-        max_dev = max(max_dev, dev)
-    return CheckReport(
-        check="geometry.two_form_algebra",
-        parameters={"n": cfg.n, "tol": cfg.tol, "samples": num, "seed": cfg.seed},
-        max_deviation=max_dev,
-        passed=max_dev <= cfg.tol,
-    )
-
-
-def check_critical_points(cfg: RunConfig, residual_tol: float = 1e-10) -> CheckReport:
-    """Count, residuals, distinctness and values of the potential's critical points."""
-    pts = geometry.superpotential_critical_points(cfg.n, residual_tol=residual_tol)
-    ok = len(pts) == cfg.n + 1
-    max_residual = 0.0
-    expected_mag = (cfg.n + 1) * math.exp(-2 * math.pi / (cfg.n + 1))
-    value_dev = 0.0
-    for point, value in pts:
-        grad = geometry.superpotential_gradient(point)
-        max_residual = max(max_residual, math.sqrt(sum(abs(g) ** 2 for g in grad)))
-        value_dev = max(value_dev, abs(abs(value) - expected_mag))
-    min_gap = min(
-        abs(pts[a][1] - pts[b][1])
-        for a in range(len(pts))
-        for b in range(a + 1, len(pts))
-    )
-    ok = ok and max_residual < residual_tol and min_gap > 1e-6 and value_dev <= 1e-12 * expected_mag + 1e-15
-    return CheckReport(
-        check="geometry.critical_points",
-        parameters={"n": cfg.n, "residual_tol": residual_tol},
-        max_deviation=max_residual,
-        witness={
-            "count": len(pts),
-            "values": [v for _, v in pts],
-            "min_value_gap": min_gap,
-        },
-        passed=ok,
-    )
-
-
 def run_geometry(cfg: RunConfig) -> list[CheckReport]:
     return [
-        check_moment_round_trip(cfg),
-        check_mirror_modulus(cfg),
-        check_two_form_algebra(cfg),
-        check_critical_points(cfg),
+        geometry.check_moment_round_trip(cfg.n, cfg.tol),
+        geometry.check_mirror_modulus(cfg.n, cfg.tol, cfg.seed),
+        geometry.check_two_form_algebra(cfg.n, cfg.tol, cfg.seed),
+        geometry.check_critical_points(cfg.n),
     ]
 
 
@@ -373,6 +254,22 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--epsilon must lie strictly between 0 and {oracle.MAX_EPSILON}")
     if args.command == "quiver" and args.fmt == "text":
         parser.error("quiver exports support --format json or dot")
+    if args.grid < 1:
+        parser.error("--grid must be a positive integer")
+    if args.samples < 1:
+        parser.error("--samples must be a positive integer")
+    if not 0 < args.delta_probe < 0.5:
+        parser.error("--delta-probe must lie strictly between 0 and 1/2")
+    # check_graph needs 2 * fd_step <= (-k) * GRAPH_MARGIN; level -1 is the tightest.
+    if not 0 < 2 * args.fd_step <= branes.GRAPH_MARGIN:
+        parser.error(f"--fd-step must lie in (0, {branes.GRAPH_MARGIN / 2}]")
+    raw_seed = os.environ.get("TDUAL_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        parser.error(f"TDUAL_SEED must be a non-negative integer, got {raw_seed!r}")
     cfg = RunConfig(
         command=args.command,
         n=args.n,
@@ -386,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         epsilon=epsilon,
         fmt=args.fmt,
         out=args.out,
-        seed=int(os.environ.get("TDUAL_SEED", "0")),
+        seed=seed,
     )
     if cfg.command == "quiver":
         body, ok = run_quiver(cfg)

@@ -21,15 +21,19 @@ logarithmic coordinates y_j = log r_j with angles gamma_j, the reference
 two-form is (2 pi)^n sum_i dy_i ^ dgamma_i.
 
 Everything here is plain floating-point numerics; exact-arithmetic work lives
-in :mod:`tdual.oracle`.
+in :mod:`tdual.oracle`.  The ``check_*`` functions at the end are the checks of
+the ``geometry`` command; each reports through :class:`tdual.report.CheckReport`.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .report import CheckReport
 
 # Relative tolerance for projective-point comparison after normalization.
 POINT_RTOL = 1e-12
@@ -307,3 +311,119 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
     for uy, ug, vy, vg in zip(u.y, u.gamma, v.y, v.gamma):
         total += uy * vg - ug * vy
     return (2 * math.pi) ** n * total
+
+
+def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
+    axis = np.linspace(0.05, 0.95, density)
+    return [
+        x
+        for x in itertools.product(axis, repeat=n)
+        if sum(x) < 0.98
+    ]
+
+
+def check_moment_round_trip(n: int, tol: float) -> CheckReport:
+    """moment_map after fiber_radii_from_moment must be the identity."""
+    max_dev = 0.0
+    witness = None
+    grid = _moment_grid(n)
+    for x in grid:
+        image = MomentImage(x)
+        fiber = fiber_radii_from_moment(image)
+        point = ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber.r))
+        back = moment_map(point)
+        dev = max(abs(a - b) for a, b in zip(back.x, image.x))
+        if dev >= max_dev:
+            max_dev = dev
+            witness = {"x": list(x)}
+    return CheckReport(
+        check="geometry.moment_round_trip",
+        parameters={"n": n, "tol": tol, "grid_points": len(grid)},
+        max_deviation=max_dev,
+        witness=witness,
+        passed=max_dev <= tol,
+    )
+
+
+def check_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> CheckReport:
+    """-log|z_j| / 2 pi must equal the moment coordinate of the fiber."""
+    rng = np.random.default_rng(seed)
+    max_dev = 0.0
+    witness = None
+    for _ in range(num):
+        r = tuple(rng.uniform(0.2, 3.0, n))
+        gamma = tuple(rng.uniform(0.0, 1.0, n))
+        point = MirrorPoint(r, gamma)
+        z = mirror_coordinates(point)
+        fiber_point = ProjectivePoint((1.0 + 0j,) + tuple(complex(v) for v in r))
+        phi = moment_map(fiber_point).x
+        dev = max(
+            abs(-math.log(abs(zj)) / (2 * math.pi) - pj) for zj, pj in zip(z, phi)
+        )
+        if dev >= max_dev:
+            max_dev = dev
+            witness = {"r": list(r), "gamma": list(gamma)}
+    return CheckReport(
+        check="geometry.mirror_modulus",
+        parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
+        max_deviation=max_dev,
+        witness=witness,
+        passed=max_dev <= tol,
+    )
+
+
+def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> CheckReport:
+    """Antisymmetry and bilinearity of the reference two-form on random vectors."""
+    rng = np.random.default_rng(seed + 1)
+    base = MirrorPoint((1.0,) * n, (0.0,) * n)
+    max_dev = 0.0
+    for _ in range(num):
+        u = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
+        v = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
+        w = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
+        c = float(rng.normal())
+        ev = symplectic_form_eval
+        scale = (2 * math.pi) ** n * 10
+        dev = abs(ev(base, u, v) + ev(base, v, u)) / scale
+        combo = TangentVector(
+            tuple(c * a + b for a, b in zip(u.y, w.y)),
+            tuple(c * a + b for a, b in zip(u.gamma, w.gamma)),
+        )
+        dev = max(dev, abs(ev(base, combo, v) - c * ev(base, u, v) - ev(base, w, v)) / scale)
+        max_dev = max(max_dev, dev)
+    return CheckReport(
+        check="geometry.two_form_algebra",
+        parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
+        max_deviation=max_dev,
+        passed=max_dev <= tol,
+    )
+
+
+def check_critical_points(n: int, residual_tol: float = 1e-10) -> CheckReport:
+    """Count, residuals, distinctness and values of the potential's critical points."""
+    pts = superpotential_critical_points(n, residual_tol=residual_tol)
+    ok = len(pts) == n + 1
+    max_residual = 0.0
+    expected_mag = (n + 1) * math.exp(-2 * math.pi / (n + 1))
+    value_dev = 0.0
+    for point, value in pts:
+        grad = superpotential_gradient(point)
+        max_residual = max(max_residual, math.sqrt(sum(abs(g) ** 2 for g in grad)))
+        value_dev = max(value_dev, abs(abs(value) - expected_mag))
+    min_gap = min(
+        abs(pts[a][1] - pts[b][1])
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+    )
+    ok = ok and max_residual < residual_tol and min_gap > 1e-6 and value_dev <= 1e-12 * expected_mag + 1e-15
+    return CheckReport(
+        check="geometry.critical_points",
+        parameters={"n": n, "residual_tol": residual_tol},
+        max_deviation=max_residual,
+        witness={
+            "count": len(pts),
+            "values": [v for _, v in pts],
+            "min_value_gap": min_gap,
+        },
+        passed=ok,
+    )

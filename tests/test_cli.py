@@ -159,3 +159,31 @@ def test_branes_command_structure(capsys):
     assert names.count("branes.exactness") == 3
     assert names.count("branes.graph") == 3 * 9  # three levels, nine offsets
     assert names.count("branes.separation") == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--delta-probe", "0.7"],
+        ["--fd-step", "0.1"],
+        ["--grid", "-1"],
+        ["--grid", "0"],
+    ],
+)
+def test_usage_error_on_out_of_range_flag(flags, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["branes", "--n", "2"] + flags)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("tdual: error: " + flags[0])
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+def test_usage_error_on_bad_seed(seed, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", seed)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["geometry", "--n", "1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual: error: TDUAL_SEED")
