@@ -9,6 +9,7 @@ deviations and witnesses must agree with `==`, not within a tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -66,13 +67,15 @@ def test_exactness_batch_equals_per_point(n, k):
     assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, density)
 
 
-@pytest.mark.parametrize("n,density", [(4, 12), (8, 2), (9, 2)])
-def test_exactness_batch_equals_per_point_large_grids(n, density):
-    # n = 4, density 12 spans two chunks; n >= 8 rows are summed pairwise.
+@pytest.mark.parametrize("n,k,density", [(4, -5, 14), (8, -1, 2), (9, -1, 2)])
+def test_exactness_batch_equals_per_point_large_grids(n, k, density):
+    # n = 4, density 14 spans three chunks, and its witness changes if
+    # (1 + |r|^2) ** 2 is taken as a product instead of libm pow.  From n = 8
+    # on, numpy sums a point's coordinates pairwise, not left to right.
     if n == 4:
-        assert density**n > branes.CHUNK_POINTS
-    rep = branes.check_exactness(n, -1, density=density)
-    assert (rep.max_deviation, rep.witness) == exactness_per_point(n, -1, density)
+        assert density**n > 2 * branes.CHUNK_POINTS
+    rep = branes.check_exactness(n, k, density=density)
+    assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, density)
 
 
 @pytest.mark.parametrize(
@@ -80,13 +83,24 @@ def test_exactness_batch_equals_per_point_large_grids(n, density):
     [(n, k, lit) for n in range(1, 5) for k in range(-n - 1, 0) for lit in (False, True)],
 )
 def test_graph_batch_equals_per_point(n, k, literal):
-    offsets = [(0,) * n, (-n,) + (0,) * (n - 1)]
-    for a in offsets:
+    for a, fd_step in itertools.product([(0,) * n, (-n,) + (0,) * (n - 1)], [1e-5, 1e-6]):
         rep = branes.check_graph(
-            n, k, a, density=GRAPH_DENSITY[n], fd_step=1e-5, literal_scaling=literal
+            n, k, a, density=GRAPH_DENSITY[n], fd_step=fd_step, literal_scaling=literal
         )
-        expected = graph_per_point(n, k, a, GRAPH_DENSITY[n], 1e-5, literal)
+        expected = graph_per_point(n, k, a, GRAPH_DENSITY[n], fd_step, literal)
         assert (rep.max_deviation, rep.witness) == expected
+
+
+def test_base_potential_rows_match_scalar_formula():
+    # The single-point formula as written before base_potential took rows.
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        u = -rng.dirichlet(np.ones(n + 1), size=500)[:, :n]
+        for row, value in zip(u, branes.base_potential(u)):
+            s = float(row.sum())
+            scalar = float(0.5 * (row * np.log(-row)).sum() - 0.5 * (1.0 + s) * math.log1p(s))
+            assert value == scalar
+            assert branes.base_potential(row) == scalar
 
 
 def test_witness_rule_across_many_chunks(monkeypatch):
