@@ -29,6 +29,7 @@ GOLDEN = {
     "verify --n 3": "75caf546c65188987b77460016564c4a3c4c396d6213ccbd359511985aef1349",
     "oracle --n 1": "18b5ade3bf0cc9d2c515d9e12e7f0de3300487fec6af418b786daeca9c8382d3",
     "oracle --n 2": "2ee5bd420fc3de6161e101492628c6a822b7d2aa2d00a7b736a05789d2c35cdf",
+    "oracle --n 1 --epsilon 1/16": "2dcd00dca66b20e13d6389a9b64ee08be5e7cbf324e1bb8e9250c868a691450a",
     "branes --n 4 --grid 10": "d6e5a0748c17a6ea2f1a8cc406d6591ea5417afd325221c77a4e746fabe8cc67",
 }
 
