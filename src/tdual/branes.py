@@ -67,10 +67,6 @@ def section_gamma_unreduced(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[
     return tuple(float(v) for v in k * rr * rr / (1.0 + s))
 
 
-# The connection's angular part coincides with the unreduced section.
-connection_angular_part = section_gamma_unreduced
-
-
 def section_gamma(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[float, ...]:
     """Level-k section value gamma^(k)(r), reduced to the torus [0, 1)^n.
 

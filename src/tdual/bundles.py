@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cells import HomElement, Quiver, quotient_quiver
+from .cells import HomElement, Quiver, quotient_quiver, tabulate_quiver
 from .report import CheckReport
 
 
@@ -123,22 +123,7 @@ def euler_pairing(i: int, j: int, n: int) -> int:
 
 def line_bundle_quiver(n: int) -> Quiver:
     """The monomial quiver on levels -n-1, ..., -1 with its composition table."""
-    levels = tuple(range(-n - 1, 0))
-    bases = {}
-    for i in levels:
-        for j in levels:
-            basis = monomial_hom_basis(i, j, n)
-            if basis:
-                bases[(i, j)] = basis
-    table = {}
-    for (i, j), fs in bases.items():
-        for (j2, k), gs in bases.items():
-            if j2 != j:
-                continue
-            for f in fs:
-                for g in gs:
-                    table[(g, f)] = monomial_compose(g, f)
-    return Quiver(n=n, levels=levels, hom_bases=bases, composition=table)
+    return tabulate_quiver(n, monomial_hom_basis, monomial_compose)
 
 
 def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:

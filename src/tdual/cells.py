@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -278,17 +278,17 @@ class Quiver:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
 
 
-def quotient_quiver(n: int) -> Quiver:
-    """The quiver of quotient cells for given n: levels -n-1, ..., -1.
+def tabulate_quiver(n: int, basis_fn: Callable, compose_fn: Callable) -> Quiver:
+    """The quiver on levels -n-1, ..., -1 with bases `basis_fn(i, j, n)`.
 
-    Hom bases come from `hom_basis` and the composition table from `compose`,
-    tabulated over every composable pair of basis elements.
+    Empty hom spaces are left out, and the composition table holds
+    `compose_fn(g, f)` for every composable pair of basis elements.
     """
     levels = tuple(range(-n - 1, 0))
     bases = {}
     for i in levels:
         for j in levels:
-            basis = hom_basis(i, j, n)
+            basis = basis_fn(i, j, n)
             if basis:
                 bases[(i, j)] = basis
     table = {}
@@ -298,8 +298,17 @@ def quotient_quiver(n: int) -> Quiver:
                 continue
             for f in fs:
                 for g in gs:
-                    table[(g, f)] = compose(g, f)
+                    table[(g, f)] = compose_fn(g, f)
     return Quiver(n=n, levels=levels, hom_bases=bases, composition=table)
+
+
+def quotient_quiver(n: int) -> Quiver:
+    """The quiver of quotient cells for given n: levels -n-1, ..., -1.
+
+    Hom bases come from `hom_basis` and the composition table from `compose`,
+    tabulated over every composable pair of basis elements.
+    """
+    return tabulate_quiver(n, hom_basis, compose)
 
 
 def is_strong_exceptional(q: Quiver) -> bool:

@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branes, bundles, cells, geometry, oracle
@@ -127,21 +128,22 @@ def run_verify(cfg: RunConfig) -> list[CheckReport]:
 
 def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
     levels = range(-cfg.n - 1, 0)
+    margins = (cfg.epsilon, cfg.epsilon / 2)
     detail = []
     mismatch = None
     unstable = None
     for i in levels:
         for j in levels:
-            entries = oracle.hom_dim_detail(i, j, cfg.n, cfg.epsilon)
-            detail.extend(entries)
-            total = [0] * (cfg.n + 1)
-            for e in entries:
-                total = [t + b for t, b in zip(total, e["betti"])]
+            total = halved = [0] * (cfg.n + 1)
+            for offset, pair, (betti, betti_halved) in oracle.cell_pair_profiles(i, j, cfg.n, margins):
+                counts = {"X": list(pair.X.counts_by_dim()), "A": list(pair.A.counts_by_dim())}
+                detail.append({"i": i, "j": j, "b": list(offset), "betti": list(betti), "cells": counts})
+                total = [t + b for t, b in zip(total, betti)]
+                halved = [t + b for t, b in zip(halved, betti_halved)]
             expected = len(cells.hom_basis(i, j, cfg.n))
             if total[0] != expected or any(v != 0 for v in total[1:]):
                 mismatch = mismatch or {"i": i, "j": j, "betti": total, "expected": expected}
-            halved = oracle.oracle_hom_dim(i, j, cfg.n, cfg.epsilon / 2)
-            if list(halved) != total:
+            if halved != total:
                 unstable = unstable or {"i": i, "j": j, "epsilon": str(cfg.epsilon)}
     checks = [
         CheckReport(
@@ -258,6 +260,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--grid must be a positive integer")
     if args.samples < 1:
         parser.error("--samples must be a positive integer")
+    for flag, value in (("--tol", args.tol), ("--sym-tol", args.sym_tol), ("--graph-tol", args.graph_tol)):
+        if not 0 <= value < math.inf:  # NaN fails both comparisons
+            parser.error(f"{flag} must be a finite non-negative number, got {value}")
+    if args.out is not None and (
+        os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")
+    ):
+        parser.error(f"--out must name a file in an existing directory, got {args.out!r}")
     if not 0 < args.delta_probe < 0.5:
         parser.error("--delta-probe must lie strictly between 0 and 1/2")
     # check_graph needs 2 * fd_step <= (-k) * GRAPH_MARGIN; level -1 is the tightest.

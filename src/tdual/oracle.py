@@ -31,6 +31,11 @@ by purely combinatorial means, independent of the quiver calculus in
 Summing the resulting Betti profiles over one cell per translation orbit of
 the inner offset gives the hom-space dimensions that `oracle_hom_dim` reports;
 they land in degree 0 only and match the binomial counts of the quiver side.
+
+One loop, `cell_pair_profiles`, serves every margin: it builds each pair
+(X, A) once, since the pair does not depend on epsilon, and shrinks it by
+each margin it is given.  The command-line report passes epsilon and
+epsilon/2 to get the match and the stability check from a single pass.
 """
 from __future__ import annotations
 
@@ -477,6 +482,23 @@ def offset_window(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-n, 1), repeat=n))
 
 
+def cell_pair_profiles(
+    i: int, j: int, n: int, margins: Sequence[Fraction | int | str]
+) -> Iterator[tuple[tuple[int, ...], RegionPair, list[BettiProfile]]]:
+    """The oracle loop: one (offset, pair, profiles) per inner cell.
+
+    The outer cell sits at level i and offset 0; the inner cell runs over
+    level j at every offset of `offset_window`.  Each pair is built once and
+    then shrunk by every margin in turn, so `profiles` holds one relative
+    Betti profile per margin, in the order given.
+    """
+    outer = CellObject(i, (0,) * n)
+    for offset in offset_window(n):
+        pair = region_pair(outer, CellObject(j, offset))
+        profiles = [relative_cohomology(shrink_and_triangulate(pair, eps)) for eps in margins]
+        yield offset, pair, profiles
+
+
 def oracle_hom_dim(
     i: int, j: int, n: int, epsilon: Fraction | int | str = Fraction(1, 8)
 ) -> BettiProfile:
@@ -487,38 +509,5 @@ def oracle_hom_dim(
     result is concentrated in degree 0, where it equals the binomial count of
     the quiver calculus.
     """
-    if n not in (1, 2):
-        raise ValueError("the cohomology oracle supports n = 1 and n = 2 only")
-    outer = CellObject(i, (0,) * n)
-    total = [0] * (n + 1)
-    for offset in offset_window(n):
-        betti = pair_cohomology(outer, CellObject(j, offset), epsilon)
-        total = [t + b for t, b in zip(total, betti)]
-    return tuple(total)
-
-
-def hom_dim_detail(
-    i: int, j: int, n: int, epsilon: Fraction | int | str = Fraction(1, 8)
-) -> list[dict]:
-    """Per-inner-cell summary used by the command-line oracle report."""
-    if n not in (1, 2):
-        raise ValueError("the cohomology oracle supports n = 1 and n = 2 only")
-    outer = CellObject(i, (0,) * n)
-    entries = []
-    for offset in offset_window(n):
-        inner = CellObject(j, offset)
-        pair = region_pair(outer, inner)
-        sp = shrink_and_triangulate(pair, epsilon)
-        entries.append(
-            {
-                "i": i,
-                "j": j,
-                "b": list(offset),
-                "betti": list(relative_cohomology(sp)),
-                "cells": {
-                    "X": list(pair.X.counts_by_dim()),
-                    "A": list(pair.A.counts_by_dim()),
-                },
-            }
-        )
-    return entries
+    profiles = [betti for _, _, (betti,) in cell_pair_profiles(i, j, n, (epsilon,))]
+    return tuple(sum(degree) for degree in zip(*profiles))

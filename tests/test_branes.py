@@ -37,11 +37,6 @@ def test_section_gamma_linear_in_level():
             assert scaled == pytest.approx(tuple(k * v for v in base))
 
 
-def test_connection_alias():
-    r = (0.7, 1.3)
-    assert branes.connection_angular_part(2, r) == branes.section_gamma_unreduced(2, r)
-
-
 def test_base_potential_frozen_value():
     assert branes.base_potential(np.array([-0.5])) == pytest.approx(LOG2_OVER_2)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tdual import cli
+from tdual import cli, oracle
 
 
 def run_cli(args, capsys):
@@ -89,6 +89,22 @@ def test_oracle_report_detail(capsys):
     assert set(entry) == {"i", "j", "b", "betti", "cells"}
 
 
+def test_oracle_builds_each_cell_pair_once(monkeypatch, capsys):
+    built = []
+    region_pair = oracle.region_pair
+
+    def counting(outer, inner):
+        built.append((outer, inner))
+        return region_pair(outer, inner)
+
+    monkeypatch.setattr(oracle, "region_pair", counting)
+    rc, _ = run_cli(["oracle", "--n", "1"], capsys)
+    assert rc == 0
+    # one call per (i, j, offset), shared by the epsilon and epsilon/2 checks
+    assert len(built) == 8
+    assert len(set(built)) == 8
+
+
 def test_quiver_dot_export(tmp_path, capsys):
     out_file = tmp_path / "quiver_n1.dot"
     rc, out = run_cli(
@@ -169,6 +185,13 @@ def test_branes_command_structure(capsys):
         ["--fd-step", "0.1"],
         ["--grid", "-1"],
         ["--grid", "0"],
+        ["--out", "/nonexistent-tdual-dir/report.json"],
+        ["--out", "."],
+        ["--tol", "nan"],
+        ["--tol", "-0.5"],
+        ["--sym-tol", "-1"],
+        ["--sym-tol", "inf"],
+        ["--graph-tol", "nan"],
     ],
 )
 def test_usage_error_on_out_of_range_flag(flags, capsys):

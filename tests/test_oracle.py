@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdual import oracle
+from tdual import cli, oracle
 from tdual.cells import CellObject, hom_basis
 from tdual.oracle import (
     SimplicialPair,
@@ -273,14 +273,16 @@ def test_oracle_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         oracle_hom_dim(-1, -1, 3)
     with pytest.raises(ValueError):
-        oracle.hom_dim_detail(-1, -1, 3)
+        list(oracle.cell_pair_profiles(-1, -1, 3, (Fraction(1, 8),)))
 
 
 def test_hom_dim_detail_entries():
-    entries = oracle.hom_dim_detail(-2, -1, 1)
+    _, detail = cli.run_oracle(cli.RunConfig(command="oracle", n=1))
+    entries = [e for e in detail if (e["i"], e["j"]) == (-2, -1)]
     assert len(entries) == 2
     total = sum(e["betti"][0] for e in entries)
     assert total == 2
     for e in entries:
         assert set(e) == {"i", "j", "b", "betti", "cells"}
         assert set(e["cells"]) == {"X", "A"}
+
