@@ -19,7 +19,6 @@ Multi-index containment arithmetic is exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
@@ -129,30 +128,27 @@ def _reduce_offset(value: int, modulus: int) -> int:
     return -((-value) % modulus)
 
 
-def containment_lifts(
-    outer: CellObject, inner: CellObject, window: int = 1
-) -> list[tuple[int, ...]]:
+def containment_lifts(outer: CellObject, inner: CellObject) -> list[tuple[int, ...]]:
     """Integer lifts of the inner offset realizing containment in the outer cell.
 
-    A lift b' = inner.offset + (n+1) m (entries of m in [-window, window])
-    realizes containment iff b'_l <= a_l componentwise and
-    sum(b' - a) >= outer.level - inner.level.  For valid labels at most one
-    lift can succeed; a wider `window` is accepted so that uniqueness can be
-    probed beyond the default enumeration range.
+    A lift b' of the inner offset b (b' = b mod n+1) realizes containment iff
+    b'_l <= a_l componentwise and sum(b' - a) >= outer.level - inner.level,
+    where a is the outer offset.  Only the canonical lift
+    b'_l = a_l - ((a_l - b_l) mod (n+1)), with entries in (a_l - n - 1, a_l],
+    can succeed: any other lift with b' <= a is lower by at least n+1 in some
+    entry, so sum(b' - a) <= -(n+1) < -n <= outer.level - inner.level.  The
+    result is therefore [canonical lift] or [].
+
+    >>> containment_lifts(CellObject(-2, (-1,)), CellObject(-1, (0,)))
+    [(-2,)]
     """
     if outer.n != inner.n:
         raise ValueError("cells must share a dimension")
-    n = outer.n
-    period = n + 1
     a = outer.offset
-    found = []
-    for m in itertools.product(range(-window, window + 1), repeat=n):
-        lift = tuple(b + period * mi for b, mi in zip(inner.offset, m))
-        if all(bp <= ai for bp, ai in zip(lift, a)) and (
-            sum(lift) - sum(a) >= outer.level - inner.level
-        ):
-            found.append(lift)
-    return found
+    lift = tuple(al + _reduce_offset(b - al, outer.n + 1) for al, b in zip(a, inner.offset))
+    if sum(lift) - sum(a) >= outer.level - inner.level:
+        return [lift]
+    return []
 
 
 def cell_contains(outer: CellObject, inner: CellObject) -> bool:

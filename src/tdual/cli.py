@@ -225,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, help="ambient dimension n >= 1")
-    common.add_argument("--tol", type=float, default=1e-12, help="identity-check tolerance")
-    common.add_argument("--sym-tol", type=float, default=1e-9, help="two-form vanishing tolerance")
-    common.add_argument("--fd-step", type=float, default=1e-5, help="finite-difference step")
-    common.add_argument("--graph-tol", type=float, default=1e-7, help="graph-check tolerance")
-    common.add_argument("--grid", type=int, default=20, help="grid density per axis")
-    common.add_argument("--samples", type=int, default=10_000, help="random samples per probe")
-    common.add_argument("--delta-probe", type=float, default=0.05, help="probe time horizon")
-    common.add_argument("--epsilon", type=str, default="1/8", help="oracle shrink margin (rational)")
-    common.add_argument("--format", dest="fmt", choices=("json", "text", "dot"), default="json")
+    common.add_argument("--tol", type=float, default=RunConfig.tol, help="identity-check tolerance")
+    common.add_argument("--sym-tol", type=float, default=RunConfig.sym_tol, help="two-form vanishing tolerance")
+    common.add_argument("--fd-step", type=float, default=RunConfig.fd_step, help="finite-difference step")
+    common.add_argument("--graph-tol", type=float, default=RunConfig.graph_tol, help="graph-check tolerance")
+    common.add_argument("--grid", type=int, default=RunConfig.grid, help="grid density per axis")
+    common.add_argument("--samples", type=int, default=RunConfig.samples, help="random samples per probe")
+    common.add_argument("--delta-probe", type=float, default=RunConfig.delta_probe, help="probe time horizon")
+    common.add_argument("--epsilon", type=str, default=str(RunConfig.epsilon), help="oracle shrink margin (rational)")
+    common.add_argument("--format", dest="fmt", choices=("json", "text", "dot"), default=RunConfig.fmt)
     common.add_argument("--out", type=str, default=None, help="write the report/export here")
     for name in ("geometry", "branes", "quiver", "verify", "oracle"):
         sub.add_parser(name, parents=[common])

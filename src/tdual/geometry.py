@@ -79,9 +79,6 @@ class ProjectivePoint:
         scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
         return bool(np.abs(a - b).max() <= rtol * scale)
 
-    def to_dict(self) -> dict:
-        return {"homogeneous": [[c.real, c.imag] for c in self.homogeneous]}
-
 
 @dataclass(frozen=True)
 class MomentImage:
@@ -104,9 +101,6 @@ class MomentImage:
     def is_interior(self) -> bool:
         return all(v > 0 for v in self.x) and sum(self.x) < 1
 
-    def to_dict(self) -> dict:
-        return {"x": list(self.x)}
-
 
 @dataclass(frozen=True)
 class TorusFiber:
@@ -124,16 +118,12 @@ class TorusFiber:
     def n(self) -> int:
         return len(self.r)
 
-    def to_dict(self) -> dict:
-        return {"r": list(self.r)}
-
 
 @dataclass(frozen=True)
 class MirrorPoint:
     """A point of the dual fibration: radii r with angles gamma in [0, 1)^n.
 
-    The logarithmic coordinate y = log r and the complex coordinate z are
-    derived on access.
+    Its complex coordinates come from `mirror_coordinates`.
     """
 
     r: tuple[float, ...]
@@ -152,23 +142,6 @@ class MirrorPoint:
     @property
     def n(self) -> int:
         return len(self.r)
-
-    @property
-    def y(self) -> tuple[float, ...]:
-        """Logarithmic radii log r_j."""
-        return tuple(math.log(v) for v in self.r)
-
-    @property
-    def z(self) -> tuple[complex, ...]:
-        return mirror_coordinates(self)
-
-    def to_dict(self) -> dict:
-        return {
-            "r": list(self.r),
-            "gamma": list(self.gamma),
-            "y": list(self.y),
-            "z": [[c.real, c.imag] for c in self.z],
-        }
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ by purely combinatorial means, independent of the quiver calculus in
     R^n whose 2-dimensional cells are unit squares split along anti-diagonals
     (the bounding hyperplane families are g_l = const and sum g = const, so
     this triangulation is compatible with every region in play).  The inner
-    open cell embeds in the torus and is lifted once; the outer cell's closure
-    is unioned over lattice translates of its standard lift.  Cell membership
-    is decided exactly by evaluating the defining inequalities on rational
-    barycenters.
+    open cell embeds in the torus and is lifted once.  Each of its grid cells
+    is tested against the outer cell through one lift of its rational
+    barycenter: the canonical one, whose coordinates lie in
+    (a_l - (n+1), a_l] for the outer corner a.  The outer closure contains
+    the point iff it contains that lift, so no search over translates is
+    needed.
 
 2.  The locally closed X is replaced by a compact deformation retract: the
     inner cell's strict inequalities are tightened by a rational margin
@@ -55,8 +57,8 @@ MAX_EPSILON = Fraction(1, 4)
 _EDGE_KINDS_2D = ("EH", "EV", "ED")
 
 
-def _simplex_constraints(level: int, offset: Sequence[int], strict: bool) -> list[Constraint]:
-    """Halfspace description of a cell's standard lift (open or closed).
+def _simplex_constraints(level: int, offset: Sequence[int]) -> list[Constraint]:
+    """Strict halfspace description of an open cell's standard lift.
 
     The region is {g_l < offset_l for all l, sum(g - offset) > level}; the sum
     constraint is stored negated so every constraint reads coeffs . x < rhs.
@@ -65,18 +67,9 @@ def _simplex_constraints(level: int, offset: Sequence[int], strict: bool) -> lis
     cons: list[Constraint] = []
     for l in range(n):
         coeffs = tuple(1 if i == l else 0 for i in range(n))
-        cons.append((coeffs, Fraction(offset[l]), strict))
-    cons.append(
-        ((-1,) * n, Fraction(-(level + sum(offset))), strict)
-    )
+        cons.append((coeffs, Fraction(offset[l]), True))
+    cons.append(((-1,) * n, Fraction(-(level + sum(offset))), True))
     return cons
-
-
-def _translate_constraints(cons: Iterable[Constraint], shift: Sequence[int]) -> list[Constraint]:
-    return [
-        (coeffs, rhs + sum(c * s for c, s in zip(coeffs, shift)), strict)
-        for coeffs, rhs, strict in cons
-    ]
 
 
 def _dot(coeffs: Sequence[int], point: Sequence[Fraction]) -> Fraction:
@@ -189,23 +182,20 @@ class RegionPair:
     """The pair (X, A) for an outer/inner cell, plus the inner cell's halfspaces.
 
     `inner_constraints` are the strict halfspaces of the (lifted) inner cell;
-    the shrink step tightens exactly these.  Iterating yields (X, A).
+    the shrink step tightens exactly these.
     """
 
     X: PolyhedralRegion
     A: PolyhedralRegion
     inner_constraints: tuple[Constraint, ...]
 
-    def __iter__(self):
-        return iter((self.X, self.A))
-
 
 def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     """Compute X = closure(outer) ∩ inner and A = boundary(outer) ∩ inner.
 
     Both cells live on the covering torus; the computation lifts the inner
-    cell once and runs over every lattice translate of the outer cell that can
-    meet it.  Only n = 1 and n = 2 are supported.
+    cell once and tests each of its grid cells against the outer cell through
+    the canonical lift of its barycenter.  Only n = 1 and n = 2 are supported.
     """
     n = outer.n
     if inner.n != n:
@@ -213,26 +203,26 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     if n not in (1, 2):
         raise ValueError("the cohomology oracle supports n = 1 and n = 2 only")
     period = n + 1
-    inner_cons = tuple(_simplex_constraints(inner.level, inner.offset, strict=True))
+    inner_cons = tuple(_simplex_constraints(inner.level, inner.offset))
     lo = [inner.offset[l] + inner.level for l in range(n)]
     hi = [inner.offset[l] for l in range(n)]
-    inner_cells = cells_in_region(n, inner_cons, lo, hi)
     x_cells: set[GridCell] = set()
     a_cells: set[GridCell] = set()
-    closed = _simplex_constraints(outer.level, outer.offset, strict=False)
-    opened = _simplex_constraints(outer.level, outer.offset, strict=True)
-    for steps in itertools.product(range(-3, 4), repeat=n):
-        shift = tuple(period * s for s in steps)
-        # outer lift occupies [offset + level + shift, offset + shift]
-        if any(
-            outer.offset[l] + shift[l] < lo[l] or outer.offset[l] + outer.level + shift[l] > hi[l]
-            for l in range(n)
-        ):
-            continue
-        closed_cells = cells_in_region(n, _translate_constraints(closed, shift), lo, hi)
-        open_cells = cells_in_region(n, _translate_constraints(opened, shift), lo, hi)
-        x_cells |= closed_cells & inner_cells
-        a_cells |= (closed_cells - open_cells) & inner_cells
+    # The outer closure is {g : g_l <= a_l, sum(g - a) >= level} modulo (n+1)Z^n.
+    # Among the lifts g' of a point with g' <= a, the canonical one,
+    # g'_l = a_l - depth_l with depth_l = (a_l - g_l) mod (n+1) in [0, n+1),
+    # has the largest sum(g' - a) = -sum(depth) <= 0.  Any other one is at least
+    # n+1 lower in some coordinate, so its sum is at most -(n+1) <= level: it adds
+    # nothing to the closure and never lies in the open cell.  With
+    # slack = -sum(depth) - level, the point is in the closure iff slack >= 0,
+    # and in the open cell iff also slack > 0 and every depth_l > 0.
+    for cell in cells_in_region(n, inner_cons, lo, hi):
+        depth = [(a - g) % period for a, g in zip(outer.offset, cell_barycenter(cell))]
+        slack = -sum(depth) - outer.level
+        if slack >= 0:
+            x_cells.add(cell)
+            if slack == 0 or 0 in depth:
+                a_cells.add(cell)
     return RegionPair(
         X=PolyhedralRegion(n, frozenset(x_cells)),
         A=PolyhedralRegion(n, frozenset(a_cells)),

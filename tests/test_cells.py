@@ -69,21 +69,32 @@ def test_containment_reverses_levels_only_one_way():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_containment_lift_is_unique(n):
-    """Even with a widened search window there is at most one valid lift.
+    """A widened search over lifts finds exactly what the closed form returns.
 
-    For n = 3 the outer corner stays at the origin: translating both cells
-    by a deck element shifts every lift by the same amount, so the count
-    only depends on the offset difference.
+    The reference enumerates every lift b + (n+1) m with m in {-2, ..., 2}^n,
+    which already holds at most one valid lift, and must agree with
+    `containment_lifts` pair by pair.  For n = 3 the outer corner stays at
+    the origin: translating both cells by a deck element shifts every lift
+    by the same amount, so the result only depends on the offset difference.
     """
+    period = n + 1
     outer_cells = (
         all_cells(n)
         if n <= 2
         else (CellObject(level, (0,) * n) for level in range(-n - 1, 0))
     )
     for outer in outer_cells:
+        a = outer.offset
         for inner in all_cells(n):
-            lifts = cells.containment_lifts(outer, inner, window=2)
-            assert len(lifts) <= 1, (outer, inner, lifts)
+            reference = []
+            for m in itertools.product(range(-2, 3), repeat=n):
+                lift = tuple(b + period * mi for b, mi in zip(inner.offset, m))
+                if all(bp <= ai for bp, ai in zip(lift, a)) and (
+                    sum(lift) - sum(a) >= outer.level - inner.level
+                ):
+                    reference.append(lift)
+            assert len(reference) <= 1, (outer, inner, reference)
+            assert cells.containment_lifts(outer, inner) == reference, (outer, inner)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -88,6 +88,58 @@ def test_region_pair_counts_full_cell_n2():
     assert sum(pair.X.counts_by_dim()) == 19
 
 
+def _reference_region_pair(outer, inner):
+    """X and A by brute force over the outer cell's lattice translates.
+
+    Every inner grid cell's barycenter is tested with exact inequalities
+    against the closed and the open outer cell translated by (n+1) m,
+    m in {-1, 0, 1}^n; X and A are the unions over m.
+    """
+    n = outer.n
+    period = n + 1
+    b = inner.offset
+    lo = [bl + inner.level for bl in b]
+    x_cells, a_cells = set(), set()
+    for cell in oracle._grid_cells(n, lo, b):
+        g = oracle.cell_barycenter(cell)
+        if not (all(gl < bl for gl, bl in zip(g, b)) and sum(g) - sum(b) > inner.level):
+            continue
+        for m in itertools.product((-1, 0, 1), repeat=n):
+            a = [al + period * ml for al, ml in zip(outer.offset, m)]
+            total = sum(g) - sum(a)
+            if all(gl <= al for gl, al in zip(g, a)) and total >= outer.level:
+                x_cells.add(cell)
+                if not (all(gl < al for gl, al in zip(g, a)) and total > outer.level):
+                    a_cells.add(cell)
+    return x_cells, a_cells
+
+
+def _every_cell(n, offsets=None):
+    for level in range(-n - 1, 0):
+        for offset in offsets or itertools.product(range(-n, 1), repeat=n):
+            yield CellObject(level, offset)
+
+
+def test_region_pair_matches_translate_union():
+    """The canonical-lift rule agrees with the union over translates.
+
+    Every pair at n = 1, and at n = 2 every outer cell against the inner
+    cells at offset (-1, -2), so that the outer offset is not only 0 and
+    the wrap-around cases are covered.
+    """
+    pairs = [(o, i) for o in _every_cell(1) for i in _every_cell(1)]
+    pairs += [(o, i) for o in _every_cell(2) for i in _every_cell(2, [(-1, -2)])]
+    assert len(pairs) == 16 + 81
+    nonempty_a = 0
+    for outer, inner in pairs:
+        pair = region_pair(outer, inner)
+        x_cells, a_cells = _reference_region_pair(outer, inner)
+        assert pair.X.cells == x_cells, (outer, inner)
+        assert pair.A.cells == a_cells, (outer, inner)
+        nonempty_a += bool(a_cells)
+    assert nonempty_a > 10
+
+
 def test_region_pair_validation():
     with pytest.raises(ValueError):
         region_pair(CellObject(-1, (0,)), CellObject(-1, (0, 0)))
