@@ -240,9 +240,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        (Fraction if "/" in token else float)(token)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return token.startswith("-")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join `--flag -1e-5` into `--flag=-1e-5`.
+
+    argparse reads only -N and -N.N as negative numbers.  It takes -1e-5, -inf
+    or -1/8 for an option, so the flag before it would fail with "expected
+    one argument" instead of reaching the range checks.  Every long option
+    but --help takes a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev and _is_negative_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.n < 1:
         parser.error("--n must be a positive integer")
     try:

@@ -13,19 +13,20 @@ by purely combinatorial means, independent of the quiver calculus in
     (the bounding hyperplane families are g_l = const and sum g = const, so
     this triangulation is compatible with every region in play).  The inner
     open cell embeds in the torus and is lifted once.  Each of its grid cells
-    is tested against the outer cell through one lift of its rational
-    barycenter: the canonical one, whose coordinates lie in
-    (a_l - (n+1), a_l] for the outer corner a.  The outer closure contains
-    the point iff it contains that lift, so no search over translates is
-    needed.
+    is tested at its barycenter, in integers: a cell with k vertices is
+    represented by the sum of its vertices, k times the barycenter, and every
+    test is scaled by k.  Against the outer cell the point is tested through
+    one lift: the canonical one, whose coordinates lie in (a_l - (n+1), a_l]
+    for the outer corner a.  The outer closure contains the point iff it
+    contains that lift, so no search over translates is needed.
 
 2.  The locally closed X is replaced by a compact deformation retract: the
     inner cell's strict inequalities are tightened by a rational margin
     epsilon < 1/4 (every grid face keeps its barycenter, with slack >= 1/3, so
-    no piece degenerates).  Clipping each grid face against the tightened
-    halfspaces yields a polytopal complex, triangulated by fanning each
-    polygon from its lexicographically smallest vertex; the A-faces form a
-    subcomplex.
+    no piece degenerates).  One clipper cuts each grid face, point, segment
+    or polygon, against the tightened halfspaces in exact rationals; this
+    yields a polytopal complex, triangulated by fanning each polygon from its
+    lexicographically smallest vertex; the A-faces form a subcomplex.
 
 3.  Ranks of the relative simplicial cochain complex over Q are computed by
     fraction-free (Bareiss) elimination on the integer coboundary matrices.
@@ -44,47 +45,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cells import CellObject
 
-# A halfspace {x : coeffs . x (<|<=) rhs}; `strict` picks the comparison.
-Constraint = tuple[tuple[int, ...], Fraction, bool]
+# A halfspace bounded by coeffs . x = rhs: read with < (integer rhs) for the
+# open inner cell, with <= (rational rhs) by the shrink step.
+Constraint = tuple[tuple[int, ...], int | Fraction]
 
 # Largest admissible shrink margin: a quarter of the arrangement's vertex gap.
 MAX_EPSILON = Fraction(1, 4)
 
-_EDGE_KINDS_2D = ("EH", "EV", "ED")
-
 
 def _simplex_constraints(level: int, offset: Sequence[int]) -> list[Constraint]:
-    """Strict halfspace description of an open cell's standard lift.
+    """Halfspace description of an open cell's standard lift.
 
     The region is {g_l < offset_l for all l, sum(g - offset) > level}; the sum
     constraint is stored negated so every constraint reads coeffs . x < rhs.
     """
     n = len(offset)
-    cons: list[Constraint] = []
-    for l in range(n):
-        coeffs = tuple(1 if i == l else 0 for i in range(n))
-        cons.append((coeffs, Fraction(offset[l]), True))
-    cons.append(((-1,) * n, Fraction(-(level + sum(offset))), True))
-    return cons
+    cons = [(tuple(int(i == l) for i in range(n)), offset[l]) for l in range(n)]
+    return cons + [((-1,) * n, -(level + sum(offset)))]
 
 
-def _dot(coeffs: Sequence[int], point: Sequence[Fraction]) -> Fraction:
-    return sum((c * p for c, p in zip(coeffs, point)), start=Fraction(0))
-
-
-def _satisfies(point: Sequence[Fraction], cons: Iterable[Constraint]) -> bool:
-    for coeffs, rhs, strict in cons:
-        val = _dot(coeffs, point)
-        if strict:
-            if not val < rhs:
-                return False
-        elif not val <= rhs:
-            return False
-    return True
+def _dot(coeffs: Sequence[int], point: Sequence[int | Fraction]) -> int | Fraction:
+    return sum(c * p for c, p in zip(coeffs, point))
 
 
 # --- the integer-grid triangulation ---------------------------------------
@@ -113,21 +98,7 @@ def cell_vertices(cell: GridCell) -> tuple[tuple[int, ...], ...]:
 
 
 def cell_dim(cell: GridCell) -> int:
-    kind = cell[0]
-    if kind == "V":
-        return 0
-    if kind in ("E",) + _EDGE_KINDS_2D:
-        return 1
-    return 2
-
-
-def cell_barycenter(cell: GridCell) -> tuple[Fraction, ...]:
-    verts = cell_vertices(cell)
-    k = len(verts)
-    return tuple(
-        sum((Fraction(v[i]) for v in verts), start=Fraction(0)) / k
-        for i in range(len(verts[0]))
-    )
+    return len(cell_vertices(cell)) - 1
 
 
 def _grid_cells(n: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[GridCell]:
@@ -137,21 +108,6 @@ def _grid_cells(n: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[GridCe
     for base in itertools.product(*ranges):
         for kind in kinds:
             yield (kind, base)
-
-
-def cells_in_region(
-    n: int, cons: Sequence[Constraint], lo: Sequence[int], hi: Sequence[int]
-) -> set[GridCell]:
-    """Grid cells lying inside a region, decided on exact barycenters.
-
-    Valid because every constraint hyperplane is a union of grid faces, so no
-    open grid cell crosses one.
-    """
-    return {
-        cell
-        for cell in _grid_cells(n, lo, hi)
-        if _satisfies(cell_barycenter(cell), cons)
-    }
 
 
 # --- regions and pairs ------------------------------------------------------
@@ -181,8 +137,8 @@ class PolyhedralRegion:
 class RegionPair:
     """The pair (X, A) for an outer/inner cell, plus the inner cell's halfspaces.
 
-    `inner_constraints` are the strict halfspaces of the (lifted) inner cell;
-    the shrink step tightens exactly these.
+    `inner_constraints` bound the (lifted) inner cell, which is the set where
+    every one holds with `<`; the shrink step tightens exactly these.
     """
 
     X: PolyhedralRegion
@@ -195,19 +151,21 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
 
     Both cells live on the covering torus; the computation lifts the inner
     cell once and tests each of its grid cells against the outer cell through
-    the canonical lift of its barycenter.  Only n = 1 and n = 2 are supported.
+    the canonical lift of its barycenter, in integers.  Only n = 1 and n = 2
+    are supported.
     """
     n = outer.n
     if inner.n != n:
         raise ValueError("cells must share a dimension")
     if n not in (1, 2):
         raise ValueError("the cohomology oracle supports n = 1 and n = 2 only")
-    period = n + 1
     inner_cons = tuple(_simplex_constraints(inner.level, inner.offset))
-    lo = [inner.offset[l] + inner.level for l in range(n)]
-    hi = [inner.offset[l] for l in range(n)]
+    lo = [b + inner.level for b in inner.offset]
     x_cells: set[GridCell] = set()
     a_cells: set[GridCell] = set()
+    # Every constraint hyperplane is a union of grid faces, so no open grid
+    # cell crosses one and its barycenter g decides it.  The code tests the
+    # vertex sum kg = k * g of a cell with k vertices, every bound scaled by k.
     # The outer closure is {g : g_l <= a_l, sum(g - a) >= level} modulo (n+1)Z^n.
     # Among the lifts g' of a point with g' <= a, the canonical one,
     # g'_l = a_l - depth_l with depth_l = (a_l - g_l) mod (n+1) in [0, n+1),
@@ -216,9 +174,14 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     # nothing to the closure and never lies in the open cell.  With
     # slack = -sum(depth) - level, the point is in the closure iff slack >= 0,
     # and in the open cell iff also slack > 0 and every depth_l > 0.
-    for cell in cells_in_region(n, inner_cons, lo, hi):
-        depth = [(a - g) % period for a, g in zip(outer.offset, cell_barycenter(cell))]
-        slack = -sum(depth) - outer.level
+    for cell in _grid_cells(n, lo, inner.offset):
+        verts = cell_vertices(cell)
+        k = len(verts)
+        kg = [sum(coords) for coords in zip(*verts)]
+        if any(_dot(coeffs, kg) >= k * rhs for coeffs, rhs in inner_cons):
+            continue
+        depth = [(k * a - kg_l) % (k * (n + 1)) for a, kg_l in zip(outer.offset, kg)]
+        slack = -sum(depth) - k * outer.level
         if slack >= 0:
             x_cells.add(cell)
             if slack == 0 or 0 in depth:
@@ -267,33 +230,18 @@ class SimplicialPair:
             raise AssertionError("subcomplex not contained in complex")
 
 
-def _clip_segment(
-    p: tuple[Fraction, ...], q: tuple[Fraction, ...], cons: Sequence[Constraint]
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    lo, hi = Fraction(0), Fraction(1)
-    for coeffs, rhs, _ in cons:
-        fp, fq = _dot(coeffs, p), _dot(coeffs, q)
-        if fp == fq:
-            if fp > rhs:
-                return None
-            continue
-        t = (rhs - fp) / (fq - fp)
-        if fq > fp:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-    if lo > hi:
-        return None
-    def at(t: Fraction) -> tuple[Fraction, ...]:
-        return tuple(a + t * (b - a) for a, b in zip(p, q))
-    return (at(lo),) if lo == hi else (at(lo), at(hi))
-
-
 def _clip_polygon(
     points: list[tuple[Fraction, ...]], cons: Sequence[Constraint]
 ) -> list[tuple[Fraction, ...]]:
+    """Clip a point, segment or convex polygon to {x : coeffs . x <= rhs}.
+
+    Sutherland-Hodgman, one halfspace at a time.  A 1-point list is kept or
+    dropped whole.  A segment is walked p -> q -> p: both crossings give the
+    same exact point and the duplicate pass merges them, so the result runs
+    p -> q, or is one point where the segment only touches the boundary.
+    """
     poly = points
-    for coeffs, rhs, _ in cons:
+    for coeffs, rhs in cons:
         if not poly:
             return []
         out: list[tuple[Fraction, ...]] = []
@@ -324,26 +272,12 @@ def _piece_simplices(
 ) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Top simplices of one grid face clipped against the shrink halfspaces."""
     verts = [tuple(Fraction(c) for c in v) for v in cell_vertices(cell)]
-    dim = cell_dim(cell)
-    if dim == 0:
-        return [tuple(verts)] if _satisfies(verts[0], shrink) else []
-    if dim == 1:
-        seg = _clip_segment(verts[0], verts[1], shrink)
-        if seg is None:
-            return []
-        return [seg]
     poly = _clip_polygon(verts, shrink)
     if len(poly) < 3:
         return [tuple(poly)] if poly else []
-    anchor = min(range(len(poly)), key=lambda i: poly[i])
-    out = []
-    for s in range(1, len(poly) - 1):
-        a = poly[anchor]
-        b = poly[(anchor + s) % len(poly)]
-        c = poly[(anchor + s + 1) % len(poly)]
-        if _cross(a, b, c) != 0:
-            out.append((a, b, c))
-    return out
+    anchor = poly.index(min(poly))
+    a, *rest = poly[anchor:] + poly[:anchor]
+    return [(a, b, c) for b, c in zip(rest, rest[1:]) if _cross(a, b, c) != 0]
 
 
 def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> SimplicialPair:
@@ -356,9 +290,7 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     if not 0 < eps < MAX_EPSILON:
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
     n = pair.X.n
-    shrink = [
-        (coeffs, rhs - eps, False) for coeffs, rhs, _ in pair.inner_constraints
-    ]
+    shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
     vertex_index: dict[tuple[Fraction, ...], int] = {}
     vertices: list[tuple[Fraction, ...]] = []
     simplices: set[tuple[int, ...]] = set()
@@ -376,12 +308,10 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
             for face in itertools.combinations(idx, k):
                 into.add(face)
 
-    for cell in sorted(pair.X.cells):
-        for piece in _piece_simplices(cell, shrink):
-            register(piece, simplices)
-    for cell in sorted(pair.A.cells):
-        for piece in _piece_simplices(cell, shrink):
-            register(piece, sub)
+    for cells, into in ((pair.X.cells, simplices), (pair.A.cells, sub)):
+        for cell in sorted(cells):
+            for piece in _piece_simplices(cell, shrink):
+                register(piece, into)
     simplices |= sub
     return SimplicialPair(
         n=n,

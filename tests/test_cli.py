@@ -62,13 +62,17 @@ def test_usage_error_on_nonpositive_n():
     assert err.value.code == 2
 
 
-def test_usage_error_on_bad_epsilon():
+def test_usage_error_on_bad_epsilon(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["oracle", "--n", "1", "--epsilon", "1/4"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         cli.main(["oracle", "--n", "1", "--epsilon", "junk"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["oracle", "--n", "1", "--epsilon", "-1/8"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual: error: --epsilon")
 
 
 def test_reports_are_byte_identical(capsys):
@@ -192,6 +196,8 @@ def test_branes_command_structure(capsys):
         ["--sym-tol", "-1"],
         ["--sym-tol", "inf"],
         ["--graph-tol", "nan"],
+        ["--tol", "-1e-12"],
+        ["--fd-step", "-1e-5"],
     ],
 )
 def test_usage_error_on_out_of_range_flag(flags, capsys):

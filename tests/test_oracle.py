@@ -28,10 +28,6 @@ def test_grid_cell_geometry_n2():
     assert oracle.cell_dim(("V", (0, 0))) == 0
     assert oracle.cell_dim(("EH", (0, 0))) == 1
     assert oracle.cell_dim(("TL", (0, 0))) == 2
-    assert oracle.cell_barycenter(("TU", (-1, -1))) == (
-        Fraction(-1, 3),
-        Fraction(-1, 3),
-    )
 
 
 def test_unit_cell_is_single_triangle():
@@ -88,6 +84,11 @@ def test_region_pair_counts_full_cell_n2():
     assert sum(pair.X.counts_by_dim()) == 19
 
 
+def _barycenter(cell):
+    verts = oracle.cell_vertices(cell)
+    return tuple(Fraction(sum(coords), len(verts)) for coords in zip(*verts))
+
+
 def _reference_region_pair(outer, inner):
     """X and A by brute force over the outer cell's lattice translates.
 
@@ -101,7 +102,7 @@ def _reference_region_pair(outer, inner):
     lo = [bl + inner.level for bl in b]
     x_cells, a_cells = set(), set()
     for cell in oracle._grid_cells(n, lo, b):
-        g = oracle.cell_barycenter(cell)
+        g = _barycenter(cell)
         if not (all(gl < bl for gl, bl in zip(g, b)) and sum(g) - sum(b) > inner.level):
             continue
         for m in itertools.product((-1, 0, 1), repeat=n):
@@ -148,6 +149,30 @@ def test_region_pair_validation():
 
 
 # --- shrinking and triangulating ---------------------------------------------
+
+def test_clip_polygon_points_and_segments():
+    """The polygon clipper on 1- and 2-point lists, with exact output."""
+    F = Fraction
+    clip = oracle._clip_polygon
+    p, q = (F(0), F(0)), (F(2), F(1))
+    # a point is kept or dropped whole
+    assert clip([p], [((1, 0), F(0))]) == [p]
+    assert clip([p], [((1, 0), F(-1))]) == []
+    # fully inside
+    assert clip([p, q], [((1, 0), F(2)), ((0, 1), F(1))]) == [p, q]
+    # cut at the q end
+    assert clip([p, q], [((1, 0), F(1))]) == [p, (F(1), F(1, 2))]
+    # cut at the p end, by two halfspaces; the order stays p -> q
+    assert clip([p, q], [((-1, 0), F(-1, 2)), ((0, -1), F(-1, 3))]) == [
+        (F(2, 3), F(1, 3)),
+        q,
+    ]
+    # touching the boundary leaves one point
+    assert clip([p, q], [((1, 0), F(0))]) == [p]
+    assert clip([p, q], [((-1, -1), F(-3))]) == [q]
+    # fully outside
+    assert clip([p, q], [((1, 0), F(2)), ((0, 1), F(-1, 4))]) == []
+
 
 def test_shrink_identity_n1_is_path_graph():
     pair = region_pair(CellObject(-2, (0,)), CellObject(-2, (0,)))
