@@ -31,6 +31,8 @@ GOLDEN = {
     "oracle --n 2": "2ee5bd420fc3de6161e101492628c6a822b7d2aa2d00a7b736a05789d2c35cdf",
     "oracle --n 1 --epsilon 1/16": "2dcd00dca66b20e13d6389a9b64ee08be5e7cbf324e1bb8e9250c868a691450a",
     "branes --n 4 --grid 10": "d6e5a0748c17a6ea2f1a8cc406d6591ea5417afd325221c77a4e746fabe8cc67",
+    "verify --n 5": "f8e5c977a1dcb915ba2366023bfc18278d4937d007767aba01af7b9bbb9aee28",
+    "quiver --n 4": "f032056c6e7011bb613fa1ad76a31d6b5e47f6c2262928257ae508f3c54f1684",
 }
 
 
