@@ -405,6 +405,8 @@ def separation_probe(
     gammas, y, norms = gammas[ok], y[ok], norms[ok]
     if t_pairs is not None:
         tp = np.asarray(t_pairs, dtype=float)
+        if tp.shape[1:] != (2,) or len(tp) == 0:
+            raise ValueError("t_pairs must be a non-empty list of (t1, t2) pairs")
         if np.any(tp < 0) or np.any(tp[:, 0] > tp[:, 1]) or np.any(tp[:, 1] >= delta_probe):
             raise ValueError("t pairs must satisfy 0 <= t1 <= t2 < delta_probe")
         dts = np.repeat(tp[:, 1] - tp[:, 0], math.ceil(len(gammas) / len(tp)))[: len(gammas)]

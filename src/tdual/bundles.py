@@ -122,7 +122,7 @@ def euler_pairing(i: int, j: int, n: int) -> int:
 
 
 def line_bundle_quiver(n: int) -> Quiver:
-    """The monomial quiver on levels -n-1, ..., -1 with its composition table."""
+    """The monomial quiver on levels -n-1, ..., -1; it composes by `monomial_compose`."""
     return tabulate_quiver(n, monomial_hom_basis, monomial_compose)
 
 
@@ -131,8 +131,9 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
 
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
-    dimensions equal to the binomial count), and that every entry of the cell
-    quiver's composition table is sent to the product of the images.  A
+    dimensions equal to the binomial count), and that every composite of the
+    cell quiver, streamed by `Quiver.compositions()`, is sent to the product
+    of the images.  A
     prebuilt (possibly corrupted) cell quiver may be passed in; by default the
     canonical one for `n` is built.
     """
@@ -172,7 +173,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     "bundle_dim": len(bundle_side),
                     "expected": expected,
                 }
-    for (g, f), gf in quiver.composition.items():
+    for g, f, gf in quiver.compositions():
         compositions_checked += 1
         image = monomial_compose(to_monomial(g), to_monomial(f))
         if to_monomial(gf) != image:

@@ -19,7 +19,7 @@ Multi-index containment arithmetic is exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 
@@ -250,20 +250,38 @@ def deck_translate(
     raise TypeError(f"cannot translate object of type {type(x).__name__}")
 
 
+@dataclass(frozen=True)
+class _CompositionCount:
+    """Its `len` is the number of composable basis pairs of `q`; nothing is stored."""
+
+    q: "Quiver"
+
+    def __len__(self) -> int:
+        return sum(len(fs) * len(gs) for fs, gs in self.q.blocks())
+
+
 @dataclass
 class Quiver:
-    """A finite graded quiver with chosen hom bases and a composition table.
+    """A finite graded quiver on levels -n-1, ..., -1 with hom bases and a compose rule.
 
     `hom_bases` maps (source_level, target_level) to the list of basis
-    elements; `composition` maps composable basis pairs (g, f) — f first,
-    then g — to the basis element equal to g after f.  All stored morphisms
-    sit in degree 0; other degrees are empty.
+    elements, and `compose(g, f)` returns the basis element equal to g after f
+    (f first).  No composite is stored: `compositions()` computes them block
+    by block.  All stored morphisms sit in degree 0; other degrees are empty.
     """
 
     n: int
-    levels: tuple[int, ...]
-    hom_bases: dict = field(default_factory=dict)
-    composition: dict = field(default_factory=dict)
+    hom_bases: dict
+    compose: Callable
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(range(-self.n - 1, 0))
+
+    @property
+    def composition(self) -> _CompositionCount:
+        """Sized stand-in for the old composition table; bench/child.py reads its `len`."""
+        return _CompositionCount(self)
 
     def hom(self, i: int, j: int, degree: int = 0) -> list:
         if degree != 0:
@@ -273,36 +291,35 @@ class Quiver:
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
 
+    def blocks(self) -> Iterator[tuple[list, list]]:
+        """Bases (hom(i, j), hom(j, k)) of each block i <= j <= k, in `hom_bases` order."""
+        for (i, j), fs in self.hom_bases.items():
+            for (j2, k), gs in self.hom_bases.items():
+                if i <= j == j2 <= k:
+                    yield fs, gs
+
+    def compositions(self) -> Iterator[tuple]:
+        """Each composable basis pair with its composite, as (g, f, g∘f); f before g per block."""
+        for fs, gs in self.blocks():
+            for f in fs:
+                for g in gs:
+                    yield g, f, self.compose(g, f)
+
 
 def tabulate_quiver(n: int, basis_fn: Callable, compose_fn: Callable) -> Quiver:
     """The quiver on levels -n-1, ..., -1 with bases `basis_fn(i, j, n)`.
 
-    Empty hom spaces are left out, and the composition table holds
-    `compose_fn(g, f)` for every composable pair of basis elements.
+    Empty hom spaces are left out; `compose_fn` runs only when compositions are walked.
     """
-    levels = tuple(range(-n - 1, 0))
-    bases = {}
-    for i in levels:
-        for j in levels:
-            basis = basis_fn(i, j, n)
-            if basis:
-                bases[(i, j)] = basis
-    table = {}
-    for (i, j), fs in bases.items():
-        for (j2, k), gs in bases.items():
-            if j2 != j:
-                continue
-            for f in fs:
-                for g in gs:
-                    table[(g, f)] = compose_fn(g, f)
-    return Quiver(n=n, levels=levels, hom_bases=bases, composition=table)
+    levels = range(-n - 1, 0)
+    bases = {(i, j): basis for i in levels for j in levels if (basis := basis_fn(i, j, n))}
+    return Quiver(n=n, hom_bases=bases, compose=compose_fn)
 
 
 def quotient_quiver(n: int) -> Quiver:
     """The quiver of quotient cells for given n: levels -n-1, ..., -1.
 
-    Hom bases come from `hom_basis` and the composition table from `compose`,
-    tabulated over every composable pair of basis elements.
+    Hom bases come from `hom_basis` and the compose rule is `compose`.
     """
     return tabulate_quiver(n, hom_basis, compose)
 
@@ -311,13 +328,12 @@ def is_strong_exceptional(q: Quiver) -> bool:
     """Check the strong-exceptionality conditions on a quiver.
 
     Requires: every endomorphism space is one-dimensional and its element acts
-    as a two-sided unit through the composition table; no nonzero homs from a
-    higher to a lower level; all morphisms in degree 0 (structural here, since
-    nonzero degrees are empty by construction).
+    as a two-sided unit under `q.compose`; no nonzero homs from a higher to a
+    lower level; all morphisms in degree 0 (structural here, since nonzero
+    degrees are empty by construction).
     """
-    for (i, j), basis in q.hom_bases.items():
-        if j < i and basis:
-            return False
+    if any(j < i and basis for (i, j), basis in q.hom_bases.items()):
+        return False
     for level in q.levels:
         endo = q.hom(level, level)
         if len(endo) != 1:
@@ -325,15 +341,13 @@ def is_strong_exceptional(q: Quiver) -> bool:
         e = endo[0]
         for (i, j), basis in q.hom_bases.items():
             for f in basis:
-                if j == level and q.composition.get((e, f)) != f:
-                    return False
-                if i == level and q.composition.get((f, e)) != f:
+                if (j == level and q.compose(e, f) != f) or (i == level and q.compose(f, e) != f):
                     return False
     return True
 
 
 def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
-    """JSON-ready description: objects, hom bases, and the composition table.
+    """JSON-ready description: objects, hom bases, and every composition.
 
     The same schema is used for the cell quiver and the line-bundle quiver, so
     the two exports can be diffed directly.
@@ -342,18 +356,10 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
         {"i": i, "j": j, "basis": [list(el.label) for el in basis]}
         for (i, j), basis in sorted(q.hom_bases.items())
     ]
-    comps = []
-    for (g, f), gf in q.composition.items():
-        comps.append(
-            {
-                "i": f.source,
-                "j": f.target,
-                "k": g.target,
-                "f": list(f.label),
-                "g": list(g.label),
-                "gf": list(gf.label),
-            }
-        )
+    comps = [
+        {"i": f.source, "j": f.target, "k": g.target, "f": list(f.label), "g": list(g.label), "gf": list(gf.label)}
+        for g, f, gf in q.compositions()
+    ]
     comps.sort(key=lambda e: (e["i"], e["j"], e["k"], e["f"], e["g"]))
     return {
         "n": q.n,

@@ -305,21 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = -1
     if seed < 0:
         parser.error(f"TDUAL_SEED must be a non-negative integer, got {raw_seed!r}")
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        tol=args.tol,
-        sym_tol=args.sym_tol,
-        fd_step=args.fd_step,
-        graph_tol=args.graph_tol,
-        grid=args.grid,
-        samples=args.samples,
-        delta_probe=args.delta_probe,
-        epsilon=epsilon,
-        fmt=args.fmt,
-        out=args.out,
-        seed=seed,
-    )
+    cfg = RunConfig(**{**vars(args), "epsilon": epsilon, "seed": seed})
     if cfg.command == "quiver":
         body, ok = run_quiver(cfg)
         _emit(body, cfg)

@@ -296,7 +296,7 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     simplices: set[tuple[int, ...]] = set()
     sub: set[tuple[int, ...]] = set()
 
-    def register(simplex_pts: tuple[tuple[Fraction, ...], ...], into: set) -> None:
+    def register(simplex_pts: tuple[tuple[Fraction, ...], ...]) -> list[tuple[int, ...]]:
         idx = []
         for pt in simplex_pts:
             if pt not in vertex_index:
@@ -304,15 +304,16 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
                 vertices.append(pt)
             idx.append(vertex_index[pt])
         idx = tuple(sorted(set(idx)))
-        for k in range(1, len(idx) + 1):
-            for face in itertools.combinations(idx, k):
-                into.add(face)
+        return [face for k in range(1, len(idx) + 1) for face in itertools.combinations(idx, k)]
 
-    for cells, into in ((pair.X.cells, simplices), (pair.A.cells, sub)):
-        for cell in sorted(cells):
-            for piece in _piece_simplices(cell, shrink):
-                register(piece, into)
-    simplices |= sub
+    # A is a subset of X, so each cell is clipped once and an A cell's faces
+    # go into both complexes.
+    for cell in sorted(pair.X.cells):
+        for piece in _piece_simplices(cell, shrink):
+            faces = register(piece)
+            simplices.update(faces)
+            if cell in pair.A.cells:
+                sub.update(faces)
     return SimplicialPair(
         n=n,
         vertices=tuple(vertices),

@@ -211,6 +211,12 @@ def test_separation_probe_equal_times_reduces_to_distance():
     assert rep.witness["min_defect"] == pytest.approx(dist)
 
 
+@pytest.mark.parametrize("t_pairs", [[], [(0.01,)]], ids=["empty", "one-time"])
+def test_separation_probe_rejects_malformed_t_pairs(t_pairs):
+    with pytest.raises(ValueError, match="t_pairs"):
+        branes.separation_probe(1, (0.0,), num_samples=50, seed=0, t_pairs=t_pairs)
+
+
 def test_separation_probe_deterministic_per_seed():
     a = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)
     b = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)

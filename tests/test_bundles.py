@@ -81,7 +81,7 @@ def test_line_bundle_quiver_structure():
     assert q.levels == (-3, -2, -1)
     assert q.dims()[(-3, -1)] == 6
     # composition closes within the tabulated bases
-    for (g, f), gf in q.composition.items():
+    for g, f, gf in q.compositions():
         assert gf in q.hom_bases[(f.source, g.target)]
 
 
@@ -97,21 +97,54 @@ def test_verify_equivalence_passes(n):
         for j in range(i, 0)
     )
     assert rep.parameters["elements_checked"] == total_elements
+    total_compositions = sum(
+        math.comb(j - i + n, n) * math.comb(k - j + n, n)
+        for i in range(-n - 1, 0)
+        for j in range(i, 0)
+        for k in range(j, 0)
+    )
+    assert rep.parameters["compositions_checked"] == total_compositions
     assert rep.witness is None
+
+
+def _counting(calls, fn):
+    def wrapped(g, f):
+        calls.append((g, f))
+        return fn(g, f)
+    return wrapped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quivers_compose_only_when_walked(n, monkeypatch):
+    """Building a quiver composes nothing; verify composes once per composite."""
+    cell_calls, bundle_calls = [], []
+    monkeypatch.setattr(cells, "compose", _counting(cell_calls, cells.compose))
+    monkeypatch.setattr(
+        bundles, "monomial_compose", _counting(bundle_calls, bundles.monomial_compose)
+    )
+    q = cells.quotient_quiver(n)
+    bundles.line_bundle_quiver(n)
+    assert cell_calls == [] and bundle_calls == []
+    rep = bundles.verify_equivalence(n, q)
+    assert rep.passed
+    assert len(cell_calls) == rep.parameters["compositions_checked"]
+    cell_calls.clear()
+    rep = bundles.verify_equivalence(n)
+    assert len(cell_calls) == rep.parameters["compositions_checked"]
 
 
 def test_verify_equivalence_rejects_corrupt_composition():
     q = cells.quotient_quiver(2)
-    (g, f) = next(
-        (g, f)
-        for (g, f) in q.composition
+    (g, f, honest) = next(
+        (g, f, gf)
+        for (g, f, gf) in q.compositions()
         if f.source == -3 and f.target == -2 and g.target == -1
     )
-    honest = q.composition[(g, f)]
     replacement = next(
         e for e in q.hom_bases[(-3, -1)] if e != honest
     )
-    q.composition[(g, f)] = replacement
+    compose = q.compose
+    q.compose = lambda g2, f2: replacement if (g2, f2) == (g, f) else compose(g2, f2)
     rep = bundles.verify_equivalence(2, q)
     assert not rep.passed
     assert rep.witness["kind"] == "composition"

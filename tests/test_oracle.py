@@ -11,6 +11,7 @@ from tdual import cli, oracle
 from tdual.cells import CellObject, hom_basis
 from tdual.oracle import (
     SimplicialPair,
+    _piece_simplices,
     matrix_rank_exact,
     oracle_hom_dim,
     pair_cohomology,
@@ -172,6 +173,46 @@ def test_clip_polygon_points_and_segments():
     assert clip([p, q], [((-1, -1), F(-3))]) == [q]
     # fully outside
     assert clip([p, q], [((1, 0), F(2)), ((0, 1), F(-1, 4))]) == []
+
+
+def _two_pass_shrink(pair, eps):
+    """Reference model: clip and fan every X cell, then every A cell again.
+
+    Returns (vertices, simplices, sub) as `shrink_and_triangulate` builds them.
+    """
+    shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
+    vertex_index, simplices, sub = {}, set(), set()
+    for cells_, into in ((pair.X.cells, simplices), (pair.A.cells, sub)):
+        for cell in sorted(cells_):
+            for piece in _piece_simplices(cell, shrink):
+                idx = sorted({vertex_index.setdefault(pt, len(vertex_index)) for pt in piece})
+                for k in range(1, len(idx) + 1):
+                    into.update(itertools.combinations(idx, k))
+    return tuple(vertex_index), frozenset(simplices | sub), frozenset(sub)
+
+
+def test_shrink_clips_each_x_cell_once(monkeypatch):
+    """One clip per X cell and margin, with the two-pass model's exact output.
+
+    Every pair at n = 1, and at n = 2 every outer cell against the inner
+    cells at offset (-1, -2).
+    """
+    pairs = [(o, i) for o in _every_cell(1) for i in _every_cell(1)]
+    pairs += [(o, i) for o in _every_cell(2) for i in _every_cell(2, [(-1, -2)])]
+    calls = []
+    monkeypatch.setattr(
+        oracle, "_piece_simplices", lambda cell, shrink: calls.append(cell) or _piece_simplices(cell, shrink)
+    )
+    nonempty_a = 0
+    for outer, inner in pairs:
+        pair = region_pair(outer, inner)
+        nonempty_a += bool(pair.A.cells)
+        for eps in (Fraction(1, 8), Fraction(1, 16)):
+            calls.clear()
+            got = shrink_and_triangulate(pair, eps)
+            assert sorted(calls) == sorted(pair.X.cells), (outer, inner)
+            assert (got.vertices, got.simplices, got.sub) == _two_pass_shrink(pair, eps), (outer, inner)
+    assert nonempty_a > 10
 
 
 def test_shrink_identity_n1_is_path_graph():
