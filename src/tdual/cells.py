@@ -284,9 +284,7 @@ class Quiver:
         return _CompositionCount(self)
 
     def hom(self, i: int, j: int, degree: int = 0) -> list:
-        if degree != 0:
-            return []
-        return list(self.hom_bases.get((i, j), []))
+        return list(self.hom_bases.get((i, j), [])) if degree == 0 else []
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
@@ -299,7 +297,7 @@ class Quiver:
                     yield fs, gs
 
     def compositions(self) -> Iterator[tuple]:
-        """Each composable basis pair with its composite, as (g, f, g∘f); f before g per block."""
+        """(g, f, g∘f) for each composable basis pair; in each block f is the outer loop."""
         for fs, gs in self.blocks():
             for f in fs:
                 for g in gs:
@@ -307,10 +305,7 @@ class Quiver:
 
 
 def tabulate_quiver(n: int, basis_fn: Callable, compose_fn: Callable) -> Quiver:
-    """The quiver on levels -n-1, ..., -1 with bases `basis_fn(i, j, n)`.
-
-    Empty hom spaces are left out; `compose_fn` runs only when compositions are walked.
-    """
+    """The quiver on levels -n-1, ..., -1 with nonempty bases `basis_fn(i, j, n)` and rule `compose_fn`."""
     levels = range(-n - 1, 0)
     bases = {(i, j): basis for i in levels for j in levels if (basis := basis_fn(i, j, n))}
     return Quiver(n=n, hom_bases=bases, compose=compose_fn)
@@ -341,7 +336,10 @@ def is_strong_exceptional(q: Quiver) -> bool:
         e = endo[0]
         for (i, j), basis in q.hom_bases.items():
             for f in basis:
-                if (j == level and q.compose(e, f) != f) or (i == level and q.compose(f, e) != f):
+                try:
+                    if (j == level and q.compose(e, f) != f) or (i == level and q.compose(f, e) != f):
+                        return False
+                except ValueError:  # e and f do not compose, so e is no unit
                     return False
     return True
 

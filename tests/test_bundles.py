@@ -159,6 +159,15 @@ def test_verify_equivalence_rejects_backward_hom():
     assert rep.witness["kind"] == "backward_hom"
 
 
+def test_verify_equivalence_rejects_misleveled_unit():
+    """A unit of the wrong level has the right exponents but composes with nothing."""
+    q = cells.quotient_quiver(1)
+    q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 1)]
+    rep = bundles.verify_equivalence(1, q)
+    assert not rep.passed
+    assert rep.witness["kind"] == "composition"
+
+
 def test_verify_equivalence_rejects_missing_element():
     q = cells.quotient_quiver(1)
     q.hom_bases[(-2, -1)] = q.hom_bases[(-2, -1)][:1]

@@ -290,6 +290,12 @@ def test_strong_exceptionality_rejects_fat_endomorphisms():
     assert not cells.is_strong_exceptional(q)
 
 
+def test_strong_exceptionality_rejects_misleveled_unit():
+    q = cells.quotient_quiver(1)
+    q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 1)]
+    assert not cells.is_strong_exceptional(q)
+
+
 def test_strong_exceptionality_rejects_broken_unit():
     q = cells.quotient_quiver(1)
     e = q.hom_bases[(-1, -1)][0]
