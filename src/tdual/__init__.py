@@ -13,8 +13,9 @@ The package is organised around five pieces:
   exceptionality test.
 * :mod:`tdual.bundles` — the monomial quiver of line bundles and the
   exhaustive comparison against the cell quiver.
-* :mod:`tdual.oracle` — exact relative-cohomology dimensions of cell pairs
-  (n = 1, 2) computed from an honest triangulation over the rationals.
+* :mod:`tdual.oracle` — exact relative-cohomology dimensions of cell pairs:
+  the pair regions as faces of one triangulation for every n, and a compact
+  rational model of them, with its cohomology, for n = 1, 2.
 """
 from .branes import (
     LiftedCell,

@@ -376,7 +376,6 @@ def separation_probe(
     delta_probe: float = 0.05,
     num_samples: int = 10_000,
     seed: int | None = 0,
-    t_pairs: list[tuple[float, float]] | None = None,
 ) -> CheckReport:
     """Probe that short flows keep the level -1 brane off the fiber over s.
 
@@ -403,17 +402,8 @@ def separation_probe(
     norms = np.linalg.norm(y, axis=1)
     ok = norms > 0
     gammas, y, norms = gammas[ok], y[ok], norms[ok]
-    if t_pairs is not None:
-        tp = np.asarray(t_pairs, dtype=float)
-        if tp.shape[1:] != (2,) or len(tp) == 0:
-            raise ValueError("t_pairs must be a non-empty list of (t1, t2) pairs")
-        if np.any(tp < 0) or np.any(tp[:, 0] > tp[:, 1]) or np.any(tp[:, 1] >= delta_probe):
-            raise ValueError("t pairs must satisfy 0 <= t1 <= t2 < delta_probe")
-        dts = np.repeat(tp[:, 1] - tp[:, 0], math.ceil(len(gammas) / len(tp)))[: len(gammas)]
-        t1s = np.repeat(tp[:, 0], math.ceil(len(gammas) / len(tp)))[: len(gammas)]
-    else:
-        times = np.sort(rng.uniform(0.0, delta_probe, size=(len(gammas), 2)), axis=1)
-        t1s, dts = times[:, 0], times[:, 1] - times[:, 0]
+    times = np.sort(rng.uniform(0.0, delta_probe, size=(len(gammas), 2)), axis=1)
+    t1s, dts = times[:, 0], times[:, 1] - times[:, 0]
     flowed = gammas + dts[:, None] * y / norms[:, None]
     defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed), axis=1)
     idx = int(np.argmin(defects))

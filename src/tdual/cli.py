@@ -136,7 +136,8 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
         for j in levels:
             total = halved = [0] * (cfg.n + 1)
             for offset, pair, (betti, betti_halved) in oracle.cell_pair_profiles(i, j, cfg.n, margins):
-                counts = {"X": list(pair.X.counts_by_dim()), "A": list(pair.A.counts_by_dim())}
+                counts = {"X": list(oracle.counts_by_dim(cfg.n, pair.X)),
+                          "A": list(oracle.counts_by_dim(cfg.n, pair.A))}
                 detail.append({"i": i, "j": j, "b": list(offset), "betti": list(betti), "cells": counts})
                 total = [t + b for t, b in zip(total, betti)]
                 halved = [t + b for t, b in zip(halved, betti_halved)]
@@ -164,7 +165,7 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
     return checks, detail
 
 
-def run_quiver(cfg: RunConfig) -> tuple[dict, bool]:
+def run_quiver(cfg: RunConfig) -> dict:
     cell_quiver = cells.quotient_quiver(cfg.n)
     bundle_quiver = bundles.line_bundle_quiver(cfg.n)
     dims = {f"{i},{j}": d for (i, j), d in cell_quiver.dims().items()}
@@ -194,7 +195,7 @@ def run_quiver(cfg: RunConfig) -> tuple[dict, bool]:
         body["export_path"] = cfg.out
     else:
         body["export"] = export
-    return body, True
+    return body
 
 
 def _emit(body: dict, cfg: RunConfig) -> None:
@@ -307,9 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"TDUAL_SEED must be a non-negative integer, got {raw_seed!r}")
     cfg = RunConfig(**{**vars(args), "epsilon": epsilon, "seed": seed})
     if cfg.command == "quiver":
-        body, ok = run_quiver(cfg)
-        _emit(body, cfg)
-        return 0 if ok else 1
+        _emit(run_quiver(cfg), cfg)
+        return 0
     detail = None
     if cfg.command == "geometry":
         checks = run_geometry(cfg)

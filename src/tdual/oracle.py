@@ -1,4 +1,4 @@
-"""Exact rational cohomology oracle for pairs of torus cells (n = 1 or 2).
+"""Exact rational cohomology oracle for pairs of torus cells.
 
 For two cells on the covering torus (R/(n+1)Z)^n this module computes the
 relative rational cohomology of the pair
@@ -8,25 +8,27 @@ relative rational cohomology of the pair
 by purely combinatorial means, independent of the quiver calculus in
 :mod:`tdual.cells`:
 
-1.  Both cells are unions of open faces of the integer-grid triangulation of
-    R^n whose 2-dimensional cells are unit squares split along anti-diagonals
-    (the bounding hyperplane families are g_l = const and sum g = const, so
-    this triangulation is compatible with every region in play).  The inner
-    open cell embeds in the torus and is lifted once.  Each of its grid cells
-    is tested at its barycenter, in integers: a cell with k vertices is
+1.  Both cells are unions of open faces of one triangulation of R^n, for
+    every n: in partial sums p_l = g_1 + ... + g_l each bounding hyperplane
+    is some p_i - p_j = const, and the faces are the simplices
+    {m + 1_S : S in a chain of subsets} (`_faces`; Lam-Postnikov, "Alcoved
+    polytopes I").  A face is the tuple of its vertices.  The inner open cell
+    embeds in the torus and is lifted once.  Each of its faces is tested at
+    its barycenter, in integers: a face with k vertices is
     represented by the sum of its vertices, k times the barycenter, and every
     test is scaled by k.  Against the outer cell the point is tested through
     one lift: the canonical one, whose coordinates lie in (a_l - (n+1), a_l]
     for the outer corner a.  The outer closure contains the point iff it
-    contains that lift, so no search over translates is needed.
+    contains that lift, so no search over translates is needed.  `region_pair`
+    works for any n.
 
-2.  The locally closed X is replaced by a compact deformation retract: the
-    inner cell's strict inequalities are tightened by a rational margin
-    epsilon < 1/4 (every grid face keeps its barycenter, with slack >= 1/3, so
-    no piece degenerates).  One clipper cuts each grid face, point, segment
-    or polygon, against the tightened halfspaces in exact rationals; this
-    yields a polytopal complex, triangulated by fanning each polygon from its
-    lexicographically smallest vertex; the A-faces form a subcomplex.
+2.  For n <= 2 the locally closed X is replaced by a compact deformation
+    retract: the inner cell's strict inequalities are tightened by a rational
+    margin epsilon < 1/4 (every grid face keeps its barycenter, with slack
+    >= 1/3, so no piece degenerates).  One clipper cuts each grid face, point,
+    segment or polygon, against the tightened halfspaces in exact rationals;
+    this yields a polytopal complex, triangulated by fanning each polygon from
+    its lexicographically smallest vertex; the A-faces form a subcomplex.
 
 3.  Ranks of the relative simplicial cochain complex over Q are computed by
     fraction-free (Bareiss) elimination on the integer coboundary matrices.
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cells import CellObject
 
@@ -72,77 +74,70 @@ def _dot(coeffs: Sequence[int], point: Sequence[int | Fraction]) -> int | Fracti
     return sum(c * p for c, p in zip(coeffs, point))
 
 
-# --- the integer-grid triangulation ---------------------------------------
+# --- the grid triangulation -------------------------------------------------
 
-GridCell = tuple[str, tuple[int, ...]]
-
-
-def cell_vertices(cell: GridCell) -> tuple[tuple[int, ...], ...]:
-    kind, m = cell
-    if kind == "V":
-        return (m,)
-    if kind == "E":  # n = 1 unit interval
-        return (m, (m[0] + 1,))
-    x, y = m
-    if kind == "EH":
-        return ((x, y), (x + 1, y))
-    if kind == "EV":
-        return ((x, y), (x, y + 1))
-    if kind == "ED":  # anti-diagonal of the unit square at m
-        return ((x + 1, y), (x, y + 1))
-    if kind == "TL":  # triangle below the anti-diagonal
-        return ((x, y), (x + 1, y), (x, y + 1))
-    if kind == "TU":  # triangle above the anti-diagonal
-        return ((x + 1, y), (x + 1, y + 1), (x, y + 1))
-    raise ValueError(f"unknown cell kind {kind!r}")
+# A grid face is the tuple of its vertices, in chain order (see `_faces`).
+Face = tuple[tuple[int, ...], ...]
 
 
-def cell_dim(cell: GridCell) -> int:
-    return len(cell_vertices(cell)) - 1
+def _chains(n: int) -> list[tuple[frozenset[int], ...]]:
+    """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}."""
+    subsets = [frozenset(c) for size in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+    chains = [(frozenset(),)]
+    for chain in chains:  # the list grows while it is walked
+        chains.extend(chain + (s,) for s in subsets if chain[-1] < s)
+    return chains
 
 
-def _grid_cells(n: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[GridCell]:
-    """All grid cells whose base point lies in the box [lo-1, hi] per axis."""
-    kinds = ("V", "E") if n == 1 else ("V", "EH", "EV", "ED", "TL", "TU")
-    ranges = [range(lo[i] - 1, hi[i] + 1) for i in range(n)]
-    for base in itertools.product(*ranges):
-        for kind in kinds:
-            yield (kind, base)
+def _faces(n: int, level: int, offset: Sequence[int]) -> Iterator[Face]:
+    """Every grid face whose minimal vertex lies in the closed cell (level, offset).
+
+    In partial sums p_l = g_1 + ... + g_l every bounding hyperplane, g_l = const
+    or sum g = const, is a hyperplane p_i - p_j = const with p_0 = 0.  The faces
+    of that arrangement's triangulation are {m + 1_S : S in a chain}, one for
+    each lattice point m and chain {} = S_0 < S_1 < ... < S_r of subsets of
+    {1, ..., n}; in g-coordinates vertex S is m_l + [l in S] - [l-1 in S].  A
+    face of the open cell has all its vertices, m among them, in the closed
+    cell {g_l <= offset_l, sum(g - offset) >= level}.
+
+    >>> [len(list(_faces(n, -1, (0,) * n))) // (n + 1) for n in (1, 2, 3, 4)]
+    [2, 6, 26, 150]
+    """
+    steps = [
+        [tuple(int(l in s) - int(l - 1 in s) for l in range(1, n + 1)) for s in chain]
+        for chain in _chains(n)
+    ]
+    for depth in itertools.product(range(1 - level), repeat=n):
+        if sum(depth) <= -level:
+            m = [b - d for b, d in zip(offset, depth)]
+            for chain in steps:
+                yield tuple(tuple(ml + dl for ml, dl in zip(m, step)) for step in chain)
+
+
+def counts_by_dim(n: int, faces: Iterable[Sequence]) -> tuple[int, ...]:
+    """The number of faces (vertex tuples) of each dimension 0, ..., n."""
+    out = [0] * (n + 1)
+    for face in faces:
+        out[len(face) - 1] += 1
+    return tuple(out)
 
 
 # --- regions and pairs ------------------------------------------------------
 
 @dataclass(frozen=True)
-class PolyhedralRegion:
-    """A finite union of relatively open faces of the grid triangulation.
-
-    Coordinates are standard lifts to R^n of a region of the covering torus
-    (R/(n+1)Z)^n; the lift is injective on everything stored here.
-    """
-
-    n: int
-    cells: frozenset[GridCell]
-
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    def counts_by_dim(self) -> tuple[int, ...]:
-        out = [0] * (self.n + 1)
-        for cell in self.cells:
-            out[cell_dim(cell)] += 1
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class RegionPair:
     """The pair (X, A) for an outer/inner cell, plus the inner cell's halfspaces.
 
-    `inner_constraints` bound the (lifted) inner cell, which is the set where
-    every one holds with `<`; the shrink step tightens exactly these.
+    X and A are finite sets of relatively open grid faces.  Coordinates are
+    standard lifts to R^n of the covering torus (R/(n+1)Z)^n; the lift is
+    injective on everything stored here.  `inner_constraints` bound the
+    (lifted) inner cell, which is the set where every one holds with `<`; the
+    shrink step tightens exactly these.
     """
 
-    X: PolyhedralRegion
-    A: PolyhedralRegion
+    n: int
+    X: frozenset[Face]
+    A: frozenset[Face]
     inner_constraints: tuple[Constraint, ...]
 
 
@@ -150,22 +145,18 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     """Compute X = closure(outer) ∩ inner and A = boundary(outer) ∩ inner.
 
     Both cells live on the covering torus; the computation lifts the inner
-    cell once and tests each of its grid cells against the outer cell through
-    the canonical lift of its barycenter, in integers.  Only n = 1 and n = 2
-    are supported.
+    cell once and tests each of its grid faces against the outer cell through
+    the canonical lift of its barycenter, in integers.  Any n is supported.
     """
     n = outer.n
     if inner.n != n:
         raise ValueError("cells must share a dimension")
-    if n not in (1, 2):
-        raise ValueError("the cohomology oracle supports n = 1 and n = 2 only")
     inner_cons = tuple(_simplex_constraints(inner.level, inner.offset))
-    lo = [b + inner.level for b in inner.offset]
-    x_cells: set[GridCell] = set()
-    a_cells: set[GridCell] = set()
+    x_faces: set[Face] = set()
+    a_faces: set[Face] = set()
     # Every constraint hyperplane is a union of grid faces, so no open grid
-    # cell crosses one and its barycenter g decides it.  The code tests the
-    # vertex sum kg = k * g of a cell with k vertices, every bound scaled by k.
+    # face crosses one and its barycenter g decides it.  The code tests the
+    # vertex sum kg = k * g of a face with k vertices, every bound scaled by k.
     # The outer closure is {g : g_l <= a_l, sum(g - a) >= level} modulo (n+1)Z^n.
     # Among the lifts g' of a point with g' <= a, the canonical one,
     # g'_l = a_l - depth_l with depth_l = (a_l - g_l) mod (n+1) in [0, n+1),
@@ -174,23 +165,18 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     # nothing to the closure and never lies in the open cell.  With
     # slack = -sum(depth) - level, the point is in the closure iff slack >= 0,
     # and in the open cell iff also slack > 0 and every depth_l > 0.
-    for cell in _grid_cells(n, lo, inner.offset):
-        verts = cell_vertices(cell)
-        k = len(verts)
-        kg = [sum(coords) for coords in zip(*verts)]
+    for face in _faces(n, inner.level, inner.offset):
+        k = len(face)
+        kg = [sum(coords) for coords in zip(*face)]
         if any(_dot(coeffs, kg) >= k * rhs for coeffs, rhs in inner_cons):
             continue
         depth = [(k * a - kg_l) % (k * (n + 1)) for a, kg_l in zip(outer.offset, kg)]
         slack = -sum(depth) - k * outer.level
         if slack >= 0:
-            x_cells.add(cell)
+            x_faces.add(face)
             if slack == 0 or 0 in depth:
-                a_cells.add(cell)
-    return RegionPair(
-        X=PolyhedralRegion(n, frozenset(x_cells)),
-        A=PolyhedralRegion(n, frozenset(a_cells)),
-        inner_constraints=inner_cons,
-    )
+                a_faces.add(face)
+    return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
 
 
 # --- shrink and triangulate -------------------------------------------------
@@ -210,12 +196,7 @@ class SimplicialPair:
     sub: frozenset[tuple[int, ...]]
 
     def counts_by_dim(self, relative: bool = False) -> tuple[int, ...]:
-        out = [0] * (self.n + 1)
-        for s in self.simplices:
-            if relative and s in self.sub:
-                continue
-            out[len(s) - 1] += 1
-        return tuple(out)
+        return counts_by_dim(self.n, (s for s in self.simplices if not (relative and s in self.sub)))
 
     def validate(self) -> None:
         for group, name in ((self.simplices, "complex"), (self.sub, "subcomplex")):
@@ -268,10 +249,10 @@ def _cross(o, a, b) -> Fraction:
 
 
 def _piece_simplices(
-    cell: GridCell, shrink: Sequence[Constraint]
+    face: Face, shrink: Sequence[Constraint]
 ) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Top simplices of one grid face clipped against the shrink halfspaces."""
-    verts = [tuple(Fraction(c) for c in v) for v in cell_vertices(cell)]
+    verts = [tuple(Fraction(c) for c in v) for v in face]
     poly = _clip_polygon(verts, shrink)
     if len(poly) < 3:
         return [tuple(poly)] if poly else []
@@ -284,12 +265,15 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     """Compact model of the pair: tighten the inner halfspaces, clip, fan.
 
     `epsilon` must be a positive rational below 1/4 (a quarter of the grid's
-    vertex gap); halving it never changes the result's cohomology.
+    vertex gap); halving it never changes the result's cohomology.  The
+    polygon fan is planar, so only n = 1 and n = 2 are supported.
     """
+    n = pair.n
+    if n not in (1, 2):
+        raise ValueError("the shrink model supports n = 1 and n = 2 only")
     eps = Fraction(epsilon)
     if not 0 < eps < MAX_EPSILON:
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
-    n = pair.X.n
     shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
     vertex_index: dict[tuple[Fraction, ...], int] = {}
     vertices: list[tuple[Fraction, ...]] = []
@@ -306,14 +290,14 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
         idx = tuple(sorted(set(idx)))
         return [face for k in range(1, len(idx) + 1) for face in itertools.combinations(idx, k)]
 
-    # A is a subset of X, so each cell is clipped once and an A cell's faces
-    # go into both complexes.
-    for cell in sorted(pair.X.cells):
-        for piece in _piece_simplices(cell, shrink):
-            faces = register(piece)
-            simplices.update(faces)
-            if cell in pair.A.cells:
-                sub.update(faces)
+    # A is a subset of X, so each face is clipped once and the pieces of an
+    # A face go into both complexes.
+    for face in sorted(pair.X):
+        for piece in _piece_simplices(face, shrink):
+            pieces = register(piece)
+            simplices.update(pieces)
+            if face in pair.A:
+                sub.update(pieces)
     return SimplicialPair(
         n=n,
         vertices=tuple(vertices),

@@ -201,22 +201,6 @@ def test_separation_probe_positive_at_face_midpoints(n):
         assert rep.witness["min_defect"] > 0
 
 
-def test_separation_probe_equal_times_reduces_to_distance():
-    rep = branes.separation_probe(
-        1, (0.0,), num_samples=500, seed=9, t_pairs=[(0.02, 0.02)]
-    )
-    # with t1 = t2 the flow cancels, so the defect is the plain torus distance
-    gamma = np.asarray(rep.witness["gamma"])
-    dist = float(np.linalg.norm(branes.wrap_to_half(0.0 - gamma)))
-    assert rep.witness["min_defect"] == pytest.approx(dist)
-
-
-@pytest.mark.parametrize("t_pairs", [[], [(0.01,)]], ids=["empty", "one-time"])
-def test_separation_probe_rejects_malformed_t_pairs(t_pairs):
-    with pytest.raises(ValueError, match="t_pairs"):
-        branes.separation_probe(1, (0.0,), num_samples=50, seed=0, t_pairs=t_pairs)
-
-
 def test_separation_probe_deterministic_per_seed():
     a = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)
     b = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)

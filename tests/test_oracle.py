@@ -11,7 +11,9 @@ from tdual import cli, oracle
 from tdual.cells import CellObject, hom_basis
 from tdual.oracle import (
     SimplicialPair,
+    _faces,
     _piece_simplices,
+    counts_by_dim,
     matrix_rank_exact,
     oracle_hom_dim,
     pair_cohomology,
@@ -21,59 +23,120 @@ from tdual.oracle import (
 )
 
 
-# --- grid cells and regions -------------------------------------------------
+# --- grid faces and regions -------------------------------------------------
+
+# The n <= 2 grid written out kind by kind, with a box scan over base points:
+# an enumeration independent of `oracle._faces`.  Two-dimensional cells are
+# unit squares split along their anti-diagonals.
+_KINDS = {1: ("V", "E"), 2: ("V", "EH", "EV", "ED", "TL", "TU")}
+
+
+def _cell_vertices(cell):
+    kind, m = cell
+    if kind == "V":
+        return (m,)
+    if kind == "E":  # n = 1 unit interval
+        return (m, (m[0] + 1,))
+    x, y = m
+    return {
+        "EH": ((x, y), (x + 1, y)),
+        "EV": ((x, y), (x, y + 1)),
+        "ED": ((x + 1, y), (x, y + 1)),  # anti-diagonal of the unit square at m
+        "TL": ((x, y), (x + 1, y), (x, y + 1)),  # below the anti-diagonal
+        "TU": ((x + 1, y), (x + 1, y + 1), (x, y + 1)),  # above it
+    }[kind]
+
+
+def _grid_cells(n, lo, hi):
+    """All grid cells whose base point lies in the box [lo-1, hi] per axis."""
+    ranges = [range(lo[i] - 1, hi[i] + 1) for i in range(n)]
+    for base in itertools.product(*ranges):
+        for kind in _KINDS[n]:
+            yield (kind, base)
+
+
+def _vertex_sets(faces):
+    return {frozenset(face) for face in faces}
+
+
+def _barycenter(verts):
+    return tuple(Fraction(sum(coords), len(verts)) for coords in zip(*verts))
+
+
+def _in_open_cell(verts, cell):
+    g = _barycenter(verts)
+    b = cell.offset
+    return all(gl < bl for gl, bl in zip(g, b)) and sum(g) - sum(b) > cell.level
+
 
 def test_grid_cell_geometry_n2():
-    assert oracle.cell_vertices(("TU", (-1, -1))) == ((0, -1), (0, 0), (-1, 0))
-    assert oracle.cell_vertices(("ED", (-1, -1))) == ((0, -1), (-1, 0))
-    assert oracle.cell_dim(("V", (0, 0))) == 0
-    assert oracle.cell_dim(("EH", (0, 0))) == 1
-    assert oracle.cell_dim(("TL", (0, 0))) == 2
+    assert _cell_vertices(("TU", (-1, -1))) == ((0, -1), (0, 0), (-1, 0))
+    assert _cell_vertices(("ED", (-1, -1))) == ((0, -1), (-1, 0))
+    assert [len(_cell_vertices((kind, (0, 0)))) - 1 for kind in ("V", "EH", "TL")] == [0, 1, 2]
+    # the same two faces in chain order, minimal vertex first
+    faces = set(_faces(2, -1, (0, 0)))
+    assert ((-1, 0), (0, -1), (0, 0)) in faces
+    assert ((-1, 0), (0, -1)) in faces
+
+
+def test_faces_of_open_cell_match_kind_table():
+    """`_faces` restricted to each open cell gives the kind table's faces."""
+    for n in (1, 2):
+        for cell in _every_cell(n):
+            lo = [b + cell.level for b in cell.offset]
+            expected = _vertex_sets(
+                verts
+                for verts in map(_cell_vertices, _grid_cells(n, lo, cell.offset))
+                if _in_open_cell(verts, cell)
+            )
+            got = [face for face in _faces(n, cell.level, cell.offset) if _in_open_cell(face, cell)]
+            assert len(got) == len(expected), cell  # no face is yielded twice
+            assert _vertex_sets(got) == expected, cell
 
 
 def test_unit_cell_is_single_triangle():
     # the smallest cell is exactly one upper grid triangle
     pair = region_pair(CellObject(-1, (0, 0)), CellObject(-1, (0, 0)))
-    assert pair.X.cells == {("TU", (-1, -1))}
-    assert pair.A.is_empty()
+    assert pair.X == {((-1, 0), (0, -1), (0, 0))}
+    assert not pair.A
 
 
 def test_region_pair_half_open_arc_n1():
     # closure of the short arc inside the long arc: half-open interval
     pair = region_pair(CellObject(-1, (0,)), CellObject(-2, (0,)))
-    assert pair.X.cells == {("V", (-1,)), ("E", (-1,))}
-    assert pair.A.cells == {("V", (-1,))}
+    assert pair.X == {((-1,),), ((-1,), (0,))}
+    assert pair.A == {((-1,),)}
 
 
 def test_region_pair_wraparound_interior_point_n1():
     # the full-length cell's boundary point lands inside the shifted copy
     pair = region_pair(CellObject(-2, (0,)), CellObject(-2, (-1,)))
-    assert pair.X.cells == {("E", (-3,)), ("V", (-2,)), ("E", (-2,))}
-    assert pair.A.cells == {("V", (-2,))}
+    assert pair.X == {((-3,), (-2,)), ((-2,),), ((-2,), (-1,))}
+    assert pair.A == {((-2,),)}
 
 
 def test_region_pair_identity_n1():
     pair = region_pair(CellObject(-2, (0,)), CellObject(-2, (0,)))
-    assert pair.X.counts_by_dim() == (1, 2)
-    assert pair.A.is_empty()
+    assert counts_by_dim(1, pair.X) == (1, 2)
+    assert not pair.A
 
 
 def test_region_pair_disjoint_n1():
     pair = region_pair(CellObject(-1, (0,)), CellObject(-1, (-1,)))
-    assert pair.X.is_empty()
-    assert pair.A.is_empty()
+    assert not pair.X
+    assert not pair.A
 
 
 def test_region_pair_n2_triangle_edge_case():
     # small outer inside medium inner: closed triangle minus two sides
     pair = region_pair(CellObject(-1, (0, 0)), CellObject(-2, (0, 0)))
-    assert pair.X.cells == {("TU", (-1, -1)), ("ED", (-1, -1))}
-    assert pair.A.cells == {("ED", (-1, -1))}
+    assert pair.X == {((-1, 0), (0, -1), (0, 0)), ((-1, 0), (0, -1))}
+    assert pair.A == {((-1, 0), (0, -1))}
 
 
 def test_region_pair_n2_disjoint():
     pair = region_pair(CellObject(-2, (0, 0)), CellObject(-1, (-1, -1)))
-    assert pair.X.is_empty()
+    assert not pair.X
 
 
 def test_region_pair_counts_full_cell_n2():
@@ -81,38 +144,50 @@ def test_region_pair_counts_full_cell_n2():
     pair = region_pair(CellObject(-3, (0, 0)), CellObject(-3, (0, 0)))
     # area of the inner region is 9/2, so it holds 9 triangles; with one
     # interior vertex and 9 open edges that gives Euler characteristic 1
-    assert pair.X.counts_by_dim() == (1, 9, 9)
-    assert sum(pair.X.counts_by_dim()) == 19
+    assert counts_by_dim(2, pair.X) == (1, 9, 9)
+    assert len(pair.X) == 19
 
 
-def _barycenter(cell):
-    verts = oracle.cell_vertices(cell)
-    return tuple(Fraction(sum(coords), len(verts)) for coords in zip(*verts))
+@pytest.mark.parametrize("n", [3, 4])
+def test_region_pair_identity_any_n(n):
+    """A cell against itself, at every level k and two offsets.
+
+    X is the whole open cell and A is empty.  The open simplex of side -k
+    holds (-k)^n top faces, each of volume 1/n!, and as a union of open
+    faces its Euler characteristic is (-1)^n.
+    """
+    for k in range(-n - 1, 0):
+        for offset in ((0,) * n, tuple(-l for l in range(n))):
+            cell = CellObject(k, offset)
+            pair = region_pair(cell, cell)
+            counts = counts_by_dim(n, pair.X)
+            assert not pair.A, (k, offset)
+            assert counts[n] == (-k) ** n, (k, offset)
+            assert sum((-1) ** d * c for d, c in enumerate(counts)) == (-1) ** n, (k, offset)
 
 
 def _reference_region_pair(outer, inner):
-    """X and A by brute force over the outer cell's lattice translates.
+    """X and A by brute force over the kind table and the outer cell's translates.
 
     Every inner grid cell's barycenter is tested with exact inequalities
     against the closed and the open outer cell translated by (n+1) m,
-    m in {-1, 0, 1}^n; X and A are the unions over m.
+    m in {-1, 0, 1}^n; X and A are the unions over m, as vertex sets.
     """
     n = outer.n
     period = n + 1
-    b = inner.offset
-    lo = [bl + inner.level for bl in b]
+    lo = [bl + inner.level for bl in inner.offset]
     x_cells, a_cells = set(), set()
-    for cell in oracle._grid_cells(n, lo, b):
-        g = _barycenter(cell)
-        if not (all(gl < bl for gl, bl in zip(g, b)) and sum(g) - sum(b) > inner.level):
+    for verts in map(_cell_vertices, _grid_cells(n, lo, inner.offset)):
+        if not _in_open_cell(verts, inner):
             continue
+        g = _barycenter(verts)
         for m in itertools.product((-1, 0, 1), repeat=n):
             a = [al + period * ml for al, ml in zip(outer.offset, m)]
             total = sum(g) - sum(a)
             if all(gl <= al for gl, al in zip(g, a)) and total >= outer.level:
-                x_cells.add(cell)
+                x_cells.add(frozenset(verts))
                 if not (all(gl < al for gl, al in zip(g, a)) and total > outer.level):
-                    a_cells.add(cell)
+                    a_cells.add(frozenset(verts))
     return x_cells, a_cells
 
 
@@ -136,8 +211,8 @@ def test_region_pair_matches_translate_union():
     for outer, inner in pairs:
         pair = region_pair(outer, inner)
         x_cells, a_cells = _reference_region_pair(outer, inner)
-        assert pair.X.cells == x_cells, (outer, inner)
-        assert pair.A.cells == a_cells, (outer, inner)
+        assert _vertex_sets(pair.X) == x_cells, (outer, inner)
+        assert _vertex_sets(pair.A) == a_cells, (outer, inner)
         nonempty_a += bool(a_cells)
     assert nonempty_a > 10
 
@@ -145,8 +220,10 @@ def test_region_pair_matches_translate_union():
 def test_region_pair_validation():
     with pytest.raises(ValueError):
         region_pair(CellObject(-1, (0,)), CellObject(-1, (0, 0)))
+    # the regions exist for n = 3; only the planar shrink model refuses them
+    pair = region_pair(CellObject(-1, (0, 0, 0)), CellObject(-1, (0, 0, 0)))
     with pytest.raises(ValueError):
-        region_pair(CellObject(-1, (0, 0, 0)), CellObject(-1, (0, 0, 0)))
+        shrink_and_triangulate(pair, Fraction(1, 8))
 
 
 # --- shrinking and triangulating ---------------------------------------------
@@ -176,15 +253,15 @@ def test_clip_polygon_points_and_segments():
 
 
 def _two_pass_shrink(pair, eps):
-    """Reference model: clip and fan every X cell, then every A cell again.
+    """Reference model: clip and fan every X face, then every A face again.
 
     Returns (vertices, simplices, sub) as `shrink_and_triangulate` builds them.
     """
     shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
     vertex_index, simplices, sub = {}, set(), set()
-    for cells_, into in ((pair.X.cells, simplices), (pair.A.cells, sub)):
-        for cell in sorted(cells_):
-            for piece in _piece_simplices(cell, shrink):
+    for faces, into in ((pair.X, simplices), (pair.A, sub)):
+        for face in sorted(faces):
+            for piece in _piece_simplices(face, shrink):
                 idx = sorted({vertex_index.setdefault(pt, len(vertex_index)) for pt in piece})
                 for k in range(1, len(idx) + 1):
                     into.update(itertools.combinations(idx, k))
@@ -192,7 +269,7 @@ def _two_pass_shrink(pair, eps):
 
 
 def test_shrink_clips_each_x_cell_once(monkeypatch):
-    """One clip per X cell and margin, with the two-pass model's exact output.
+    """One clip per X face and margin, with the two-pass model's exact output.
 
     Every pair at n = 1, and at n = 2 every outer cell against the inner
     cells at offset (-1, -2).
@@ -201,16 +278,16 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
     pairs += [(o, i) for o in _every_cell(2) for i in _every_cell(2, [(-1, -2)])]
     calls = []
     monkeypatch.setattr(
-        oracle, "_piece_simplices", lambda cell, shrink: calls.append(cell) or _piece_simplices(cell, shrink)
+        oracle, "_piece_simplices", lambda face, shrink: calls.append(face) or _piece_simplices(face, shrink)
     )
     nonempty_a = 0
     for outer, inner in pairs:
         pair = region_pair(outer, inner)
-        nonempty_a += bool(pair.A.cells)
+        nonempty_a += bool(pair.A)
         for eps in (Fraction(1, 8), Fraction(1, 16)):
             calls.clear()
             got = shrink_and_triangulate(pair, eps)
-            assert sorted(calls) == sorted(pair.X.cells), (outer, inner)
+            assert sorted(calls) == sorted(pair.X), (outer, inner)
             assert (got.vertices, got.simplices, got.sub) == _two_pass_shrink(pair, eps), (outer, inner)
     assert nonempty_a > 10
 
