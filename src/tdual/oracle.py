@@ -82,7 +82,7 @@ Face = tuple[tuple[int, ...], ...]
 
 def _chains(n: int) -> list[tuple[frozenset[int], ...]]:
     """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}."""
-    subsets = [frozenset(c) for size in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
     chains = [(frozenset(),)]
     for chain in chains:  # the list grows while it is walked
         chains.extend(chain + (s,) for s in subsets if chain[-1] < s)
