@@ -33,6 +33,7 @@ GOLDEN = {
     "branes --n 4 --grid 10": "d6e5a0748c17a6ea2f1a8cc406d6591ea5417afd325221c77a4e746fabe8cc67",
     "verify --n 5": "f8e5c977a1dcb915ba2366023bfc18278d4937d007767aba01af7b9bbb9aee28",
     "quiver --n 4": "f032056c6e7011bb613fa1ad76a31d6b5e47f6c2262928257ae508f3c54f1684",
+    "verify --n 6": "3b248789b6345e917b652500a422c4531051ab65b0f9722c85741b4fc89b783c",
 }
 
 
