@@ -14,7 +14,10 @@ the monomial with exponents
 
 which is degree j - i with nonnegative entries.  `verify_equivalence` checks
 exhaustively that this assignment is a bijection on every hom space and turns
-composition of multi-indices into multiplication of monomials.
+composition of multi-indices into multiplication of monomials.  The assignment
+is affine in b, so the composition check runs block by block (i <= j <= k) on
+int64 arrays: it takes each block's composites from the quiver's block rule,
+in chunks of rows, and compares their images with the sums of the images.
 """
 from __future__ import annotations
 
@@ -22,7 +25,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cells import HomElement, Quiver, quotient_quiver, tabulate_quiver
+import numpy as np
+
+from .cells import HomElement, Quiver, label_array, quotient_quiver, row_chunks, tabulate_quiver
 from .report import CheckReport
 
 
@@ -109,6 +114,13 @@ def to_monomial(e: HomElement) -> Monomial:
     return Monomial(e.source, e.target, (total,) + tuple(-b for b in e.steps))
 
 
+def _images(basis: list) -> np.ndarray:
+    """`to_monomial` of each element of `basis`, as the rows of an int64 array."""
+    steps = label_array(basis)
+    total = np.array([e.target - e.source for e in basis], dtype=np.int64) + steps.sum(axis=-1)
+    return np.concatenate([total[:, None], -steps], axis=1)
+
+
 def euler_pairing(i: int, j: int, n: int) -> int:
     """Dimension of the hom space from level i to level j: binomial(j-i+n, n).
 
@@ -122,8 +134,11 @@ def euler_pairing(i: int, j: int, n: int) -> int:
 
 
 def line_bundle_quiver(n: int) -> Quiver:
-    """The monomial quiver on levels -n-1, ..., -1; it composes by `monomial_compose`."""
-    return tabulate_quiver(n, monomial_hom_basis, monomial_compose)
+    """The monomial quiver on levels -n-1, ..., -1.
+
+    Its block rule adds exponents, as `monomial_compose` does for one pair.
+    """
+    return tabulate_quiver(n, monomial_hom_basis)
 
 
 def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
@@ -132,9 +147,12 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
     dimensions equal to the binomial count), and that every composite of the
-    cell quiver, streamed by `Quiver.compositions()`, is sent to the product
-    of the images.  A prebuilt (possibly corrupted) cell quiver may be passed
-    in; by default the canonical one for `n` is built.
+    cell quiver, taken block by block from its rule `quiver.compose`, lies in
+    its hom space and is sent to the product of the images.  The witness is
+    the first failure with blocks in `hom_bases` order, f outer and g inner;
+    a composite outside its hom space ends the walk there.  A prebuilt
+    (possibly corrupted) cell quiver may be passed in; by default the
+    canonical one for `n` is built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
@@ -155,7 +173,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     witness = {"kind": "backward_hom", "i": i, "j": j}
                 continue
             expected = euler_pairing(i, j, n)
-            images = {to_monomial(e).exponents for e in cell_side}
+            images = set(map(tuple, _images(cell_side).tolist()))
             elements_checked += len(cell_side)
             if (
                 len(cell_side) != expected
@@ -173,19 +191,42 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     "expected": expected,
                 }
     try:
-        for g, f, gf in quiver.compositions():
-            compositions_checked += 1
-            image = monomial_compose(to_monomial(g), to_monomial(f))
-            if to_monomial(gf) != image:
-                ok = False
-                witness = witness or {
-                    "kind": "composition",
-                    "f": {"source": f.source, "target": f.target, "steps": list(f.steps)},
-                    "g": {"source": g.source, "target": g.target, "steps": list(g.steps)},
-                    "table_result": list(gf.steps),
-                    "expected_exponents": list(image.exponents),
-                }
-    except ValueError as exc:  # a corrupted basis holds elements that do not compose
+        for fs, gs in quiver.blocks():
+            f_source = np.array([f.source for f in fs])
+            g_target = np.array([g.target for g in gs])
+            f_images, g_images = _images(fs), _images(gs)
+            for rows in row_chunks(fs, gs):
+                chunk = fs[rows]
+                table = quiver.compose(gs, chunk)
+                source, target = f_source[rows, None], g_target[None, :]
+                sums = table.sum(axis=-1)
+                # Composites outside hom(i, k) end the walk, as HomElement did.
+                outside = ((table > 0).any(axis=-1) | (sums < source - target)).ravel()
+                # The image (k - i + sum, -steps) of g∘f must be the sum of the images.
+                expected = f_images[rows, None] + g_images[None]
+                wrong = target - source + sums != expected[..., 0]
+                # Negate the exponent part in place, so the check needs no third array.
+                steps = np.negative(expected[..., 1:], out=expected[..., 1:])
+                wrong = (wrong | (table != steps).any(axis=-1)).ravel()
+                stop = int(outside.argmax()) if outside.any() else outside.size
+                compositions_checked += stop
+                failures = np.flatnonzero(wrong[:stop])
+                if failures.size:
+                    ok = False
+                    r, c = divmod(int(failures[0]), len(gs))
+                    f, g = chunk[r], gs[c]
+                    witness = witness or {
+                        "kind": "composition",
+                        "f": {"source": f.source, "target": f.target, "steps": list(f.steps)},
+                        "g": {"source": g.source, "target": g.target, "steps": list(g.steps)},
+                        "table_result": table[r, c].tolist(),
+                        "expected_exponents": (f_images[rows][r] + g_images[c]).tolist(),
+                    }
+                if stop < outside.size:
+                    r, c = divmod(stop, len(gs))
+                    HomElement(chunk[r].source, gs[c].target, table[r, c].tolist())  # raises
+                del table, expected  # free this chunk's arrays before the next one is built
+    except ValueError as exc:  # a composite outside its hom space, or a basis that does not compose
         ok = False
         witness = witness or {"kind": "composition", "error": str(exc)}
     return CheckReport(

@@ -15,12 +15,17 @@ adding multi-indices.  The resulting finite quiver, with one object per level,
 has one-dimensional endomorphism spaces, no morphisms towards lower levels,
 and everything in a single degree.
 
-Multi-index containment arithmetic is exact integer arithmetic throughout.
+Multi-index containment arithmetic is exact integer arithmetic throughout.  A
+`Quiver` composes whole blocks of basis pairs at once, on int64 label arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
+
+import numpy as np
+
+CHUNK_ENTRIES = 1 << 18  # cap on the entries of one temporary array in a block walk
 
 
 @dataclass(frozen=True)
@@ -260,14 +265,61 @@ class _CompositionCount:
         return sum(len(fs) * len(gs) for fs, gs in self.q.blocks())
 
 
+def label_array(basis: list) -> np.ndarray:
+    """The labels of the basis elements as the rows of an int64 array."""
+    width = len(basis[0].label) if basis else 0
+    return np.array([e.label for e in basis], dtype=np.int64).reshape(len(basis), width)
+
+
+def compose_block(gs: list, fs: list) -> np.ndarray:
+    """Labels of g∘f for f in `fs` (hom(i, j)) and g in `gs` (hom(j, k)); labels add.
+
+    Returns an int64 array of shape (len(fs), len(gs), label length).  This is
+    the compose rule of both the cell quiver (multi-indices add) and the
+    line-bundle quiver (exponents add).  Raises ValueError, with the message
+    `compose` gives for the first such (f, g) with f outer, when some pair
+    does not chain or the labels differ in length.
+
+    >>> compose_block(hom_basis(-2, -1, 1), hom_basis(-3, -2, 1)).tolist()
+    [[[-2], [-1]], [[-1], [0]]]
+    """
+    def chains(f, g) -> bool:
+        return g.source == f.target and len(g.label) == len(f.label)
+
+    if gs and fs:
+        # If every g has the source and width of gs[0], the first failing pair
+        # is (first failing f, gs[0]); otherwise every f fails with some g.
+        if all(g.source == gs[0].source and len(g.label) == len(gs[0].label) for g in gs):
+            pair = next(((f, gs[0]) for f in fs if not chains(f, gs[0])), None)
+        else:
+            pair = fs[0], next(g for g in gs if not chains(fs[0], g))
+        if pair is not None:
+            f, g = pair
+            if g.source != f.target:
+                raise ValueError(
+                    f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
+                )
+            raise ValueError("morphisms must share a dimension")
+    return label_array(fs)[:, None, :] + label_array(gs)[None, :, :]
+
+
+def row_chunks(fs: list, gs: list) -> Iterator[slice]:
+    """Slices of `fs` whose blocks against `gs` hold at most about CHUNK_ENTRIES label entries."""
+    width = len(gs[0].label) if gs else 1
+    step = max(1, CHUNK_ENTRIES // max(1, len(gs) * width))
+    for start in range(0, len(fs), step):
+        yield slice(start, start + step)
+
+
 @dataclass
 class Quiver:
-    """A finite graded quiver on levels -n-1, ..., -1 with hom bases and a compose rule.
+    """A finite graded quiver on levels -n-1, ..., -1 with hom bases and a block compose rule.
 
     `hom_bases` maps (source_level, target_level) to the list of basis
-    elements, and `compose(g, f)` returns the basis element equal to g after f
-    (f first).  No composite is stored: `compositions()` computes them block
-    by block.  All stored morphisms sit in degree 0; other degrees are empty.
+    elements, and `compose(gs, fs)` returns the labels of g after f (f first)
+    for whole bases at once, as `compose_block` does.  No composite is stored:
+    `compositions()` computes them block by block.  All stored morphisms sit
+    in degree 0; other degrees are empty.
     """
 
     n: int
@@ -290,57 +342,75 @@ class Quiver:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
 
     def blocks(self) -> Iterator[tuple[list, list]]:
-        """Bases (hom(i, j), hom(j, k)) of each block i <= j <= k, in `hom_bases` order."""
+        """Nonempty bases (hom(i, j), hom(j, k)) of each block i <= j <= k, in `hom_bases` order."""
         for (i, j), fs in self.hom_bases.items():
             for (j2, k), gs in self.hom_bases.items():
-                if i <= j == j2 <= k:
+                if i <= j == j2 <= k and fs and gs:
                     yield fs, gs
 
     def compositions(self) -> Iterator[tuple]:
-        """(g, f, g∘f) for each composable basis pair; in each block f is the outer loop."""
+        """(g, f, g∘f) for each composable basis pair; in each block f is the outer loop.
+
+        g∘f is rebuilt from its label by the element type of f, as
+        `type(f)(f.source, g.target, label)`.
+        """
         for fs, gs in self.blocks():
-            for f in fs:
-                for g in gs:
-                    yield g, f, self.compose(g, f)
+            for rows in row_chunks(fs, gs):
+                chunk = fs[rows]
+                for f, labels in zip(chunk, self.compose(gs, chunk).tolist()):
+                    for g, label in zip(gs, labels):
+                        yield g, f, type(f)(f.source, g.target, label)
 
 
-def tabulate_quiver(n: int, basis_fn: Callable, compose_fn: Callable) -> Quiver:
-    """The quiver on levels -n-1, ..., -1 with nonempty bases `basis_fn(i, j, n)` and rule `compose_fn`."""
+def tabulate_quiver(n: int, basis_fn: Callable) -> Quiver:
+    """The quiver on levels -n-1, ..., -1 with nonempty bases `basis_fn(i, j, n)`.
+
+    Its compose rule is `compose_block`, which serves every basis whose
+    elements compose by adding labels.
+    """
     levels = range(-n - 1, 0)
     bases = {(i, j): basis for i in levels for j in levels if (basis := basis_fn(i, j, n))}
-    return Quiver(n=n, hom_bases=bases, compose=compose_fn)
+    return Quiver(n=n, hom_bases=bases, compose=compose_block)
 
 
 def quotient_quiver(n: int) -> Quiver:
     """The quiver of quotient cells for given n: levels -n-1, ..., -1.
 
-    Hom bases come from `hom_basis` and the compose rule is `compose`.
+    Hom bases come from `hom_basis`; the block rule `compose_block` adds
+    multi-indices, as `compose` does for one pair.
     """
-    return tabulate_quiver(n, hom_basis, compose)
+    return tabulate_quiver(n, hom_basis)
 
 
 def is_strong_exceptional(q: Quiver) -> bool:
     """Check the strong-exceptionality conditions on a quiver.
 
     Requires: every endomorphism space is one-dimensional and its element acts
-    as a two-sided unit under `q.compose`; no nonzero homs from a higher to a
-    lower level; all morphisms in degree 0 (structural here, since nonzero
-    degrees are empty by construction).
+    as a two-sided unit under `q.compose`, applied to the blocks ([e], basis)
+    and (basis, [e]); no nonzero homs from a higher to a lower level; all
+    morphisms in degree 0 (structural here, since nonzero degrees are empty by
+    construction).
     """
     if any(j < i and basis for (i, j), basis in q.hom_bases.items()):
         return False
+    units = {}
     for level in q.levels:
         endo = q.hom(level, level)
         if len(endo) != 1:
             return False
-        e = endo[0]
-        for (i, j), basis in q.hom_bases.items():
-            for f in basis:
-                try:
-                    if (j == level and q.compose(e, f) != f) or (i == level and q.compose(f, e) != f):
-                        return False
-                except ValueError:  # e and f do not compose, so e is no unit
-                    return False
+        units[level] = endo[0]
+    for (i, j), basis in q.hom_bases.items():
+        if not basis:
+            continue
+        try:
+            labels = label_array(basis)
+            broken = (
+                j in units and not np.array_equal(q.compose([units[j]], basis)[:, 0], labels)
+            ) or (i in units and not np.array_equal(q.compose(basis, [units[i]])[0], labels))
+        except ValueError:  # a unit and a basis element do not compose, so it is no unit
+            return False
+        if broken:
+            return False
     return True
 
 

@@ -107,30 +107,190 @@ def test_verify_equivalence_passes(n):
     assert rep.witness is None
 
 
+def _reference_verify_equivalence(n, quiver):
+    """The per-element composition check: one `to_monomial` per composite.
+
+    The same bijection check as `verify_equivalence`, then a walk of
+    `quiver.compositions()` that compares each composite's monomial with the
+    product of the monomials of f and g.
+    """
+    compositions_checked = 0
+    witness = None
+    ok = True
+    for i in quiver.levels:
+        for j in quiver.levels:
+            cell_side = quiver.hom(i, j)
+            if j < i:
+                if cell_side:
+                    ok = False
+                    witness = {"kind": "backward_hom", "i": i, "j": j}
+                continue
+            bundle_side = bundles.monomial_hom_basis(i, j, n)
+            expected = bundles.euler_pairing(i, j, n)
+            images = {bundles.to_monomial(e).exponents for e in cell_side}
+            if (
+                len(cell_side) != expected
+                or len(bundle_side) != expected
+                or len(images) != len(cell_side)
+                or images != {m.exponents for m in bundle_side}
+            ):
+                ok = False
+                witness = witness or {
+                    "kind": "bijection",
+                    "i": i,
+                    "j": j,
+                    "cell_dim": len(cell_side),
+                    "bundle_dim": len(bundle_side),
+                    "expected": expected,
+                }
+    try:
+        for g, f, gf in quiver.compositions():
+            compositions_checked += 1
+            image = bundles.monomial_compose(bundles.to_monomial(g), bundles.to_monomial(f))
+            if bundles.to_monomial(gf) != image:
+                ok = False
+                witness = witness or {
+                    "kind": "composition",
+                    "f": {"source": f.source, "target": f.target, "steps": list(f.steps)},
+                    "g": {"source": g.source, "target": g.target, "steps": list(g.steps)},
+                    "table_result": list(gf.steps),
+                    "expected_exponents": list(image.exponents),
+                }
+    except ValueError as exc:
+        ok = False
+        witness = witness or {"kind": "composition", "error": str(exc)}
+    elements = sum(len(b) for (i, j), b in quiver.hom_bases.items() if i <= j)
+    return ok, witness, elements, compositions_checked
+
+
+def _assert_matches_reference(n, quiver):
+    rep = bundles.verify_equivalence(n, quiver)
+    ok, witness, elements, compositions = _reference_verify_equivalence(n, quiver)
+    assert rep.passed == ok
+    assert rep.witness == witness
+    assert rep.parameters == {
+        "n": n,
+        "pairs_checked": (n + 1) ** 2,
+        "elements_checked": elements,
+        "compositions_checked": compositions,
+    }
+    return rep
+
+
+def _planted(rule, g, f, label):
+    """The block rule `rule`, except that the composite of (f, g) has `label`."""
+    def planted(gs, fs):
+        table = rule(gs, fs)
+        if f in fs and g in gs:
+            table[fs.index(f), gs.index(g)] = label
+        return table
+    return planted
+
+
 def _counting(calls, fn):
-    def wrapped(g, f):
-        calls.append((g, f))
-        return fn(g, f)
+    def wrapped(gs, fs):
+        calls.append((gs, fs))
+        return fn(gs, fs)
     return wrapped
+
+
+def _covered(calls):
+    return sum(len(fs) * len(gs) for gs, fs in calls)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quivers_compose_only_when_walked(n, monkeypatch):
-    """Building a quiver composes nothing; verify composes once per composite."""
-    cell_calls, bundle_calls = [], []
-    monkeypatch.setattr(cells, "compose", _counting(cell_calls, cells.compose))
-    monkeypatch.setattr(
-        bundles, "monomial_compose", _counting(bundle_calls, bundles.monomial_compose)
-    )
+    """Building a quiver composes nothing; verify's rule calls cover each composite once."""
+    calls = []
+    monkeypatch.setattr(cells, "compose_block", _counting(calls, cells.compose_block))
     q = cells.quotient_quiver(n)
     bundles.line_bundle_quiver(n)
-    assert cell_calls == [] and bundle_calls == []
+    assert calls == []
     rep = bundles.verify_equivalence(n, q)
     assert rep.passed
-    assert len(cell_calls) == rep.parameters["compositions_checked"]
-    cell_calls.clear()
+    assert _covered(calls) == rep.parameters["compositions_checked"]
+    calls.clear()
     rep = bundles.verify_equivalence(n)
-    assert len(cell_calls) == rep.parameters["compositions_checked"]
+    assert _covered(calls) == rep.parameters["compositions_checked"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_equivalence_matches_reference(n):
+    rep = _assert_matches_reference(n, cells.quotient_quiver(n))
+    assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "i,j,k", [(-4, -4, -3), (-4, -3, -1), (-4, -2, -2), (-3, -2, -1), (-2, -1, -1)]
+)
+@pytest.mark.parametrize("inside", [True, False])
+def test_verify_equivalence_matches_reference_on_planted_composite(i, j, k, inside):
+    """One wrong composite, in hom(i, k) or outside it, gives the reference's report."""
+    q = cells.quotient_quiver(3)
+    fs, gs = q.hom_bases[(i, j)], q.hom_bases[(j, k)]
+    f, g = fs[-1], gs[len(gs) // 2]
+    honest = [b + c for b, c in zip(f.steps, g.steps)]
+    if inside:
+        label = next(list(e.steps) for e in q.hom_bases[(i, k)] if list(e.steps) != honest)
+    else:
+        label = honest[:-1] + [1]
+    q.compose = _planted(q.compose, g, f, label)
+    rep = _assert_matches_reference(3, q)
+    assert not rep.passed
+    assert rep.witness["kind"] == "composition"
+    assert ("table_result" in rep.witness) == inside
+
+
+@pytest.mark.parametrize("corruption", ["backward", "missing", "misleveled", "foreign"])
+def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
+    """Bijection failures and bases that do not compose give the reference's report."""
+    q = cells.quotient_quiver(2)
+    if corruption == "backward":
+        q.hom_bases[(-1, -2)] = [cells.identity_hom(-1, 2)]
+    elif corruption == "missing":
+        q.hom_bases[(-3, -1)] = q.hom_bases[(-3, -1)][1:]
+    elif corruption == "misleveled":
+        q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 2)]
+    else:
+        q.hom_bases[(-3, -2)] = q.hom_bases[(-3, -2)][:-1] + q.hom_bases[(-3, -1)][:1]
+    assert not _assert_matches_reference(2, q).passed
+
+
+def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
+    monkeypatch.setattr(cells, "CHUNK_ENTRIES", 1)
+    calls = []
+    q = cells.quotient_quiver(4)
+    q.compose = _counting(calls, q.compose)
+    assert _assert_matches_reference(4, q).passed
+    assert calls and all(len(fs) == 1 for gs, fs in calls)
+    f, g = q.hom_bases[(-5, -3)][7], q.hom_bases[(-3, -1)][3]
+    honest = [b + c for b, c in zip(f.steps, g.steps)]
+    replacement = next(e for e in q.hom_bases[(-5, -1)] if list(e.steps) != honest)
+    q.compose = _planted(q.compose, g, f, replacement.steps)
+    rep = _assert_matches_reference(4, q)
+    assert rep.witness["f"]["steps"] == list(f.steps)
+    assert rep.witness["g"]["steps"] == list(g.steps)
+
+
+@pytest.mark.parametrize(
+    "label,error",
+    [
+        ((1, -1), "step entries must be nonpositive: (1, -1)"),
+        ((-3, 0), "sum of steps -3 below source - target = -2"),
+    ],
+)
+def test_verify_equivalence_rejects_composite_outside_hom(label, error):
+    """A composite outside hom(i, k) fails as HomElement would, where the walk reaches it."""
+    q = cells.quotient_quiver(2)
+    f, g = q.hom_bases[(-3, -2)][1], q.hom_bases[(-2, -1)][2]
+    before = next(
+        index for index, (g2, f2, _) in enumerate(q.compositions()) if (g2, f2) == (g, f)
+    )
+    q.compose = _planted(q.compose, g, f, label)
+    rep = _assert_matches_reference(2, q)
+    assert not rep.passed
+    assert rep.witness == {"kind": "composition", "error": error}
+    assert rep.parameters["compositions_checked"] == before
 
 
 def test_verify_equivalence_rejects_corrupt_composition():
@@ -143,8 +303,7 @@ def test_verify_equivalence_rejects_corrupt_composition():
     replacement = next(
         e for e in q.hom_bases[(-3, -1)] if e != honest
     )
-    compose = q.compose
-    q.compose = lambda g2, f2: replacement if (g2, f2) == (g, f) else compose(g2, f2)
+    q.compose = _planted(q.compose, g, f, replacement.steps)
     rep = bundles.verify_equivalence(2, q)
     assert not rep.passed
     assert rep.witness["kind"] == "composition"

@@ -302,8 +302,15 @@ def test_strong_exceptionality_rejects_broken_unit():
     f = q.hom_bases[(-2, -1)][0]
     other = q.hom_bases[(-2, -1)][1]
     honest = q.compose
+
+    def broken(gs, fs):
+        table = honest(gs, fs)
+        if gs == [e] and f in fs:
+            table[fs.index(f), 0] = other.steps
+        return table
+
     # the unit no longer acts as identity on f
-    q.compose = lambda g, h: other if (g, h) == (e, f) else honest(g, h)
+    q.compose = broken
     assert not cells.is_strong_exceptional(q)
 
 
