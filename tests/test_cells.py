@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tdual import cells
+from tdual import bundles, cells
 from tdual.cells import CellObject, DeckElement, HomElement
 
 
@@ -259,6 +259,36 @@ def test_generation_by_consecutive_levels(n):
             rest_homs = cells.hom_basis(i + 1, j, n)
             products = {cells.compose(g, f) for f in step_homs for g in rest_homs}
             assert products == set(cells.hom_basis(i, j, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compose_block_matches_single_compose(n):
+    """One block rule composes both quivers, as compose and monomial_compose do per pair."""
+    for q, single in (
+        (cells.quotient_quiver(n), cells.compose),
+        (bundles.line_bundle_quiver(n), bundles.monomial_compose),
+    ):
+        for fs, gs in q.blocks():
+            table = cells.compose_block(gs, fs)
+            assert table.dtype == "int64"
+            assert table.tolist() == [[list(single(g, f).label) for g in gs] for f in fs]
+
+
+def test_compose_block_raises_compose_error():
+    """The error is the one compose raises for the first failing (f, g), f outer."""
+    fs, gs = cells.hom_basis(-3, -2, 2), cells.hom_basis(-2, -1, 2)
+    stray = cells.hom_basis(-3, -1, 2)[0]
+    wide = HomElement(-3, -2, (0, 0, 0))
+    for block_gs, block_fs, g, f in (
+        ([stray] + gs, fs, stray, fs[0]),  # no g chains
+        (gs + [stray], fs, stray, fs[0]),  # one g does not chain
+        (gs, fs + [wide], gs[0], wide),  # one f is wider
+    ):
+        with pytest.raises(ValueError) as block_error:
+            cells.compose_block(block_gs, block_fs)
+        with pytest.raises(ValueError) as pair_error:
+            cells.compose(g, f)
+        assert str(block_error.value) == str(pair_error.value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
