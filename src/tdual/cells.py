@@ -283,32 +283,26 @@ def compose_block(gs: list, fs: list) -> np.ndarray:
     >>> compose_block(hom_basis(-2, -1, 1), hom_basis(-3, -2, 1)).tolist()
     [[[-2], [-1]], [[-1], [0]]]
     """
-    def chains(f, g) -> bool:
-        return g.source == f.target and len(g.label) == len(f.label)
-
-    if gs and fs:
-        # If every g has the source and width of gs[0], the first failing pair
-        # is (first failing f, gs[0]); otherwise every f fails with some g.
-        if all(g.source == gs[0].source and len(g.label) == len(gs[0].label) for g in gs):
-            pair = next(((f, gs[0]) for f in fs if not chains(f, gs[0])), None)
-        else:
-            pair = fs[0], next(g for g in gs if not chains(fs[0], g))
-        if pair is not None:
-            f, g = pair
-            if g.source != f.target:
-                raise ValueError(
-                    f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
-                )
-            raise ValueError("morphisms must share a dimension")
+    # Some pair fails exactly when the ends or the widths are not all equal;
+    # only then is the first failing pair looked for.
+    ends = {g.source for g in gs} | {f.target for f in fs}
+    if gs and fs and (len(ends) > 1 or len({len(e.label) for e in gs + fs}) > 1):
+        f, g = next(
+            (f, g) for f in fs for g in gs
+            if g.source != f.target or len(g.label) != len(f.label)
+        )
+        if g.source != f.target:
+            raise ValueError(
+                f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
+            )
+        raise ValueError("morphisms must share a dimension")
     return label_array(fs)[:, None, :] + label_array(gs)[None, :, :]
 
 
 def row_chunks(fs: list, gs: list) -> Iterator[slice]:
     """Slices of `fs` whose blocks against `gs` hold at most about CHUNK_ENTRIES label entries."""
-    width = len(gs[0].label) if gs else 1
-    step = max(1, CHUNK_ENTRIES // max(1, len(gs) * width))
-    for start in range(0, len(fs), step):
-        yield slice(start, start + step)
+    step = max(1, CHUNK_ENTRIES // (len(gs) * len(gs[0].label)))
+    return (slice(start, start + step) for start in range(0, len(fs), step))
 
 
 @dataclass
