@@ -15,9 +15,10 @@ the monomial with exponents
 which is degree j - i with nonnegative entries.  `verify_equivalence` checks
 exhaustively that this assignment is a bijection on every hom space and turns
 composition of multi-indices into multiplication of monomials.  The assignment
-is affine in b, so the composition check runs block by block (i <= j <= k) on
-int64 arrays: it takes each block's composites from the quiver's block rule,
-in chunks of rows, and compares their images with the sums of the images.
+is affine in b, so both checks run on the quiver's int64 label arrays.  The
+composition check runs block by block (i <= j <= k, levels from the keys): it
+takes each block's composites from the quiver's block rule, in chunks of rows,
+and compares their images with the sums of the images.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import HomElement, Quiver, label_array, quotient_quiver, row_chunks, tabulate_quiver
+from .cells import HomElement, Quiver, quotient_quiver, row_chunks, tabulate_quiver
 from .report import CheckReport
 
 
@@ -114,10 +115,9 @@ def to_monomial(e: HomElement) -> Monomial:
     return Monomial(e.source, e.target, (total,) + tuple(-b for b in e.steps))
 
 
-def _images(basis: list) -> np.ndarray:
-    """`to_monomial` of each element of `basis`, as the rows of an int64 array."""
-    steps = label_array(basis)
-    total = np.array([e.target - e.source for e in basis], dtype=np.int64) + steps.sum(axis=-1)
+def _images(steps: np.ndarray, i: int, j: int) -> np.ndarray:
+    """`to_monomial` of each row of the hom(i, j) label array `steps`, as int64 rows."""
+    total = j - i + steps.sum(axis=-1)
     return np.concatenate([total[:, None], -steps], axis=1)
 
 
@@ -168,12 +168,12 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             bundle_side = monomial_hom_basis(i, j, n)
             pairs_checked += 1
             if j < i:
-                if cell_side:
+                if len(cell_side):
                     ok = False
                     witness = {"kind": "backward_hom", "i": i, "j": j}
                 continue
             expected = euler_pairing(i, j, n)
-            images = set(map(tuple, _images(cell_side).tolist()))
+            images = set(map(tuple, _images(cell_side, i, j).tolist()))
             elements_checked += len(cell_side)
             if (
                 len(cell_side) != expected
@@ -191,20 +191,17 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     "expected": expected,
                 }
     try:
-        for fs, gs in quiver.blocks():
-            f_source = np.array([f.source for f in fs])
-            g_target = np.array([g.target for g in gs])
-            f_images, g_images = _images(fs), _images(gs)
+        for i, j, k, fs, gs in quiver.blocks():
+            f_images, g_images = _images(fs, i, j), _images(gs, j, k)
             for rows in row_chunks(fs, gs):
                 chunk = fs[rows]
                 table = quiver.compose(gs, chunk)
-                source, target = f_source[rows, None], g_target[None, :]
                 sums = table.sum(axis=-1)
                 # Composites outside hom(i, k) end the walk, as HomElement did.
-                outside = ((table > 0).any(axis=-1) | (sums < source - target)).ravel()
+                outside = ((table > 0).any(axis=-1) | (sums < i - k)).ravel()
                 # The image (k - i + sum, -steps) of g∘f must be the sum of the images.
                 expected = f_images[rows, None] + g_images[None]
-                wrong = target - source + sums != expected[..., 0]
+                wrong = k - i + sums != expected[..., 0]
                 # Negate the exponent part in place, so the check needs no third array.
                 steps = np.negative(expected[..., 1:], out=expected[..., 1:])
                 wrong = (wrong | (table != steps).any(axis=-1)).ravel()
@@ -214,17 +211,16 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 if failures.size:
                     ok = False
                     r, c = divmod(int(failures[0]), len(gs))
-                    f, g = chunk[r], gs[c]
                     witness = witness or {
                         "kind": "composition",
-                        "f": {"source": f.source, "target": f.target, "steps": list(f.steps)},
-                        "g": {"source": g.source, "target": g.target, "steps": list(g.steps)},
+                        "f": {"source": i, "target": j, "steps": chunk[r].tolist()},
+                        "g": {"source": j, "target": k, "steps": gs[c].tolist()},
                         "table_result": table[r, c].tolist(),
                         "expected_exponents": (f_images[rows][r] + g_images[c]).tolist(),
                     }
                 if stop < outside.size:
                     r, c = divmod(stop, len(gs))
-                    HomElement(chunk[r].source, gs[c].target, table[r, c].tolist())  # raises
+                    HomElement(i, k, table[r, c].tolist())  # raises
                 del table, expected  # free this chunk's arrays before the next one is built
     except ValueError as exc:  # a composite outside its hom space, or a basis that does not compose
         ok = False

@@ -16,7 +16,8 @@ has one-dimensional endomorphism spaces, no morphisms towards lower levels,
 and everything in a single degree.
 
 Multi-index containment arithmetic is exact integer arithmetic throughout.  A
-`Quiver` composes whole blocks of basis pairs at once, on int64 label arrays.
+`Quiver` keeps each hom basis as one int64 array of labels, the levels only in
+its key, and composes whole blocks of basis pairs at once on those arrays.
 """
 from __future__ import annotations
 
@@ -262,46 +263,29 @@ class _CompositionCount:
     q: "Quiver"
 
     def __len__(self) -> int:
-        return sum(len(fs) * len(gs) for fs, gs in self.q.blocks())
+        return sum(len(fs) * len(gs) for *_, fs, gs in self.q.blocks())
 
 
-def label_array(basis: list) -> np.ndarray:
-    """The labels of the basis elements as the rows of an int64 array."""
-    width = len(basis[0].label) if basis else 0
-    return np.array([e.label for e in basis], dtype=np.int64).reshape(len(basis), width)
+def compose_block(gs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Labels of g∘f for the rows f of `fs` (hom(i, j)) and g of `gs` (hom(j, k)); labels add.
 
+    Both are int64 label arrays, one row per basis element.  Returns an int64
+    array of shape (len(fs), len(gs), label length).  This is the compose rule
+    of both the cell quiver (multi-indices add) and the line-bundle quiver
+    (exponents add).  The levels live in the quiver's keys, so every block
+    chains; only labels of different lengths raise ValueError.
 
-def compose_block(gs: list, fs: list) -> np.ndarray:
-    """Labels of g∘f for f in `fs` (hom(i, j)) and g in `gs` (hom(j, k)); labels add.
-
-    Returns an int64 array of shape (len(fs), len(gs), label length).  This is
-    the compose rule of both the cell quiver (multi-indices add) and the
-    line-bundle quiver (exponents add).  Raises ValueError, with the message
-    `compose` gives for the first such (f, g) with f outer, when some pair
-    does not chain or the labels differ in length.
-
-    >>> compose_block(hom_basis(-2, -1, 1), hom_basis(-3, -2, 1)).tolist()
+    >>> compose_block(np.array([[-1], [0]]), np.array([[-1], [0]])).tolist()
     [[[-2], [-1]], [[-1], [0]]]
     """
-    # Some pair fails exactly when the ends or the widths are not all equal;
-    # only then is the first failing pair looked for.
-    ends = {g.source for g in gs} | {f.target for f in fs}
-    if gs and fs and (len(ends) > 1 or len({len(e.label) for e in gs + fs}) > 1):
-        f, g = next(
-            (f, g) for f in fs for g in gs
-            if g.source != f.target or len(g.label) != len(f.label)
-        )
-        if g.source != f.target:
-            raise ValueError(
-                f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
-            )
+    if fs.shape[1] != gs.shape[1]:
         raise ValueError("morphisms must share a dimension")
-    return label_array(fs)[:, None, :] + label_array(gs)[None, :, :]
+    return fs[:, None, :] + gs[None, :, :]
 
 
-def row_chunks(fs: list, gs: list) -> Iterator[slice]:
+def row_chunks(fs: np.ndarray, gs: np.ndarray) -> Iterator[slice]:
     """Slices of `fs` whose blocks against `gs` hold at most about CHUNK_ENTRIES label entries."""
-    step = max(1, CHUNK_ENTRIES // (len(gs) * len(gs[0].label)))
+    step = max(1, CHUNK_ENTRIES // gs.size)
     return (slice(start, start + step) for start in range(0, len(fs), step))
 
 
@@ -309,11 +293,12 @@ def row_chunks(fs: list, gs: list) -> Iterator[slice]:
 class Quiver:
     """A finite graded quiver on levels -n-1, ..., -1 with hom bases and a block compose rule.
 
-    `hom_bases` maps (source_level, target_level) to the list of basis
-    elements, and `compose(gs, fs)` returns the labels of g after f (f first)
-    for whole bases at once, as `compose_block` does.  No composite is stored:
-    `compositions()` computes them block by block.  All stored morphisms sit
-    in degree 0; other degrees are empty.
+    `hom_bases` maps (source_level, target_level) to the basis as an int64
+    array of shape (dim, label length), one label per row; the levels live
+    only in the key.  `compose(gs, fs)` returns the labels of g after f
+    (f first) for whole bases at once, as `compose_block` does.  No composite
+    is stored: `compositions()` computes them block by block.  All stored
+    morphisms sit in degree 0; other degrees are empty.
     """
 
     n: int
@@ -329,41 +314,42 @@ class Quiver:
         """Sized stand-in for the old composition table; bench/child.py reads its `len`."""
         return _CompositionCount(self)
 
-    def hom(self, i: int, j: int, degree: int = 0) -> list:
-        return list(self.hom_bases.get((i, j), [])) if degree == 0 else []
+    def hom(self, i: int, j: int, degree: int = 0) -> np.ndarray:
+        """The stored label array of hom(i, j), or an empty (0, n) array."""
+        basis = self.hom_bases.get((i, j)) if degree == 0 else None
+        return np.empty((0, self.n), dtype=np.int64) if basis is None else basis
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
 
-    def blocks(self) -> Iterator[tuple[list, list]]:
-        """Nonempty bases (hom(i, j), hom(j, k)) of each block i <= j <= k, in `hom_bases` order."""
+    def blocks(self) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
+        """(i, j, k, hom(i, j), hom(j, k)) per block i <= j <= k of nonempty bases, in key order."""
         for (i, j), fs in self.hom_bases.items():
             for (j2, k), gs in self.hom_bases.items():
-                if i <= j == j2 <= k and fs and gs:
-                    yield fs, gs
+                if i <= j == j2 <= k and len(fs) and len(gs):
+                    yield i, j, k, fs, gs
 
     def compositions(self) -> Iterator[tuple]:
-        """(g, f, g∘f) for each composable basis pair; in each block f is the outer loop.
-
-        g∘f is rebuilt from its label by the element type of f, as
-        `type(f)(f.source, g.target, label)`.
-        """
-        for fs, gs in self.blocks():
+        """(i, j, k, f, g, g∘f) per composable basis pair, labels as lists; f is the outer loop."""
+        for i, j, k, fs, gs in self.blocks():
+            g_labels = gs.tolist()
             for rows in row_chunks(fs, gs):
                 chunk = fs[rows]
-                for f, labels in zip(chunk, self.compose(gs, chunk).tolist()):
-                    for g, label in zip(gs, labels):
-                        yield g, f, type(f)(f.source, g.target, label)
+                for f, labels in zip(chunk.tolist(), self.compose(gs, chunk).tolist()):
+                    for g, gf in zip(g_labels, labels):
+                        yield i, j, k, f, g, gf
 
 
 def tabulate_quiver(n: int, basis_fn: Callable) -> Quiver:
-    """The quiver on levels -n-1, ..., -1 with nonempty bases `basis_fn(i, j, n)`.
+    """The quiver on levels -n-1, ..., -1 with the nonempty bases `basis_fn(i, j, n)`.
 
-    Its compose rule is `compose_block`, which serves every basis whose
-    elements compose by adding labels.
+    Each basis is kept as the int64 array of its elements' labels; the
+    elements themselves are dropped.  Its compose rule is `compose_block`,
+    which serves every basis whose elements compose by adding labels.
     """
     levels = range(-n - 1, 0)
-    bases = {(i, j): basis for i in levels for j in levels if (basis := basis_fn(i, j, n))}
+    pairs = ((i, j, basis_fn(i, j, n)) for i in levels for j in levels)  # one basis at a time
+    bases = {(i, j): np.array([e.label for e in b], dtype=np.int64) for i, j, b in pairs if b}
     return Quiver(n=n, hom_bases=bases, compose=compose_block)
 
 
@@ -379,29 +365,25 @@ def quotient_quiver(n: int) -> Quiver:
 def is_strong_exceptional(q: Quiver) -> bool:
     """Check the strong-exceptionality conditions on a quiver.
 
-    Requires: every endomorphism space is one-dimensional and its element acts
-    as a two-sided unit under `q.compose`, applied to the blocks ([e], basis)
-    and (basis, [e]); no nonzero homs from a higher to a lower level; all
-    morphisms in degree 0 (structural here, since nonzero degrees are empty by
-    construction).
+    Requires: every endomorphism space is one-dimensional and its one label
+    row acts as a two-sided unit under `q.compose`, applied to the blocks
+    (unit, basis) and (basis, unit) of label arrays; no nonzero homs from a
+    higher to a lower level; all morphisms in degree 0 (structural here,
+    since nonzero degrees are empty by construction).
     """
-    if any(j < i and basis for (i, j), basis in q.hom_bases.items()):
+    if any(j < i and len(basis) for (i, j), basis in q.hom_bases.items()):
         return False
     units = {}
     for level in q.levels:
-        endo = q.hom(level, level)
-        if len(endo) != 1:
+        units[level] = q.hom(level, level)
+        if len(units[level]) != 1:
             return False
-        units[level] = endo[0]
     for (i, j), basis in q.hom_bases.items():
-        if not basis:
-            continue
         try:
-            labels = label_array(basis)
             broken = (
-                j in units and not np.array_equal(q.compose([units[j]], basis)[:, 0], labels)
-            ) or (i in units and not np.array_equal(q.compose(basis, [units[i]])[0], labels))
-        except ValueError:  # a unit and a basis element do not compose, so it is no unit
+                j in units and not np.array_equal(q.compose(units[j], basis)[:, 0], basis)
+            ) or (i in units and not np.array_equal(q.compose(basis, units[i])[0], basis))
+        except ValueError:  # the unit's labels do not fit the basis, so it is no unit
             return False
         if broken:
             return False
@@ -415,12 +397,12 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
     the two exports can be diffed directly.
     """
     homs = [
-        {"i": i, "j": j, "basis": [list(el.label) for el in basis]}
+        {"i": i, "j": j, "basis": basis.tolist()}
         for (i, j), basis in sorted(q.hom_bases.items())
     ]
     comps = [
-        {"i": f.source, "j": f.target, "k": g.target, "f": list(f.label), "g": list(g.label), "gf": list(gf.label)}
-        for g, f, gf in q.compositions()
+        {"i": i, "j": j, "k": k, "f": f, "g": g, "gf": gf}
+        for i, j, k, f, g, gf in q.compositions()
     ]
     comps.sort(key=lambda e: (e["i"], e["j"], e["k"], e["f"], e["g"]))
     return {
@@ -439,8 +421,8 @@ def quiver_to_dot(q: Quiver, prefix: str = "U", name: str = "cells") -> str:
     for (i, j), basis in sorted(q.hom_bases.items()):
         if j != i + 1:
             continue
-        for el in basis:
-            label = ",".join(str(v) for v in el.label)
+        for el in basis.tolist():
+            label = ",".join(str(v) for v in el)
             lines.append(f'  "{prefix}({i})" -> "{prefix}({j})" [label="({label})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tdual import bundles, cells
@@ -81,8 +82,8 @@ def test_line_bundle_quiver_structure():
     assert q.levels == (-3, -2, -1)
     assert q.dims()[(-3, -1)] == 6
     # composition closes within the tabulated bases
-    for g, f, gf in q.compositions():
-        assert gf in q.hom_bases[(f.source, g.target)]
+    for i, j, k, f, g, gf in q.compositions():
+        assert gf in q.hom_bases[(i, k)].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -111,8 +112,10 @@ def _reference_verify_equivalence(n, quiver):
     """The per-element composition check: one `to_monomial` per composite.
 
     The same bijection check as `verify_equivalence`, then a walk of
-    `quiver.compositions()` that compares each composite's monomial with the
-    product of the monomials of f and g.
+    `quiver.compositions()` that rebuilds g∘f, f and g as `HomElement`s from
+    their labels and block levels, and compares the composite's monomial with
+    the product of the monomials of f and g.  A label outside its hom space
+    has no monomial, so it fails the bijection check.
     """
     compositions_checked = 0
     witness = None
@@ -121,15 +124,22 @@ def _reference_verify_equivalence(n, quiver):
         for j in quiver.levels:
             cell_side = quiver.hom(i, j)
             if j < i:
-                if cell_side:
+                if len(cell_side):
                     ok = False
                     witness = {"kind": "backward_hom", "i": i, "j": j}
                 continue
             bundle_side = bundles.monomial_hom_basis(i, j, n)
             expected = bundles.euler_pairing(i, j, n)
-            images = {bundles.to_monomial(e).exponents for e in cell_side}
+            try:
+                images = {
+                    bundles.to_monomial(HomElement(i, j, e)).exponents
+                    for e in cell_side.tolist()
+                }
+            except ValueError:
+                images = None
             if (
-                len(cell_side) != expected
+                images is None
+                or len(cell_side) != expected
                 or len(bundle_side) != expected
                 or len(images) != len(cell_side)
                 or images != {m.exponents for m in bundle_side}
@@ -144,7 +154,9 @@ def _reference_verify_equivalence(n, quiver):
                     "expected": expected,
                 }
     try:
-        for g, f, gf in quiver.compositions():
+        for i, j, k, f, g, gf in quiver.compositions():
+            gf = HomElement(i, k, gf)
+            f, g = HomElement(i, j, f), HomElement(j, k, g)
             compositions_checked += 1
             image = bundles.monomial_compose(bundles.to_monomial(g), bundles.to_monomial(f))
             if bundles.to_monomial(gf) != image:
@@ -177,12 +189,17 @@ def _assert_matches_reference(n, quiver):
     return rep
 
 
-def _planted(rule, g, f, label):
-    """The block rule `rule`, except that the composite of (f, g) has `label`."""
-    def planted(gs, fs):
-        table = rule(gs, fs)
-        if f in fs and g in gs:
-            table[fs.index(f), gs.index(g)] = label
+def _planted(rule, fs, gs, f, g, label):
+    """The block rule `rule`, except that the composite of rows f and g has `label`.
+
+    f is a row of `fs` and g a row of `gs`.  A block is known by its bases:
+    `gs` itself and `fs` or a row chunk of it.
+    """
+    def planted(block_gs, block_fs):
+        table = rule(block_gs, block_fs)
+        if block_gs is gs and (block_fs is fs or block_fs.base is fs):
+            rows, cols = (block_fs == f).all(axis=1), (gs == g).all(axis=1)
+            table[np.ix_(rows, cols)] = label
         return table
     return planted
 
@@ -229,31 +246,36 @@ def test_verify_equivalence_matches_reference_on_planted_composite(i, j, k, insi
     q = cells.quotient_quiver(3)
     fs, gs = q.hom_bases[(i, j)], q.hom_bases[(j, k)]
     f, g = fs[-1], gs[len(gs) // 2]
-    honest = [b + c for b, c in zip(f.steps, g.steps)]
+    honest = (f + g).tolist()
     if inside:
-        label = next(list(e.steps) for e in q.hom_bases[(i, k)] if list(e.steps) != honest)
+        label = next(e for e in q.hom_bases[(i, k)].tolist() if e != honest)
     else:
         label = honest[:-1] + [1]
-    q.compose = _planted(q.compose, g, f, label)
+    q.compose = _planted(q.compose, fs, gs, f, g, label)
     rep = _assert_matches_reference(3, q)
     assert not rep.passed
     assert rep.witness["kind"] == "composition"
     assert ("table_result" in rep.witness) == inside
 
 
-@pytest.mark.parametrize("corruption", ["backward", "missing", "misleveled", "foreign"])
+@pytest.mark.parametrize("corruption", ["backward", "missing", "wide", "foreign"])
 def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
     """Bijection failures and bases that do not compose give the reference's report."""
     q = cells.quotient_quiver(2)
     if corruption == "backward":
-        q.hom_bases[(-1, -2)] = [cells.identity_hom(-1, 2)]
+        q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 2).label])
     elif corruption == "missing":
         q.hom_bases[(-3, -1)] = q.hom_bases[(-3, -1)][1:]
-    elif corruption == "misleveled":
-        q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 2)]
+    elif corruption == "wide":
+        q.hom_bases[(-1, -1)] = np.zeros((1, 3), dtype=np.int64)
     else:
-        q.hom_bases[(-3, -2)] = q.hom_bases[(-3, -2)][:-1] + q.hom_bases[(-3, -1)][:1]
+        q.hom_bases[(-3, -2)] = np.concatenate(
+            [q.hom_bases[(-3, -2)][:-1], q.hom_bases[(-3, -1)][:1]]
+        )
     assert not _assert_matches_reference(2, q).passed
+    if corruption == "wide":  # the walk stopped where the block rule refused the unit
+        with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
+            list(q.compositions())
 
 
 def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
@@ -263,13 +285,14 @@ def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
     q.compose = _counting(calls, q.compose)
     assert _assert_matches_reference(4, q).passed
     assert calls and all(len(fs) == 1 for gs, fs in calls)
-    f, g = q.hom_bases[(-5, -3)][7], q.hom_bases[(-3, -1)][3]
-    honest = [b + c for b, c in zip(f.steps, g.steps)]
-    replacement = next(e for e in q.hom_bases[(-5, -1)] if list(e.steps) != honest)
-    q.compose = _planted(q.compose, g, f, replacement.steps)
+    fs, gs = q.hom_bases[(-5, -3)], q.hom_bases[(-3, -1)]
+    f, g = fs[7], gs[3]
+    honest = (f + g).tolist()
+    replacement = next(e for e in q.hom_bases[(-5, -1)].tolist() if e != honest)
+    q.compose = _planted(q.compose, fs, gs, f, g, replacement)
     rep = _assert_matches_reference(4, q)
-    assert rep.witness["f"]["steps"] == list(f.steps)
-    assert rep.witness["g"]["steps"] == list(g.steps)
+    assert rep.witness["f"]["steps"] == f.tolist()
+    assert rep.witness["g"]["steps"] == g.tolist()
 
 
 @pytest.mark.parametrize(
@@ -282,11 +305,14 @@ def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
 def test_verify_equivalence_rejects_composite_outside_hom(label, error):
     """A composite outside hom(i, k) fails as HomElement would, where the walk reaches it."""
     q = cells.quotient_quiver(2)
-    f, g = q.hom_bases[(-3, -2)][1], q.hom_bases[(-2, -1)][2]
+    fs, gs = q.hom_bases[(-3, -2)], q.hom_bases[(-2, -1)]
+    f, g = fs[1], gs[2]
     before = next(
-        index for index, (g2, f2, _) in enumerate(q.compositions()) if (g2, f2) == (g, f)
+        index
+        for index, (*ijk, f2, g2, _) in enumerate(q.compositions())
+        if (ijk, f2, g2) == ([-3, -2, -1], f.tolist(), g.tolist())
     )
-    q.compose = _planted(q.compose, g, f, label)
+    q.compose = _planted(q.compose, fs, gs, f, g, label)
     rep = _assert_matches_reference(2, q)
     assert not rep.passed
     assert rep.witness == {"kind": "composition", "error": error}
@@ -295,36 +321,46 @@ def test_verify_equivalence_rejects_composite_outside_hom(label, error):
 
 def test_verify_equivalence_rejects_corrupt_composition():
     q = cells.quotient_quiver(2)
-    (g, f, honest) = next(
-        (g, f, gf)
-        for (g, f, gf) in q.compositions()
-        if f.source == -3 and f.target == -2 and g.target == -1
+    (f, g, honest) = next(
+        (f, g, gf)
+        for (i, j, k, f, g, gf) in q.compositions()
+        if (i, j, k) == (-3, -2, -1)
     )
     replacement = next(
-        e for e in q.hom_bases[(-3, -1)] if e != honest
+        e for e in q.hom_bases[(-3, -1)].tolist() if e != honest
     )
-    q.compose = _planted(q.compose, g, f, replacement.steps)
+    q.compose = _planted(q.compose, q.hom_bases[(-3, -2)], q.hom_bases[(-2, -1)], f, g, replacement)
     rep = bundles.verify_equivalence(2, q)
     assert not rep.passed
     assert rep.witness["kind"] == "composition"
-    assert rep.witness["table_result"] == list(replacement.steps)
+    assert rep.witness["table_result"] == replacement
 
 
 def test_verify_equivalence_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = [cells.identity_hom(-1, 1)]
+    q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 1).label])
     rep = bundles.verify_equivalence(1, q)
     assert not rep.passed
     assert rep.witness["kind"] == "backward_hom"
 
 
-def test_verify_equivalence_rejects_misleveled_unit():
-    """A unit of the wrong level has the right exponents but composes with nothing."""
+def test_verify_equivalence_rejects_wide_unit():
+    """A unit label one entry wider has no monomial and composes with nothing.
+
+    The bijection check fails first, so it gives the witness; the block walk
+    stops at the first block that holds the unit, after the 3 composites of
+    the blocks (-2, -2, -2) and (-2, -2, -1).
+    """
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 1)]
+    q.hom_bases[(-1, -1)] = np.zeros((1, 2), dtype=np.int64)
     rep = bundles.verify_equivalence(1, q)
     assert not rep.passed
-    assert rep.witness["kind"] == "composition"
+    assert rep.witness == {
+        "kind": "bijection", "i": -1, "j": -1, "cell_dim": 1, "bundle_dim": 1, "expected": 1
+    }
+    assert rep.parameters["compositions_checked"] == 3
+    with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
+        list(q.compositions())
 
 
 def test_verify_equivalence_rejects_missing_element():

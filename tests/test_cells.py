@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tdual import bundles, cells
@@ -264,25 +265,27 @@ def test_generation_by_consecutive_levels(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compose_block_matches_single_compose(n):
     """One block rule composes both quivers, as compose and monomial_compose do per pair."""
-    for q, single in (
-        (cells.quotient_quiver(n), cells.compose),
-        (bundles.line_bundle_quiver(n), bundles.monomial_compose),
+    for q, basis, single in (
+        (cells.quotient_quiver(n), cells.hom_basis, cells.compose),
+        (bundles.line_bundle_quiver(n), bundles.monomial_hom_basis, bundles.monomial_compose),
     ):
-        for fs, gs in q.blocks():
+        for i, j, k, fs, gs in q.blocks():
             table = cells.compose_block(gs, fs)
             assert table.dtype == "int64"
-            assert table.tolist() == [[list(single(g, f).label) for g in gs] for f in fs]
+            assert table.tolist() == [
+                [list(single(g, f).label) for g in basis(j, k, n)] for f in basis(i, j, n)
+            ]
 
 
 def test_compose_block_raises_compose_error():
-    """The error is the one compose raises for the first failing (f, g), f outer."""
-    fs, gs = cells.hom_basis(-3, -2, 2), cells.hom_basis(-2, -1, 2)
-    stray = cells.hom_basis(-3, -1, 2)[0]
-    wide = HomElement(-3, -2, (0, 0, 0))
+    """Labels one entry wider raise the error compose raises for such a pair."""
+    q = cells.quotient_quiver(2)
+    fs, gs = q.hom_bases[(-3, -2)], q.hom_bases[(-2, -1)]
+    first_f, first_g = HomElement(-3, -2, fs[0]), HomElement(-2, -1, gs[0])
+    wide_f, wide_g = HomElement(-3, -2, (0, 0, 0)), HomElement(-2, -1, (0, 0, 0))
     for block_gs, block_fs, g, f in (
-        ([stray] + gs, fs, stray, fs[0]),  # no g chains
-        (gs + [stray], fs, stray, fs[0]),  # one g does not chain
-        (gs, fs + [wide], gs[0], wide),  # one f is wider
+        (gs, np.array([wide_f.label]), first_g, wide_f),  # the f labels are wider
+        (np.array([wide_g.label]), fs, wide_g, first_f),  # the g labels are wider
     ):
         with pytest.raises(ValueError) as block_error:
             cells.compose_block(block_gs, block_fs)
@@ -297,46 +300,65 @@ def test_quotient_quiver_strong_exceptional(n):
     assert cells.is_strong_exceptional(q)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composition_count_closed_form(n):
+    """`len(q.composition)` is the number of composable basis pairs, in closed form."""
+    levels = range(-n - 1, 0)
+    expected = sum(
+        math.comb(j - i + n, n) * math.comb(k - j + n, n)
+        for i in levels
+        for j in levels
+        for k in levels
+        if i <= j <= k
+    )
+    assert len(cells.quotient_quiver(n).composition) == expected
+
+
 def test_quiver_dims_and_hom_access():
     q = cells.quotient_quiver(2)
     dims = q.dims()
     assert dims[(-3, -1)] == 6
     assert dims[(-2, -1)] == 3
     assert (-1, -3) not in dims
-    assert q.hom(-1, -3) == []
-    assert q.hom(-2, -1, degree=1) == []
+    assert q.hom(-1, -3).shape == (0, 2)
+    assert q.hom(-2, -1, degree=1).shape == (0, 2)
     assert len(q.hom(-3, -2)) == 3
+    assert q.hom(-3, -2) is q.hom_bases[(-3, -2)]
+    assert q.hom(-3, -2).dtype == "int64"
 
 
 def test_strong_exceptionality_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = [cells.identity_hom(-1, 1)]  # planted junk
+    q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 1).label])  # planted junk
     assert not cells.is_strong_exceptional(q)
 
 
 def test_strong_exceptionality_rejects_fat_endomorphisms():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -1)] = q.hom_bases[(-1, -1)] * 2
+    q.hom_bases[(-1, -1)] = np.concatenate([q.hom_bases[(-1, -1)]] * 2)
     assert not cells.is_strong_exceptional(q)
 
 
-def test_strong_exceptionality_rejects_misleveled_unit():
+def test_strong_exceptionality_rejects_wide_unit():
+    """A unit label one entry wider does not compose with its neighbours, so it is no unit."""
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -1)] = [cells.identity_hom(-2, 1)]
+    q.hom_bases[(-1, -1)] = np.zeros((1, 2), dtype=np.int64)
     assert not cells.is_strong_exceptional(q)
+    with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
+        q.compose(q.hom(-1, -1), q.hom(-2, -1))
 
 
 def test_strong_exceptionality_rejects_broken_unit():
     q = cells.quotient_quiver(1)
-    e = q.hom_bases[(-1, -1)][0]
-    f = q.hom_bases[(-2, -1)][0]
-    other = q.hom_bases[(-2, -1)][1]
+    e = q.hom_bases[(-1, -1)]
+    basis = q.hom_bases[(-2, -1)]
+    f, other = basis[0], basis[1]
     honest = q.compose
 
     def broken(gs, fs):
         table = honest(gs, fs)
-        if gs == [e] and f in fs:
-            table[fs.index(f), 0] = other.steps
+        if gs is e and fs is basis:
+            table[(fs == f).all(axis=1), 0] = other
         return table
 
     # the unit no longer acts as identity on f
