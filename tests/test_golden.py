@@ -34,7 +34,12 @@ GOLDEN = {
     "verify --n 5": "f8e5c977a1dcb915ba2366023bfc18278d4937d007767aba01af7b9bbb9aee28",
     "quiver --n 4": "f032056c6e7011bb613fa1ad76a31d6b5e47f6c2262928257ae508f3c54f1684",
     "verify --n 6": "3b248789b6345e917b652500a422c4531051ab65b0f9722c85741b4fc89b783c",
+    "quiver --n 5": "ba014508c9992c467229c55f03b08e90183e898c809d8da5932564ec9b7377f8",
+    "quiver --n 3 --format dot": "b09d0ed1d465fb15687c14f8908e27f3d96542185602d39fb941c291248789fb",
 }
+
+# SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
+GOLDEN_OUT_FILE = "7ff74e95b0fb2351d924dea4e2899749930d514e251e4a2b3536ef4d90a2a0b1"
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
@@ -44,3 +49,11 @@ def test_report_matches_golden_hash(command, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+def test_quiver_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "0")
+    out_file = tmp_path / "quiver.json"
+    assert cli.main(["quiver", "--n", "2", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_OUT_FILE
