@@ -66,6 +66,22 @@ class Monomial:
         return self.exponents
 
 
+def _exponent_vectors(i: int, j: int, n: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of the degree j - i monomials in n+1 variables, in lexicographic order."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if j < i:
+        return []
+    out = []
+    for head in itertools.combinations_with_replacement(range(n + 1), j - i):
+        exps = [0] * (n + 1)
+        for v in head:
+            exps[v] += 1
+        out.append(tuple(exps))
+    out.sort()
+    return out
+
+
 def monomial_hom_basis(i: int, j: int, n: int) -> list[Monomial]:
     """All degree j - i monomials in n+1 variables, as morphisms from i to j.
 
@@ -74,19 +90,7 @@ def monomial_hom_basis(i: int, j: int, n: int) -> list[Monomial]:
     >>> [m.exponents for m in monomial_hom_basis(-2, -1, 1)]
     [(0, 1), (1, 0)]
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if j < i:
-        return []
-    degree = j - i
-    out = []
-    for head in itertools.combinations_with_replacement(range(n + 1), degree):
-        exps = [0] * (n + 1)
-        for v in head:
-            exps[v] += 1
-        out.append(Monomial(i, j, tuple(exps)))
-    out.sort(key=lambda m: m.exponents)
-    return out
+    return [Monomial(i, j, exps) for exps in _exponent_vectors(i, j, n)]
 
 
 def monomial_compose(g: Monomial, f: Monomial) -> Monomial:
@@ -146,7 +150,9 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
 
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
-    dimensions equal to the binomial count), and that every composite of the
+    dimensions equal to the binomial count; the monomial side is the
+    exponent vectors `monomial_hom_basis` is built from, with no `Monomial`
+    validated), and that every composite of the
     cell quiver, taken block by block from its rule `quiver.compose`, lies in
     its hom space and is sent to the product of the images.  The witness is
     the first failure with blocks in `hom_bases` order, f outer and g inner;
@@ -165,7 +171,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     for i in levels:
         for j in levels:
             cell_side = quiver.hom(i, j)
-            bundle_side = monomial_hom_basis(i, j, n)
+            bundle_side = _exponent_vectors(i, j, n)
             pairs_checked += 1
             if j < i:
                 if len(cell_side):
@@ -179,7 +185,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 len(cell_side) != expected
                 or len(bundle_side) != expected
                 or len(images) != len(cell_side)
-                or images != {m.exponents for m in bundle_side}
+                or images != set(bundle_side)
             ):
                 ok = False
                 witness = witness or {

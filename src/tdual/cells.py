@@ -21,6 +21,7 @@ its key, and composes whole blocks of basis pairs at once on those arrays.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -315,9 +316,12 @@ class Quiver:
         return _CompositionCount(self)
 
     def hom(self, i: int, j: int, degree: int = 0) -> np.ndarray:
-        """The stored label array of hom(i, j), or an empty (0, n) array."""
+        """The stored label array of hom(i, j), or an empty one as wide as the stored labels."""
         basis = self.hom_bases.get((i, j)) if degree == 0 else None
-        return np.empty((0, self.n), dtype=np.int64) if basis is None else basis
+        if basis is None:
+            width = next((b.shape[1] for b in self.hom_bases.values()), self.n)
+            basis = np.empty((0, width), dtype=np.int64)
+        return basis
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: len(basis) for key, basis in sorted(self.hom_bases.items())}
@@ -411,6 +415,67 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
         "homs": homs,
         "compositions": comps,
     }
+
+
+def _json_items(item: object, rows: np.ndarray, pad: str) -> str:
+    """The items of an indent=2 JSON list: one copy of `item` per row of `rows`.
+
+    Each "%d" string in `item` stands for the next entry of the row.  `pad`
+    is a newline and the items' indentation; every item starts with it, and
+    items are joined by commas.  One %-template formats every row, so no
+    integer passes through json's encoder.
+    """
+    template = pad + json.dumps(item, indent=2).replace("\n", pad).replace('"%d"', "%d")
+    return ",".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _json_list(pieces: list[str], pad: str) -> list[str]:
+    """An indent=2 JSON list of item texts from `_json_items`, as parts to join.
+
+    `pad` is a newline and the indentation of the list's own line.
+    """
+    items = [part for piece in pieces if piece for part in (",", piece)][1:]
+    return ["[", *items, pad + "]"] if items else ["[]"]
+
+
+def _pair_order(f_rank: np.ndarray, g_rank: np.ndarray) -> np.ndarray:
+    """Indices f * len(g_rank) + g of a block's pairs, sorted by (f label, g label), ties in pair order.
+
+    The ranks number each basis's labels in lexicographic order.
+    """
+    return np.lexsort((np.tile(g_rank, len(f_rank)), np.repeat(f_rank, len(g_rank))))
+
+
+def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> str:
+    """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
+
+    `pad` is a newline and the indentation of the line the text starts on,
+    so the text can stand at any depth of an enclosing indent=2 document.
+    The compositions are written block by block, in (i, j, k) order, with
+    each block's pairs sorted by (f, g), which is `quiver_to_dict`'s order.
+    A compose rule that raises ValueError raises here too.
+    """
+    key_pad, item_pad = pad + "  ", pad + "    "
+    head = {"n": q.n, "objects": [f"{prefix}({level})" for level in q.levels], "homs": [], "compositions": []}
+    start, middle, end = json.dumps(head, indent=2).replace("\n", pad).rsplit("[]", 2)
+    homs = []
+    for (i, j), basis in sorted(q.hom_bases.items()):
+        entry = json.dumps({"i": i, "j": j, "basis": []}, indent=2).replace("\n", item_pad)
+        before, after = entry.rsplit("[]", 1)
+        rows = _json_items(["%d"] * basis.shape[1], basis, item_pad + "    ")
+        homs.append("".join([item_pad, before, *_json_list([rows], item_pad + "  "), after]))
+    ranks = {key: np.unique(basis, axis=0, return_inverse=True)[1].ravel() for key, basis in q.hom_bases.items()}
+    comps = []
+    for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
+        table = q.compose(gs, fs)
+        order = _pair_order(ranks[i, j], ranks[j, k])
+        rows = np.concatenate(
+            [fs[order // len(gs)], gs[order % len(gs)], table.reshape(len(order), table.shape[-1])[order]],
+            axis=1,
+        )
+        labels = {"f": ["%d"] * fs.shape[1], "g": ["%d"] * gs.shape[1], "gf": ["%d"] * table.shape[-1]}
+        comps.append(_json_items({"i": i, "j": j, "k": k, **labels}, rows, item_pad))
+    return "".join([start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end])
 
 
 def quiver_to_dot(q: Quiver, prefix: str = "U", name: str = "cells") -> str:

@@ -21,6 +21,7 @@ usage errors.  Seeded sweeps read the TDUAL_SEED environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -175,8 +176,8 @@ def run_quiver(cfg: RunConfig) -> dict:
         )
     else:
         export = {
-            "cells": cells.quiver_to_dict(cell_quiver, "U"),
-            "bundles": cells.quiver_to_dict(bundle_quiver, "O"),
+            "cells": functools.partial(cells.quiver_json, cell_quiver, "U"),
+            "bundles": functools.partial(cells.quiver_json, bundle_quiver, "O"),
         }
     body = {
         "command": "quiver",
@@ -186,21 +187,46 @@ def run_quiver(cfg: RunConfig) -> dict:
         "pass": True,
     }
     if cfg.out:
+        pieces = [export] if cfg.fmt == "dot" else _json_pieces(export)
         with open(cfg.out, "w") as fh:
-            if cfg.fmt == "dot":
-                fh.write(export)
-            else:
-                json.dump(export, fh, indent=2)
-                fh.write("\n")
+            fh.writelines(pieces)
         body["export_path"] = cfg.out
     else:
         body["export"] = export
     return body
 
 
+def _json_pieces(value) -> list[str]:
+    """The text of `json.dumps(value, indent=2)` and a newline, in pieces.
+
+    A quiver export in `value` is a partial of `cells.quiver_json` that still
+    takes its `pad`.  json writes a placeholder string for it, and the
+    export's own text goes in its place at that depth, so no composition
+    passes through json's pure-Python indent encoder.  The whole text is
+    built before anything is written.
+    """
+    exports = []
+
+    def placeholder(export) -> str:
+        if not callable(export):
+            raise TypeError(f"Object of type {type(export).__name__} is not JSON serializable")
+        exports.append(export)
+        return f"\0{len(exports) - 1}"
+
+    text = json.dumps(value, indent=2, default=placeholder)
+    pieces, pos = [], 0
+    for number, export in enumerate(exports):
+        token = json.dumps(f"\0{number}")
+        at = text.index(token, pos)
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        pieces += [text[pos:at], export("\n" + " " * (len(line) - len(line.lstrip(" "))))]
+        pos = at + len(token)
+    return pieces + [text[pos:] + "\n"]
+
+
 def _emit(body: dict, cfg: RunConfig) -> None:
     if cfg.command == "quiver" or cfg.fmt == "json":
-        text = json.dumps(body, indent=2) + "\n"
+        pieces = _json_pieces(body)
     else:
         lines = [f"{body['command']} n={body['n']}"]
         for check in body.get("checks", []):
@@ -209,13 +235,14 @@ def _emit(body: dict, cfg: RunConfig) -> None:
             extra = f" max_deviation={dev:.3e}" if isinstance(dev, float) else ""
             lines.append(f"  {check['check']}: {status}{extra}")
         lines.append("pass" if body["pass"] else "fail")
-        text = "\n".join(lines) + "\n"
+        pieces = ["\n".join(lines) + "\n"]
     if cfg.out and cfg.command != "quiver":
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         print(("pass" if body["pass"] else "fail") + f" -> {cfg.out}")
     else:
-        sys.stdout.write(text)
+        for piece in pieces:  # write, not writelines: a stream wrapper may override write alone
+            sys.stdout.write(piece)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -371,3 +371,28 @@ def test_verify_equivalence_rejects_missing_element():
     assert rep.witness["kind"] == "bijection"
     assert rep.witness["cell_dim"] == 1
     assert rep.witness["expected"] == 2
+
+
+def test_verify_equivalence_builds_no_monomial(monkeypatch):
+    """The bijection check compares exponent tuples; it validates no Monomial."""
+    built = []
+    validate = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self.exponents)
+        validate(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    q = cells.quotient_quiver(3)
+    rep = bundles.verify_equivalence(3, q)
+    assert rep.passed
+    assert built == []
+    assert len(bundles.monomial_hom_basis(-3, -1, 3)) == len(built) == 10  # the counter sees constructions
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_hom_basis_is_every_exponent_vector_in_order(n):
+    for i in range(-n - 1, 0):
+        for j in range(-n - 1, 0):
+            every = [e for e in itertools.product(range(j - i + 1), repeat=n + 1) if sum(e) == j - i]
+            assert [m.exponents for m in bundles.monomial_hom_basis(i, j, n)] == every

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -386,3 +387,64 @@ def test_quiver_to_dot_counts():
     # n = 2: three generators between consecutive levels, twice
     dot2 = cells.quiver_to_dot(cells.quotient_quiver(2), "U")
     assert dot2.count("->") == 6
+
+
+@pytest.mark.parametrize("build, prefix", [(cells.quotient_quiver, "U"), (bundles.line_bundle_quiver, "O")])
+def test_hom_of_missing_key_is_as_wide_as_the_stored_labels(build, prefix):
+    for n in (1, 2, 3):
+        q = build(n)
+        width = q.hom_bases[(-1, -1)].shape[1]
+        assert width == (n if prefix == "U" else n + 1)
+        assert q.hom(-1, -n - 1).shape == (0, width)
+        assert q.hom(-1, -1, degree=1).shape == (0, width)
+    assert cells.Quiver(n=2, hom_bases={}, compose=cells.compose_block).hom(-1, -1).shape == (0, 2)
+
+
+# Ways to embed a value in an indent=2 document, with the indentation of its first line.
+EMBEDDINGS = [
+    (lambda x: {"x": x}, 2),
+    (lambda x: [0, {"x": x}], 4),
+    (lambda x: {"a": [[x]]}, 6),
+]
+
+
+def _assert_json_matches(q, prefix):
+    """`quiver_json` is `json.dumps(quiver_to_dict(...), indent=2)`, at depth 0 and embedded."""
+    d = cells.quiver_to_dict(q, prefix)
+    assert cells.quiver_json(q, prefix) == json.dumps(d, indent=2)
+    for embed, indent in EMBEDDINGS:
+        spliced = json.dumps(embed("@"), indent=2).replace('"@"', cells.quiver_json(q, prefix, "\n" + " " * indent))
+        assert spliced == json.dumps(embed(d), indent=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("build, prefix", [(cells.quotient_quiver, "U"), (bundles.line_bundle_quiver, "O")])
+def test_quiver_json_matches_json_dumps(n, build, prefix):
+    _assert_json_matches(build(n), prefix)
+
+
+def test_quiver_json_sorts_shuffled_bases():
+    """Rows and keys out of order (and a repeated row) come out in quiver_to_dict's sorted order."""
+    rng = np.random.default_rng(7)
+    q = cells.quotient_quiver(3)
+    shuffled = {key: rng.permutation(basis) for key, basis in reversed(list(q.hom_bases.items()))}
+    shuffled[(-4, -3)] = np.concatenate([shuffled[(-4, -3)], shuffled[(-4, -3)][:2]])
+    q = cells.Quiver(n=3, hom_bases=shuffled, compose=cells.compose_block)
+    assert [key for key, _ in q.hom_bases.items()] != sorted(q.hom_bases)
+    _assert_json_matches(q, "U")
+
+
+@pytest.mark.parametrize("bases", [{}, {(-1, -2): np.array([[0]])}, {(-2, -1): np.empty((0, 1), dtype=np.int64)}])
+def test_quiver_json_without_composable_blocks(bases):
+    q = cells.Quiver(n=1, hom_bases=bases, compose=cells.compose_block)
+    assert list(q.blocks()) == []
+    assert cells.quiver_json(q, "U").endswith('"compositions": []\n}')
+    _assert_json_matches(q, "U")
+
+
+def test_quiver_json_raises_where_the_compose_rule_does():
+    q = cells.quotient_quiver(1)
+    q.hom_bases[(-1, -1)] = np.zeros((1, 2), dtype=np.int64)  # a unit that does not compose
+    for export in (cells.quiver_to_dict, cells.quiver_json):
+        with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
+            export(q, "U")

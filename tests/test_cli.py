@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from tdual import cli, oracle
+from tdual import cells, cli, oracle
 
 
 def run_cli(args, capsys):
@@ -138,6 +139,39 @@ def test_quiver_json_embedded_export(capsys):
     cell_dims = {(h["i"], h["j"]): len(h["basis"]) for h in export["cells"]["homs"]}
     bundle_dims = {(h["i"], h["j"]): len(h["basis"]) for h in export["bundles"]["homs"]}
     assert cell_dims == bundle_dims
+
+
+def test_quiver_out_file_is_the_embedded_export(tmp_path, capsys):
+    out_file = tmp_path / "quiver.json"
+    rc, out = run_cli(["quiver", "--n", "2", "--out", str(out_file)], capsys)
+    assert rc == 0 and "export" not in json.loads(out)
+    _, embedded = run_cli(["quiver", "--n", "2"], capsys)
+    assert out_file.read_text() == json.dumps(json.loads(embedded)["export"], indent=2) + "\n"
+
+
+def test_json_pieces_splice_quiver_exports_at_their_depth():
+    q = cells.quotient_quiver(2)
+    value = {"a": [1, {"q": lambda pad: cells.quiver_json(q, "U", pad)}], "b": lambda pad: cells.quiver_json(q, "V", pad)}
+    expected = {"a": [1, {"q": cells.quiver_to_dict(q, "U")}], "b": cells.quiver_to_dict(q, "V")}
+    assert "".join(cli._json_pieces(value)) == json.dumps(expected, indent=2) + "\n"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_pieces({"x": object()})
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "quiver.json"]])
+def test_quiver_export_raises_before_writing(extra, tmp_path, monkeypatch, capsys):
+    """A compose rule that raises ValueError stops the export before any byte is written."""
+    def broken(n):
+        q = cells.tabulate_quiver(n, cells.hom_basis)
+        q.hom_bases[(-1, -1)] = np.zeros((1, n + 1), dtype=np.int64)  # a unit that does not compose
+        return q
+
+    monkeypatch.setattr(cells, "quotient_quiver", broken)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
+        cli.main(["quiver", "--n", "1", *extra])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quiver_rejects_text_format():
