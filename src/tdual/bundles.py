@@ -150,15 +150,14 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
 
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
-    dimensions equal to the binomial count; the monomial side is the
-    exponent vectors `monomial_hom_basis` is built from, with no `Monomial`
-    validated), and that every composite of the
-    cell quiver, taken block by block from its rule `quiver.compose`, lies in
-    its hom space and is sent to the product of the images.  The witness is
-    the first failure with blocks in `hom_bases` order, f outer and g inner;
-    a composite outside its hom space ends the walk there.  A prebuilt
-    (possibly corrupted) cell quiver may be passed in; by default the
-    canonical one for `n` is built.
+    dimensions equal to the binomial count; the monomial side is the exponent
+    vectors that `monomial_hom_basis` wraps, so no `Monomial` is built), and
+    that every composite of the cell quiver, taken block by block from its
+    rule `quiver.compose`, lies in its hom space and is sent to the product
+    of the images.  The witness is the first failure with blocks in
+    `hom_bases` order, f outer and g inner; a composite outside its hom
+    space ends the walk there.  A prebuilt (possibly corrupted) cell quiver
+    may be passed in; by default the canonical one for `n` is built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
