@@ -14,21 +14,23 @@ by purely combinatorial means, independent of the quiver calculus in
     {m + 1_S : S in a chain of subsets} (`_faces`; Lam-Postnikov, "Alcoved
     polytopes I").  A face is the tuple of its vertices.  The inner open cell
     embeds in the torus and is lifted once.  Each of its faces is tested at
-    its barycenter, in integers: a face with k vertices is
-    represented by the sum of its vertices, k times the barycenter, and every
-    test is scaled by k.  Against the outer cell the point is tested through
-    one lift: the canonical one, whose coordinates lie in (a_l - (n+1), a_l]
-    for the outer corner a.  The outer closure contains the point iff it
-    contains that lift, so no search over translates is needed.  `region_pair`
-    works for any n.
+    its barycenter, in integers: a face with k vertices is represented by the
+    sum of its vertices, k times the barycenter, and every test is scaled by
+    k.  The face of lattice point m and chain c has vertex sum k_c m + s_c,
+    from the chain's vertex count k_c and step sum s_c.  Against the outer
+    cell the point is tested through one lift: the canonical one, whose
+    coordinates lie in (a_l - (n+1), a_l] for the outer corner a.  The outer
+    closure contains the point iff it contains that lift, so no search over
+    translates is needed.  `region_pair` works for any n.
 
 2.  For n <= 2 the locally closed X is replaced by a compact deformation
     retract: the inner cell's strict inequalities are tightened by a rational
     margin epsilon < 1/4 (every grid face keeps its barycenter, with slack
     >= 1/3, so no piece degenerates).  One clipper cuts each grid face, point,
-    segment or polygon, against the tightened halfspaces in exact rationals;
-    this yields a polytopal complex, triangulated by fanning each polygon from
-    its lexicographically smallest vertex; the A-faces form a subcomplex.
+    segment or polygon, against the tightened halfspaces in exact integers,
+    on homogeneous points (X_1, ..., X_n, W) = X / W; this yields a polytopal
+    complex, triangulated by fanning each polygon from its lexicographically
+    smallest vertex; the A-faces form a subcomplex.
 
 3.  Ranks of the relative simplicial cochain complex over Q are computed by
     fraction-free (Bareiss) elimination on the integer coboundary matrices.
@@ -45,15 +47,17 @@ epsilon/2 to get the match and the stability check from a single pass.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .cells import CellObject
 
-# A halfspace bounded by coeffs . x = rhs: read with < (integer rhs) for the
-# open inner cell, with <= (rational rhs) by the shrink step.
-Constraint = tuple[tuple[int, ...], int | Fraction]
+# A halfspace bounded by coeffs . x = rhs: read with < for the open inner
+# cell, and by the shrink step with <= on homogeneous points (see `Point`).
+Constraint = tuple[tuple[int, ...], int]
 
 # Largest admissible shrink margin: a quarter of the arrangement's vertex gap.
 MAX_EPSILON = Fraction(1, 4)
@@ -70,23 +74,35 @@ def _simplex_constraints(level: int, offset: Sequence[int]) -> list[Constraint]:
     return cons + [((-1,) * n, -(level + sum(offset)))]
 
 
-def _dot(coeffs: Sequence[int], point: Sequence[int | Fraction]) -> int | Fraction:
-    return sum(c * p for c, p in zip(coeffs, point))
-
-
 # --- the grid triangulation -------------------------------------------------
 
 # A grid face is the tuple of its vertices, in chain order (see `_faces`).
 Face = tuple[tuple[int, ...], ...]
 
 
-def _chains(n: int) -> list[tuple[frozenset[int], ...]]:
-    """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}."""
+def _chains(n: int) -> list[tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]]:
+    """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}, as (steps, k_c, s_c).
+
+    Vertex S of the face at lattice point m is m + step, step_l = [l in S] - [l-1 in S];
+    with k_c steps summing to s_c, the face's vertex sum is k_c m + s_c.
+    """
     subsets = [frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
     chains = [(frozenset(),)]
     for chain in chains:  # the list grows while it is walked
         chains.extend(chain + (s,) for s in subsets if chain[-1] < s)
-    return chains
+    steps = [tuple(tuple(int(l in s) - int(l - 1 in s) for l in range(1, n + 1)) for s in c) for c in chains]
+    return [(st, len(st), tuple(map(sum, zip(*st)))) for st in steps]
+
+
+def _lattice_points(level: int, offset: Sequence[int]) -> Iterator[list[int]]:
+    """The lattice points m of the closed cell {g_l <= offset_l, sum(g - offset) >= level}."""
+    for depth in itertools.product(range(1 - level), repeat=len(offset)):
+        if sum(depth) <= -level:
+            yield [b - d for b, d in zip(offset, depth)]
+
+
+def _face(m: Sequence[int], steps: Sequence[tuple[int, ...]]) -> Face:
+    return tuple(tuple(map(add, m, step)) for step in steps)
 
 
 def _faces(n: int, level: int, offset: Sequence[int]) -> Iterator[Face]:
@@ -103,15 +119,10 @@ def _faces(n: int, level: int, offset: Sequence[int]) -> Iterator[Face]:
     >>> [len(list(_faces(n, -1, (0,) * n))) // (n + 1) for n in (1, 2, 3, 4)]
     [2, 6, 26, 150]
     """
-    steps = [
-        [tuple(int(l in s) - int(l - 1 in s) for l in range(1, n + 1)) for s in chain]
-        for chain in _chains(n)
-    ]
-    for depth in itertools.product(range(1 - level), repeat=n):
-        if sum(depth) <= -level:
-            m = [b - d for b, d in zip(offset, depth)]
-            for chain in steps:
-                yield tuple(tuple(ml + dl for ml, dl in zip(m, step)) for step in chain)
+    chains = _chains(n)
+    for m in _lattice_points(level, offset):
+        for steps, _, _ in chains:
+            yield _face(m, steps)
 
 
 def counts_by_dim(n: int, faces: Iterable[Sequence]) -> tuple[int, ...]:
@@ -156,7 +167,8 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     a_faces: set[Face] = set()
     # Every constraint hyperplane is a union of grid faces, so no open grid
     # face crosses one and its barycenter g decides it.  The code tests the
-    # vertex sum kg = k * g of a face with k vertices, every bound scaled by k.
+    # vertex sum kg = k * g = k_c m + s_c of the face (m, c), every bound scaled
+    # by k = k_c; the inner cell is {g_l < b_l, sum g > level + sum b}.
     # The outer closure is {g : g_l <= a_l, sum(g - a) >= level} modulo (n+1)Z^n.
     # Among the lifts g' of a point with g' <= a, the canonical one,
     # g'_l = a_l - depth_l with depth_l = (a_l - g_l) mod (n+1) in [0, n+1),
@@ -165,17 +177,21 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     # nothing to the closure and never lies in the open cell.  With
     # slack = -sum(depth) - level, the point is in the closure iff slack >= 0,
     # and in the open cell iff also slack > 0 and every depth_l > 0.
-    for face in _faces(n, inner.level, inner.offset):
-        k = len(face)
-        kg = [sum(coords) for coords in zip(*face)]
-        if any(_dot(coeffs, kg) >= k * rhs for coeffs, rhs in inner_cons):
-            continue
-        depth = [(k * a - kg_l) % (k * (n + 1)) for a, kg_l in zip(outer.offset, kg)]
-        slack = -sum(depth) - k * outer.level
-        if slack >= 0:
-            x_faces.add(face)
-            if slack == 0 or 0 in depth:
-                a_faces.add(face)
+    b, a = inner.offset, outer.offset
+    floor = inner.level + sum(b)
+    chains = _chains(n)
+    for m in _lattice_points(inner.level, b):
+        for steps, k, s in chains:
+            kg = [k * ml + sl for ml, sl in zip(m, s)]
+            if sum(kg) <= k * floor or any(kg_l >= k * bl for kg_l, bl in zip(kg, b)):
+                continue
+            depth = [(k * al - kg_l) % (k * (n + 1)) for al, kg_l in zip(a, kg)]
+            slack = -sum(depth) - k * outer.level
+            if slack >= 0:
+                face = _face(m, steps)
+                x_faces.add(face)
+                if slack == 0 or 0 in depth:
+                    a_faces.add(face)
     return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
 
 
@@ -211,30 +227,33 @@ class SimplicialPair:
             raise AssertionError("subcomplex not contained in complex")
 
 
-def _clip_polygon(
-    points: list[tuple[Fraction, ...]], cons: Sequence[Constraint]
-) -> list[tuple[Fraction, ...]]:
-    """Clip a point, segment or convex polygon to {x : coeffs . x <= rhs}.
+# A clipped point in homogeneous integers: (X_1, ..., X_n, W) is X / W, with
+# W > 0 and gcd 1, so equal points are equal tuples.
+Point = tuple[int, ...]
 
-    Sutherland-Hodgman, one halfspace at a time.  A 1-point list is kept or
-    dropped whole.  A segment is walked p -> q -> p: both crossings give the
-    same exact point and the duplicate pass merges them, so the result runs
+
+def _clip_polygon(points: list[Point], cons: Sequence[Constraint]) -> list[Point]:
+    """Clip a point, segment or convex polygon to {X/W : coeffs . X - rhs W <= 0}.
+
+    Sutherland-Hodgman, one halfspace at a time; with sides h = coeffs . X - rhs W
+    the crossing of cur -> nxt is +-(h_nxt cur - h_cur nxt) over its gcd.  A 1-point
+    list is kept or dropped whole.  A segment is walked p -> q -> p: both crossings
+    give the same exact point and the duplicate pass merges them, so the result runs
     p -> q, or is one point where the segment only touches the boundary.
     """
     poly = points
     for coeffs, rhs in cons:
         if not poly:
             return []
-        out: list[tuple[Fraction, ...]] = []
-        k = len(poly)
-        for idx in range(k):
-            cur, nxt = poly[idx], poly[(idx + 1) % k]
-            fc, fn = _dot(coeffs, cur), _dot(coeffs, nxt)
-            if fc <= rhs:
+        side = [sum(map(mul, coeffs, pt)) - rhs * pt[-1] for pt in poly]
+        out: list[Point] = []
+        for cur, hc, nxt, hn in zip(poly, side, poly[1:] + poly[:1], side[1:] + side[:1]):
+            if hc <= 0:
                 out.append(cur)
-            if (fc <= rhs) != (fn <= rhs):
-                t = (rhs - fc) / (fn - fc)
-                out.append(tuple(a + t * (b - a) for a, b in zip(cur, nxt)))
+            if (hc <= 0) != (hn <= 0):
+                cross = [hn * c - hc * x for c, x in zip(cur, nxt)]
+                g = math.gcd(*cross) if cross[-1] > 0 else -math.gcd(*cross)
+                out.append(tuple(v // g for v in cross))
         poly = []
         for pt in out:  # drop consecutive duplicates (wraparound included)
             if not poly or pt != poly[-1]:
@@ -244,21 +263,19 @@ def _clip_polygon(
     return poly
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _piece_simplices(
-    face: Face, shrink: Sequence[Constraint]
-) -> list[tuple[tuple[Fraction, ...], ...]]:
+def _piece_simplices(face: Face, shrink: Sequence[Constraint]) -> list[tuple[Point, ...]]:
     """Top simplices of one grid face clipped against the shrink halfspaces."""
-    verts = [tuple(Fraction(c) for c in v) for v in face]
-    poly = _clip_polygon(verts, shrink)
+    poly = _clip_polygon([v + (1,) for v in face], shrink)
     if len(poly) < 3:
         return [tuple(poly)] if poly else []
-    anchor = poly.index(min(poly))
+    # the lexicographically smallest vertex, compared over a common denominator
+    den = math.lcm(*(pt[-1] for pt in poly))
+    anchor = min(range(len(poly)), key=lambda i: [x * (den // poly[i][-1]) for x in poly[i][:-1]])
     a, *rest = poly[anchor:] + poly[:anchor]
-    return [(a, b, c) for b, c in zip(rest, rest[1:]) if _cross(a, b, c) != 0]
+    # the planar fan drops a triangle whose 3x3 homogeneous determinant is 0
+    return [(a, b, c) for b, c in zip(rest, rest[1:])
+            if a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])]
 
 
 def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> SimplicialPair:
@@ -266,7 +283,8 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
 
     `epsilon` must be a positive rational below 1/4 (a quarter of the grid's
     vertex gap); halving it never changes the result's cohomology.  The
-    polygon fan is planar, so only n = 1 and n = 2 are supported.
+    polygon fan is planar, so only n = 1 and n = 2 are supported.  For epsilon
+    = p/q a tightened halfspace c . x <= r - p/q is clipped as (q c, q r - p).
     """
     n = pair.n
     if n not in (1, 2):
@@ -274,18 +292,19 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     eps = Fraction(epsilon)
     if not 0 < eps < MAX_EPSILON:
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
-    shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
-    vertex_index: dict[tuple[Fraction, ...], int] = {}
+    p, q = eps.numerator, eps.denominator
+    shrink = [(tuple(q * c for c in coeffs), q * rhs - p) for coeffs, rhs in pair.inner_constraints]
+    vertex_index: dict[Point, int] = {}
     vertices: list[tuple[Fraction, ...]] = []
     simplices: set[tuple[int, ...]] = set()
     sub: set[tuple[int, ...]] = set()
 
-    def register(simplex_pts: tuple[tuple[Fraction, ...], ...]) -> list[tuple[int, ...]]:
+    def register(simplex_pts: tuple[Point, ...]) -> list[tuple[int, ...]]:
         idx = []
         for pt in simplex_pts:
             if pt not in vertex_index:
                 vertex_index[pt] = len(vertices)
-                vertices.append(pt)
+                vertices.append(tuple(Fraction(x, pt[-1]) for x in pt[:-1]))
             idx.append(vertex_index[pt])
         idx = tuple(sorted(set(idx)))
         return [face for k in range(1, len(idx) + 1) for face in itertools.combinations(idx, k)]

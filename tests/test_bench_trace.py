@@ -1,8 +1,9 @@
 """The bench's traced mode still runs against the package.
 
 `bench/child.py trace` wraps public functions of `tdual` from outside `src/`
-and reads `len(cells.quotient_quiver(n).composition)`, so a change to the
-quiver's shape can break it while every unit test passes.
+and reads `len(cells.quotient_quiver(n).composition)`, the `.simplices` of
+each shrunk oracle pair and the rows passed to `oracle.matrix_rank_exact`, so
+a change to those shapes can break it while every unit test passes.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MARKER = "BENCH-CHILD "
 
 
-def test_bench_child_trace_runs_verify():
-    """One traced `verify --n 3`: no error, the known stale target, both counts 220."""
+def _trace(*argv):
+    """Run `bench/child.py trace -- ARGV` and return its BENCH-CHILD record."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "child.py"), "trace", "--", "verify", "--n", "3"],
+        [sys.executable, str(ROOT / "bench" / "child.py"), "trace", "--", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -28,9 +29,27 @@ def test_bench_child_trace_runs_verify():
     assert proc.returncode == 0, proc.stderr
     line = proc.stderr.strip().splitlines()[-1]
     assert line.startswith(MARKER), proc.stderr
-    info = json.loads(line[len(MARKER):])
+    return json.loads(line[len(MARKER):])
+
+
+def test_bench_child_trace_runs_verify():
+    """One traced `verify --n 3`: no error, the known stale target, both counts 220."""
+    info = _trace("verify", "--n", "3")
     assert info["error"] is None
     # The bench still lists a function that the oracle no longer has.
     assert info["missing"] == ["oracle.hom_dim_detail"]
     counts = info["counts"]
     assert counts["cells.composition_entries"] == counts["bundles.compositions_checked"] == 220
+
+
+def test_bench_child_trace_runs_oracle():
+    """One traced `oracle --n 2`: the bench reads `.simplices` of each shrunk
+    pair and the row list given to `matrix_rank_exact`, so the oracle's work
+    counts must come through unchanged."""
+    info = _trace("oracle", "--n", "2")
+    assert info["error"] is None
+    assert info["missing"] == ["oracle.hom_dim_detail"]
+    counts = info["counts"]
+    assert counts["oracle.region_pair.calls"] == 81
+    assert counts["oracle.simplices"] == 1622
+    assert counts["oracle.rank_entries"] == 7188

@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from tdual import cli, oracle
-from tdual.cells import CellObject, hom_basis
+from tdual.cells import CellObject, cell_contains, hom_basis, hom_from_cells
 from tdual.oracle import (
     SimplicialPair,
     _faces,
-    _piece_simplices,
     counts_by_dim,
     matrix_rank_exact,
     oracle_hom_dim,
@@ -228,48 +227,115 @@ def test_region_pair_validation():
 
 # --- shrinking and triangulating ---------------------------------------------
 
-def test_clip_polygon_points_and_segments():
-    """The polygon clipper on 1- and 2-point lists, with exact output."""
-    F = Fraction
-    clip = oracle._clip_polygon
-    p, q = (F(0), F(0)), (F(2), F(1))
-    # a point is kept or dropped whole
-    assert clip([p], [((1, 0), F(0))]) == [p]
-    assert clip([p], [((1, 0), F(-1))]) == []
-    # fully inside
-    assert clip([p, q], [((1, 0), F(2)), ((0, 1), F(1))]) == [p, q]
-    # cut at the q end
-    assert clip([p, q], [((1, 0), F(1))]) == [p, (F(1), F(1, 2))]
-    # cut at the p end, by two halfspaces; the order stays p -> q
-    assert clip([p, q], [((-1, 0), F(-1, 2)), ((0, -1), F(-1, 3))]) == [
-        (F(2, 3), F(1, 3)),
-        q,
-    ]
-    # touching the boundary leaves one point
-    assert clip([p, q], [((1, 0), F(0))]) == [p]
-    assert clip([p, q], [((-1, -1), F(-3))]) == [q]
-    # fully outside
-    assert clip([p, q], [((1, 0), F(2)), ((0, 1), F(-1, 4))]) == []
+def _reference_clip(points, cons):
+    """The shrink step's clipper in exact rationals: Sutherland-Hodgman on
+    `Fraction` points against {x : coeffs . x <= rhs}, one halfspace at a time."""
+    poly = points
+    for coeffs, rhs in cons:
+        out = []
+        for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+            fc, fn = (sum(c * x for c, x in zip(coeffs, pt)) for pt in (cur, nxt))
+            if fc <= rhs:
+                out.append(cur)
+            if (fc <= rhs) != (fn <= rhs):
+                t = (rhs - fc) / (fn - fc)
+                out.append(tuple(a + t * (b - a) for a, b in zip(cur, nxt)))
+        poly = [pt for k, pt in enumerate(out) if k == 0 or pt != out[k - 1]]
+        if len(poly) > 1 and poly[0] == poly[-1]:
+            poly.pop()
+    return poly
 
 
-def _two_pass_shrink(pair, eps):
-    """Reference model: clip and fan every X face, then every A face again.
+def _reference_shrink(pair, eps):
+    """The ε-shrink in `Fraction`s, fanned from the smallest vertex by 2D cross
+    products: every X face clipped and fanned, then every A face again.
 
     Returns (vertices, simplices, sub) as `shrink_and_triangulate` builds them.
     """
-    shrink = [(coeffs, rhs - eps) for coeffs, rhs in pair.inner_constraints]
+    shrink = [(coeffs, rhs - Fraction(eps)) for coeffs, rhs in pair.inner_constraints]
+
+    def pieces(face):
+        poly = _reference_clip([tuple(map(Fraction, v)) for v in face], shrink)
+        if len(poly) < 3:
+            return [tuple(poly)] if poly else []
+        anchor = poly.index(min(poly))
+        a, *rest = poly[anchor:] + poly[:anchor]
+        return [(a, b, c) for b, c in zip(rest, rest[1:])
+                if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])]
+
     vertex_index, simplices, sub = {}, set(), set()
     for faces, into in ((pair.X, simplices), (pair.A, sub)):
         for face in sorted(faces):
-            for piece in _piece_simplices(face, shrink):
+            for piece in pieces(face):
                 idx = sorted({vertex_index.setdefault(pt, len(vertex_index)) for pt in piece})
                 for k in range(1, len(idx) + 1):
                     into.update(itertools.combinations(idx, k))
     return tuple(vertex_index), frozenset(simplices | sub), frozenset(sub)
 
 
+def test_clip_polygon_points_and_segments():
+    """The polygon clipper on 1- and 2-point lists, with exact output.
+
+    A point (X_1, X_2, W) stands for X / W, and a halfspace (coeffs, rhs) is
+    coeffs . x <= rhs, so x <= 1/2 is ((2, 0), 1).  The `Fraction` reference
+    clipper gives the same points on every case.
+    """
+    p, q = (0, 0, 1), (2, 1, 1)
+    cases = [
+        # a point is kept or dropped whole
+        ([p], [((1, 0), 0)], [p]),
+        ([p], [((1, 0), -1)], []),
+        # fully inside
+        ([p, q], [((1, 0), 2), ((0, 1), 1)], [p, q]),
+        # cut at the q end, at (1, 1/2)
+        ([p, q], [((1, 0), 1)], [p, (2, 1, 2)]),
+        # cut at the p end by x >= 1/2 and y >= 1/3, at (2/3, 1/3); the order stays p -> q
+        ([p, q], [((-2, 0), -1), ((0, -3), -1)], [(2, 1, 3), q]),
+        # touching the boundary leaves one point
+        ([p, q], [((1, 0), 0)], [p]),
+        ([p, q], [((-1, -1), -3)], [q]),
+        # fully outside, by y <= -1/4
+        ([p, q], [((1, 0), 2), ((0, 4), -1)], []),
+    ]
+
+    def rational(pts):
+        return [tuple(Fraction(x, pt[-1]) for x in pt[:-1]) for pt in pts]
+
+    for points, cons, expected in cases:
+        assert oracle._clip_polygon(points, cons) == expected, (points, cons)
+        assert _reference_clip(rational(points), cons) == rational(expected), (points, cons)
+
+
+def test_fan_starts_at_smallest_vertex_and_skips_collinear_triangles():
+    """Grid faces never give three collinear points; a hand-made polygon does."""
+    polygon = ((1, 0), (2, 0), (0, 1), (0, 0))  # (1, 0) lies on the edge from (0, 0) to (2, 0)
+    assert oracle._piece_simplices(polygon, []) == [((0, 0, 1), (2, 0, 1), (0, 1, 1))]
+
+
+def _cli_pairs():
+    """Every (outer, inner) pair the `oracle` command builds: 8 at n = 1, 81 at n = 2."""
+    return [
+        (CellObject(i, (0,) * n), CellObject(j, offset))
+        for n in (1, 2)
+        for i in range(-n - 1, 0)
+        for j in range(-n - 1, 0)
+        for offset in oracle.offset_window(n)
+    ]
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 16), Fraction(3, 13), Fraction(1, 1000)])
+def test_shrink_matches_fraction_reference(eps):
+    """The integer shrink gives the `Fraction` model's complex on every CLI pair."""
+    pairs = _cli_pairs()
+    assert len(pairs) == 8 + 81
+    for outer, inner in pairs:
+        pair = region_pair(outer, inner)
+        got = shrink_and_triangulate(pair, eps)
+        assert (got.vertices, got.simplices, got.sub) == _reference_shrink(pair, eps), (outer, inner)
+
+
 def test_shrink_clips_each_x_cell_once(monkeypatch):
-    """One clip per X face and margin, with the two-pass model's exact output.
+    """One clip per X face and margin, with the reference model's exact output.
 
     Every pair at n = 1, and at n = 2 every outer cell against the inner
     cells at offset (-1, -2).
@@ -277,8 +343,9 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
     pairs = [(o, i) for o in _every_cell(1) for i in _every_cell(1)]
     pairs += [(o, i) for o in _every_cell(2) for i in _every_cell(2, [(-1, -2)])]
     calls = []
+    piece_simplices = oracle._piece_simplices
     monkeypatch.setattr(
-        oracle, "_piece_simplices", lambda face, shrink: calls.append(face) or _piece_simplices(face, shrink)
+        oracle, "_piece_simplices", lambda face, shrink: calls.append(face) or piece_simplices(face, shrink)
     )
     nonempty_a = 0
     for outer, inner in pairs:
@@ -288,8 +355,25 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
             calls.clear()
             got = shrink_and_triangulate(pair, eps)
             assert sorted(calls) == sorted(pair.X), (outer, inner)
-            assert (got.vertices, got.simplices, got.sub) == _two_pass_shrink(pair, eps), (outer, inner)
+            assert (got.vertices, got.simplices, got.sub) == _reference_shrink(pair, eps), (outer, inner)
     assert nonempty_a > 10
+
+
+def test_profile_is_one_iff_cells_contain():
+    """Per pair: the Betti profile is (1, 0, ..., 0) iff the outer cell contains
+    the inner one, and zero otherwise; a containment's morphism lies in the
+    hom basis.  Ties the cohomology to `cells.cell_contains`, pair by pair."""
+    contained = 0
+    for outer, inner in _cli_pairs():
+        n = outer.n
+        betti = pair_cohomology(outer, inner, Fraction(1, 8))
+        if cell_contains(outer, inner):
+            contained += 1
+            assert betti == (1,) + (0,) * n, (outer, inner)
+            assert hom_from_cells(outer, inner) in hom_basis(outer.level, inner.level, n), (outer, inner)
+        else:
+            assert betti == (0,) * (n + 1), (outer, inner)
+    assert contained == 19
 
 
 def test_shrink_identity_n1_is_path_graph():
