@@ -1,4 +1,4 @@
-"""Golden reports: the SHA-256 of every command's stdout under TDUAL_SEED=0.
+"""Golden reports: the SHA-256 of every command's stdout under TDUAL_SEED=0 (a few at 7).
 
 The hashes pin the reports byte for byte, so a refactor or speed-up that
 changes any printed digit fails here.  They depend on the platform's floating-
@@ -36,6 +36,14 @@ GOLDEN = {
     "verify --n 6": "3b248789b6345e917b652500a422c4531051ab65b0f9722c85741b4fc89b783c",
     "quiver --n 5": "ba014508c9992c467229c55f03b08e90183e898c809d8da5932564ec9b7377f8",
     "quiver --n 3 --format dot": "b09d0ed1d465fb15687c14f8908e27f3d96542185602d39fb941c291248789fb",
+    "geometry --n 4": "64b2e699bf5e03bfcb9044cb74cb78ed5978633427d534b1214d2a7b3e38b5f1",
+    "branes --n 5 --grid 6": "72798627ea803078bed4c2b17df06bc0b44d6482343a880c94a8d6d56b9e3526",
+}
+
+# The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
+GOLDEN_SEED_7 = {
+    "branes --n 2": "5a605d4bc90c6e267a400c67142bdd1dc43ecf3beef37c22c8803a26229d3fd1",
+    "geometry --n 2": "a528be039ce9d734b7cf598f2ccd6adccc8cd99cdb70ef9bcab255cd8a1ee1f7",
 }
 
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
@@ -49,6 +57,15 @@ def test_report_matches_golden_hash(command, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SEED_7))
+def test_report_matches_golden_hash_at_seed_7(command, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "7")
+    rc = cli.main(command.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SEED_7[command]
 
 
 def test_quiver_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
