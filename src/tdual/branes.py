@@ -24,12 +24,16 @@ unscaled composition f((g - a)/(-k)) — available via ``literal_scaling`` —
 produces log(r)/(-k) instead and therefore fails the graph property by the
 factor -k whenever k <= -2; `check_graph` exposes both behaviours.
 
-All checks report through :class:`tdual.report.CheckReport`.
+All checks report through :class:`tdual.report.CheckReport`.  `check_exactness`
+takes every level at once and `separation_probe` every probe point, and each
+shares its radii grid or flowed sample among them; each of their reports is
+the one a call with a single level or point would give.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,34 +285,38 @@ def section_tangent_frame(n: int, k: int, r: np.ndarray) -> list[TangentVector]:
 
 def check_exactness(
     n: int,
-    k: int,
+    levels: Iterable[int],
     density: int = 20,
     tol: float = 1e-9,
     r_min: float = 0.2,
     r_max: float = 3.0,
-) -> CheckReport:
-    """Check that the reference two-form vanishes on the level-k section.
+) -> list[CheckReport]:
+    """Check that the reference two-form vanishes on the section of each level.
 
-    Evaluates the form on all pairs of section tangent vectors over a
-    `density`-per-axis grid of radii.  For n = 1 there are no pairs and the
-    check passes vacuously with deviation 0.  The witness is the last
-    (point, pair) of largest deviation, points in `itertools.product` order.
+    Returns one report per level k in `levels`.  Each evaluates the form on
+    all pairs of section tangent vectors over a `density`-per-axis grid of
+    radii.  For n = 1 there are no pairs and the check passes vacuously with
+    deviation 0.  The witness is the last (point, pair) of largest deviation,
+    points in `itertools.product` order.
 
     On the frame of `section_tangent_frame` the form has the closed value
     (2 pi)^n ((1/r_i) k g_j[i] - k g_i[j] (1/r_j)), with
     g_i[j] = (-2 r_i) r_j r_j / (1 + sum r^2)^2; it is evaluated here on
     CHUNK_POINTS grid points at a time, in the same operation order as
     `symplectic_form_eval`, so the maximum is the per-point value bit for bit.
+    The grid and the level-free products g_i[j] are built once per chunk and
+    shared by all levels.
     """
     if density < 1:
         raise ValueError(f"density must be a positive integer, got {density}")
     axis = np.linspace(r_min, r_max, density)
     if np.any(axis <= 0):
         raise ValueError(f"fiber radii must be positive: r_range [{r_min}, {r_max}]")
+    levels = list(levels)
     pairs = list(itertools.combinations(range(n), 2))
     scale = (2 * math.pi) ** n
-    max_dev = 0.0
-    worst = None
+    max_dev = [0.0] * len(levels)
+    worst = [None] * len(levels)
     total = density**n if pairs else 0
     for start in range(0, total, CHUNK_POINTS):
         flat = np.arange(start, min(start + CHUNK_POINTS, total))
@@ -320,28 +328,32 @@ def check_exactness(
         d2 = np.array([v**2 for v in d.tolist()])
         inv = 1.0 / r
         m2 = -2.0 * r
+        # g[p] = (g_j[i], g_i[j]) of pair p = (i, j), before the factor k.
+        g = [(m2[j] * r[i] * r[i] / d2, m2[i] * r[j] * r[j] / d2) for i, j in pairs]
         vals = np.empty((len(d), len(pairs)))
-        for p, (i, j) in enumerate(pairs):
-            vg_i = k * (m2[j] * r[i] * r[i] / d2)
-            ug_j = k * (m2[i] * r[j] * r[j] / d2)
-            vals[:, p] = np.abs(scale * (inv[i] * vg_i - ug_j * inv[j]))
-        point, pair = divmod(_last_argmax(vals.ravel()), len(pairs))
-        if vals[point, pair] >= max_dev:
-            max_dev = float(vals[point, pair])
-            worst = {"r": list(r[:, point]), "pair": list(pairs[pair])}
-    return CheckReport(
-        check="branes.exactness",
-        parameters={
-            "n": n,
-            "k": k,
-            "density": density,
-            "tol": tol,
-            "r_range": [r_min, r_max],
-        },
-        max_deviation=max_dev,
-        witness=worst,
-        passed=max_dev <= tol,
-    )
+        for level, k in enumerate(levels):
+            for p, (i, j) in enumerate(pairs):
+                vals[:, p] = np.abs(scale * (inv[i] * (k * g[p][0]) - (k * g[p][1]) * inv[j]))
+            point, pair = divmod(_last_argmax(vals.ravel()), len(pairs))
+            if vals[point, pair] >= max_dev[level]:
+                max_dev[level] = float(vals[point, pair])
+                worst[level] = {"r": list(r[:, point]), "pair": list(pairs[pair])}
+    return [
+        CheckReport(
+            check="branes.exactness",
+            parameters={
+                "n": n,
+                "k": k,
+                "density": density,
+                "tol": tol,
+                "r_range": [r_min, r_max],
+            },
+            max_deviation=dev,
+            witness=witness,
+            passed=dev <= tol,
+        )
+        for k, dev, witness in zip(levels, max_dev, worst)
+    ]
 
 
 def geodesic_flow(
@@ -372,28 +384,31 @@ def wrap_to_half(v: np.ndarray) -> np.ndarray:
 
 def separation_probe(
     n: int,
-    s: tuple[float, ...],
+    points: Iterable[tuple[float, ...]],
     delta_probe: float = 0.05,
     num_samples: int = 10_000,
     seed: int | None = 0,
-) -> CheckReport:
-    """Probe that short flows keep the level -1 brane off the fiber over s.
+) -> list[CheckReport]:
+    """Probe that short flows keep the level -1 brane off the fiber over each point s.
 
     An intersection of the flowed fiber torus over s (time t1) with the flowed
     level -1 brane (time t2) would force, over some brane point gamma, the
     angular equation s = gamma + (t2 - t1) y/|y| on the torus, with
     y = grad f(gamma).  The probe samples gamma uniformly on the brane's
-    domain simplex and times 0 <= t1 <= t2 < delta_probe, and reports the
-    minimum torus distance between s and the flowed gamma ("defect"); a
-    strictly positive minimum means no intersection among the samples.
+    domain simplex and times 0 <= t1 <= t2 < delta_probe, and reports, for
+    each s in `points`, the minimum torus distance between s and the flowed
+    gamma ("defect"); a strictly positive minimum means no intersection among
+    the samples.
 
-    `s` should lie on the domain's boundary (the fibers over interior points
-    are met at time 0).  Sampling is seeded for reproducibility.
+    Each s should lie on the domain's boundary (the fibers over interior
+    points are met at time 0).  Sampling is seeded for reproducibility; one
+    sample, drawn and flowed once, serves every point, so each report is the
+    one a single-point call would give.
     """
     if not 0 < delta_probe < 0.5:
         raise ValueError("delta_probe must lie in (0, 1/2)")
-    sv = np.asarray(s, dtype=float)
-    if sv.shape != (n,):
+    svs = [np.asarray(s, dtype=float) for s in points]
+    if any(sv.shape != (n,) for sv in svs):
         raise ValueError(f"probe point must have length n={n}")
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(n + 1), size=num_samples)
@@ -405,27 +420,32 @@ def separation_probe(
     times = np.sort(rng.uniform(0.0, delta_probe, size=(len(gammas), 2)), axis=1)
     t1s, dts = times[:, 0], times[:, 1] - times[:, 0]
     flowed = gammas + dts[:, None] * y / norms[:, None]
-    defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed), axis=1)
-    idx = int(np.argmin(defects))
-    min_defect = float(defects[idx])
-    return CheckReport(
-        check="branes.separation",
-        parameters={
-            "n": n,
-            "s": list(sv),
-            "delta_probe": delta_probe,
-            "num_samples": num_samples,
-            "seed": seed,
-        },
-        max_deviation=None,
-        witness={
-            "min_defect": min_defect,
-            "gamma": list(gammas[idx]),
-            "t1": float(t1s[idx]),
-            "t2": float(t1s[idx] + dts[idx]),
-        },
-        passed=min_defect > 0.0,
-    )
+    reports = []
+    for sv in svs:
+        defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed), axis=1)
+        idx = int(np.argmin(defects))
+        min_defect = float(defects[idx])
+        reports.append(
+            CheckReport(
+                check="branes.separation",
+                parameters={
+                    "n": n,
+                    "s": list(sv),
+                    "delta_probe": delta_probe,
+                    "num_samples": num_samples,
+                    "seed": seed,
+                },
+                max_deviation=None,
+                witness={
+                    "min_defect": min_defect,
+                    "gamma": list(gammas[idx]),
+                    "t1": float(t1s[idx]),
+                    "t2": float(t1s[idx] + dts[idx]),
+                },
+                passed=min_defect > 0.0,
+            )
+        )
+    return reports
 
 
 def domain_face_midpoints(n: int) -> list[tuple[float, ...]]:

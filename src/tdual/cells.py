@@ -446,8 +446,11 @@ def _pair_order(f_rank: np.ndarray, g_rank: np.ndarray) -> np.ndarray:
     return np.lexsort((np.tile(g_rank, len(f_rank)), np.repeat(f_rank, len(g_rank))))
 
 
-def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> str:
+def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
     """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
+
+    The text comes as a list of pieces to join or write in turn, so no
+    joined copy of the whole export is made.
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
@@ -475,7 +478,7 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> str:
         )
         labels = {"f": ["%d"] * fs.shape[1], "g": ["%d"] * gs.shape[1], "gf": ["%d"] * table.shape[-1]}
         comps.append(_json_items({"i": i, "j": j, "k": k, **labels}, rows, item_pad))
-    return "".join([start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end])
+    return [start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end]
 
 
 def quiver_to_dot(q: Quiver, prefix: str = "U", name: str = "cells") -> str:

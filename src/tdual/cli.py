@@ -78,12 +78,8 @@ def run_geometry(cfg: RunConfig) -> list[CheckReport]:
 
 
 def run_branes(cfg: RunConfig) -> list[CheckReport]:
-    checks = []
     levels = range(-cfg.n - 1, 0)
-    for k in levels:
-        checks.append(
-            branes.check_exactness(cfg.n, k, density=cfg.grid, tol=cfg.sym_tol)
-        )
+    checks = branes.check_exactness(cfg.n, levels, density=cfg.grid, tol=cfg.sym_tol)
     graph_density = {1: 100, 2: 12}.get(cfg.n, 6)
     offsets = (
         list(itertools.product(range(-cfg.n, 1), repeat=cfg.n))
@@ -102,17 +98,13 @@ def run_branes(cfg: RunConfig) -> list[CheckReport]:
                     tol=cfg.graph_tol,
                 )
             )
-    for s in branes.domain_face_midpoints(cfg.n):
-        checks.append(
-            branes.separation_probe(
-                cfg.n,
-                s,
-                delta_probe=cfg.delta_probe,
-                num_samples=cfg.samples,
-                seed=cfg.seed,
-            )
-        )
-    return checks
+    return checks + branes.separation_probe(
+        cfg.n,
+        branes.domain_face_midpoints(cfg.n),
+        delta_probe=cfg.delta_probe,
+        num_samples=cfg.samples,
+        seed=cfg.seed,
+    )
 
 
 def run_verify(cfg: RunConfig) -> list[CheckReport]:
@@ -201,7 +193,7 @@ def _json_pieces(value) -> list[str]:
 
     A quiver export in `value` is a partial of `cells.quiver_json` that still
     takes its `pad`.  json writes a placeholder string for it, and the
-    export's own text goes in its place at that depth, so no composition
+    export's own pieces go in its place at that depth, so no composition
     passes through json's pure-Python indent encoder.  The whole text is
     built before anything is written.
     """
@@ -219,7 +211,7 @@ def _json_pieces(value) -> list[str]:
         token = json.dumps(f"\0{number}")
         at = text.index(token, pos)
         line = text[text.rfind("\n", 0, at) + 1 : at]
-        pieces += [text[pos:at], export("\n" + " " * (len(line) - len(line.lstrip(" "))))]
+        pieces += [text[pos:at], *export("\n" + " " * (len(line) - len(line.lstrip(" "))))]
         pos = at + len(token)
     return pieces + [text[pos:] + "\n"]
 

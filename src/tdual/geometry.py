@@ -23,6 +23,8 @@ two-form is (2 pi)^n sum_i dy_i ^ dgamma_i.
 Everything here is plain floating-point numerics; exact-arithmetic work lives
 in :mod:`tdual.oracle`.  The ``check_*`` functions at the end are the checks of
 the ``geometry`` command; each reports through :class:`tdual.report.CheckReport`.
+The seeded ones draw all their samples in one numpy call, row by row, which
+gives the numbers of one call per sample; the per-sample work stays scalar.
 """
 from __future__ import annotations
 
@@ -287,7 +289,7 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
 
 
 def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
-    axis = np.linspace(0.05, 0.95, density)
+    axis = np.linspace(0.05, 0.95, density).tolist()
     return [
         x
         for x in itertools.product(axis, repeat=n)
@@ -323,9 +325,9 @@ def check_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> Chec
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     witness = None
-    for _ in range(num):
-        r = tuple(rng.uniform(0.2, 3.0, n))
-        gamma = tuple(rng.uniform(0.0, 1.0, n))
+    # One row per sample, r then gamma.
+    for row in rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist():
+        r, gamma = tuple(row[:n]), tuple(row[n:])
         point = MirrorPoint(r, gamma)
         z = mirror_coordinates(point)
         fiber_point = ProjectivePoint((1.0 + 0j,) + tuple(complex(v) for v in r))
@@ -350,11 +352,10 @@ def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> Che
     rng = np.random.default_rng(seed + 1)
     base = MirrorPoint((1.0,) * n, (0.0,) * n)
     max_dev = 0.0
-    for _ in range(num):
-        u = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
-        v = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
-        w = TangentVector(tuple(rng.normal(size=n)), tuple(rng.normal(size=n)))
-        c = float(rng.normal())
+    # Per sample row: u, v and w (y part, then gamma part), then the scalar c.
+    for row in rng.normal(size=(num, 6 * n + 1)).tolist():
+        u, v, w = (TangentVector(tuple(row[a : a + n]), tuple(row[a + n : a + 2 * n])) for a in range(0, 6 * n, 2 * n))
+        c = row[6 * n]
         ev = symplectic_form_eval
         scale = (2 * math.pi) ** n * 10
         dev = abs(ev(base, u, v) + ev(base, v, u)) / scale

@@ -99,8 +99,8 @@ def test_criterion_5_section_exactness_to_1e9():
     """The two-form vanishes on every section to 1e-9 over a 20^n grid, n<=3."""
     worst = 0.0
     for n in (1, 2, 3):
-        for k in range(-n - 1, 0):
-            rep = branes.check_exactness(n, k, density=20, tol=1e-9)
+        levels = range(-n - 1, 0)
+        for k, rep in zip(levels, branes.check_exactness(n, levels, density=20, tol=1e-9)):
             assert rep.passed, (n, k, rep.max_deviation)
             worst = max(worst, rep.max_deviation)
     _verdict(
@@ -190,10 +190,9 @@ def test_criterion_9_separation_probe_positive():
     """Seeded probes near every face midpoint stay strictly separated."""
     smallest = math.inf
     for n in (1, 2):
-        for s in branes.domain_face_midpoints(n):
-            rep = branes.separation_probe(
-                n, s, delta_probe=0.05, num_samples=10_000, seed=0
-            )
+        points = branes.domain_face_midpoints(n)
+        reps = branes.separation_probe(n, points, delta_probe=0.05, num_samples=10_000, seed=0)
+        for s, rep in zip(points, reps):
             assert rep.passed, (n, s)
             assert rep.witness["min_defect"] > 0.0
             smallest = min(smallest, rep.witness["min_defect"])

@@ -2,8 +2,9 @@
 
 `bench/child.py trace` wraps public functions of `tdual` from outside `src/`
 and reads `len(cells.quotient_quiver(n).composition)`, the `.simplices` of
-each shrunk oracle pair and the rows passed to `oracle.matrix_rank_exact`, so
-a change to those shapes can break it while every unit test passes.
+each shrunk oracle pair, the rows passed to `oracle.matrix_rank_exact` and the
+`n` and `density` arguments of `branes.check_exactness`, so a change to those
+shapes can break it while every unit test passes.
 """
 from __future__ import annotations
 
@@ -53,3 +54,15 @@ def test_bench_child_trace_runs_oracle():
     assert counts["oracle.region_pair.calls"] == 81
     assert counts["oracle.simplices"] == 1622
     assert counts["oracle.rank_entries"] == 7188
+
+
+def test_bench_child_trace_runs_branes():
+    """One traced `branes --n 2`: the bench reads the `n` and `density`
+    arguments of `check_exactness`, now called once for all levels, and the
+    sample count of every `check_graph` report."""
+    info = _trace("branes", "--n", "2")
+    assert info["error"] is None
+    assert info["missing"] == ["oracle.hom_dim_detail"]
+    counts = info["counts"]
+    assert counts["branes.check_exactness.points"] == 20**2
+    assert counts["branes.check_graph.samples"] == 1782

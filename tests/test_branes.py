@@ -153,8 +153,10 @@ def test_section_tangent_frame_shapes():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_exactness_all_levels(n):
-    for k in range(-n - 1, 0):
-        rep = branes.check_exactness(n, k, density=12)
+    levels = range(-n - 1, 0)
+    reps = branes.check_exactness(n, levels, density=12)
+    assert [rep.parameters["k"] for rep in reps] == list(levels)
+    for k, rep in zip(levels, reps):
         assert rep.passed, (n, k, rep.max_deviation)
         if n == 1:
             assert rep.max_deviation == 0.0
@@ -195,18 +197,36 @@ def test_wrap_to_half():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_separation_probe_positive_at_face_midpoints(n):
-    for s in branes.domain_face_midpoints(n):
-        rep = branes.separation_probe(n, s, delta_probe=0.05, num_samples=2000, seed=0)
+    points = branes.domain_face_midpoints(n)
+    reps = branes.separation_probe(n, points, delta_probe=0.05, num_samples=2000, seed=0)
+    assert len(reps) == len(points)
+    for rep in reps:
         assert rep.passed
         assert rep.witness["min_defect"] > 0
 
 
 def test_separation_probe_deterministic_per_seed():
-    a = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)
-    b = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=4)
+    [a] = branes.separation_probe(2, [(0.0, -0.5)], num_samples=500, seed=4)
+    [b] = branes.separation_probe(2, [(0.0, -0.5)], num_samples=500, seed=4)
     assert a.witness["min_defect"] == b.witness["min_defect"]
-    c = branes.separation_probe(2, (0.0, -0.5), num_samples=500, seed=5)
+    [c] = branes.separation_probe(2, [(0.0, -0.5)], num_samples=500, seed=5)
     assert c.witness["min_defect"] != a.witness["min_defect"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_separation_probe_shares_one_sample(n, seed):
+    """Each report of a many-point call is the report of a one-point call."""
+    points = branes.domain_face_midpoints(n) + [(-0.25,) * n]
+    reps = branes.separation_probe(n, points, num_samples=800, seed=seed)
+    for s, rep in zip(points, reps, strict=True):
+        [single] = branes.separation_probe(n, [s], num_samples=800, seed=seed)
+        assert rep.to_json() == single.to_json()
+
+
+def test_separation_probe_rejects_a_short_point():
+    with pytest.raises(ValueError, match="length n=2"):
+        branes.separation_probe(2, [(0.0, -0.5), (0.0,)])
 
 
 def test_domain_face_midpoints():

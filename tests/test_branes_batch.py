@@ -1,5 +1,8 @@
 """The batch kernels of check_exactness and check_graph against per-point loops.
 
+check_exactness takes a list of levels and shares one radii grid among them;
+every level's report must still equal its own per-point loop.
+
 The loops below evaluate one grid point at a time through the single-point
 API (section_tangent_frame, symplectic_form_eval, brane_log_radii,
 potential_value), exactly as the checks did before they were batched.  The
@@ -63,8 +66,19 @@ GRAPH_DENSITY = {1: 100, 2: 12, 3: 6, 4: 6}
 )
 def test_exactness_batch_equals_per_point(n, k):
     density = EXACTNESS_DENSITY[n]
-    rep = branes.check_exactness(n, k, density=density)
+    [rep] = branes.check_exactness(n, [k], density=density)
     assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, density)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exactness_levels_share_one_grid(n):
+    """One call over every level gives each level's per-point result."""
+    density = EXACTNESS_DENSITY[n]
+    levels = range(-n - 1, 0)
+    reps = branes.check_exactness(n, levels, density=density)
+    assert [rep.parameters["k"] for rep in reps] == list(levels)
+    for k, rep in zip(levels, reps):
+        assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, density)
 
 
 @pytest.mark.parametrize("n,k,density", [(4, -5, 14), (8, -1, 2), (9, -1, 2)])
@@ -74,7 +88,7 @@ def test_exactness_batch_equals_per_point_large_grids(n, k, density):
     # on, numpy sums a point's coordinates pairwise, not left to right.
     if n == 4:
         assert density**n > 2 * branes.CHUNK_POINTS
-    rep = branes.check_exactness(n, k, density=density)
+    [rep] = branes.check_exactness(n, [k], density=density)
     assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, density)
 
 
@@ -106,9 +120,10 @@ def test_base_potential_rows_match_scalar_formula():
 def test_witness_rule_across_many_chunks(monkeypatch):
     # Tiny chunks put a chunk boundary between almost every pair of points.
     monkeypatch.setattr(branes, "CHUNK_POINTS", 7)
+    for n in (2, 3):
+        for k, rep in zip(range(-n - 1, 0), branes.check_exactness(n, range(-n - 1, 0), density=9)):
+            assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, 9)
     for n, k in [(2, -1), (3, -2)]:
-        rep = branes.check_exactness(n, k, density=9)
-        assert (rep.max_deviation, rep.witness) == exactness_per_point(n, k, 9)
         rep = branes.check_graph(n, k, density=8, literal_scaling=True)
         assert (rep.max_deviation, rep.witness) == graph_per_point(
             n, k, (0,) * n, 8, 1e-5, True
@@ -118,12 +133,14 @@ def test_witness_rule_across_many_chunks(monkeypatch):
 def test_exactness_rejects_empty_grid():
     for density in (0, -1):
         with pytest.raises(ValueError):
-            branes.check_exactness(2, -1, density=density)
+            branes.check_exactness(2, [-1], density=density)
 
 
 def test_exactness_vacuous_at_n1():
-    rep = branes.check_exactness(1, -2, density=5)
-    assert rep.passed and rep.max_deviation == 0.0 and rep.witness is None
+    reps = branes.check_exactness(1, [-2, -1], density=5)
+    assert [rep.parameters["k"] for rep in reps] == [-2, -1]
+    for rep in reps:
+        assert rep.passed and rep.max_deviation == 0.0 and rep.witness is None
 
 
 def test_graph_rejects_empty_grid():

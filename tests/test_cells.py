@@ -409,11 +409,11 @@ EMBEDDINGS = [
 
 
 def _assert_json_matches(q, prefix):
-    """`quiver_json` is `json.dumps(quiver_to_dict(...), indent=2)`, at depth 0 and embedded."""
+    """`quiver_json`'s pieces join to `json.dumps(quiver_to_dict(...), indent=2)`, at depth 0 and embedded."""
     d = cells.quiver_to_dict(q, prefix)
-    assert cells.quiver_json(q, prefix) == json.dumps(d, indent=2)
+    assert "".join(cells.quiver_json(q, prefix)) == json.dumps(d, indent=2)
     for embed, indent in EMBEDDINGS:
-        spliced = json.dumps(embed("@"), indent=2).replace('"@"', cells.quiver_json(q, prefix, "\n" + " " * indent))
+        spliced = json.dumps(embed("@"), indent=2).replace('"@"', "".join(cells.quiver_json(q, prefix, "\n" + " " * indent)))
         assert spliced == json.dumps(embed(d), indent=2)
 
 
@@ -438,7 +438,7 @@ def test_quiver_json_sorts_shuffled_bases():
 def test_quiver_json_without_composable_blocks(bases):
     q = cells.Quiver(n=1, hom_bases=bases, compose=cells.compose_block)
     assert list(q.blocks()) == []
-    assert cells.quiver_json(q, "U").endswith('"compositions": []\n}')
+    assert "".join(cells.quiver_json(q, "U")).endswith('"compositions": []\n}')
     _assert_json_matches(q, "U")
 
 

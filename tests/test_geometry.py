@@ -180,6 +180,25 @@ def test_symplectic_form_bilinear_antisymmetric():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_draws_equal_per_sample_draws(n):
+    """The geometry checks draw all samples at once; numpy's stream gives the
+    same numbers as the per-sample calls, which keeps the reports unchanged."""
+    num = 50
+    for seed in (0, 7):
+        rng = np.random.default_rng(seed)
+        sequential = [list(rng.uniform(0.2, 3.0, n)) + list(rng.uniform(0.0, 1.0, n)) for _ in range(num)]
+        rng = np.random.default_rng(seed)
+        assert rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist() == sequential
+
+        rng = np.random.default_rng(seed)
+        sequential = [
+            [v for _ in range(6) for v in rng.normal(size=n)] + [float(rng.normal())] for _ in range(num)
+        ]
+        rng = np.random.default_rng(seed)
+        assert rng.normal(size=(num, 6 * n + 1)).tolist() == sequential
+
+
 def test_symplectic_form_dimension_mismatch():
     base = geometry.MirrorPoint((1.0, 1.0), (0.0, 0.0))
     u = geometry.TangentVector((1.0,), (0.0,))
