@@ -38,12 +38,16 @@ GOLDEN = {
     "quiver --n 3 --format dot": "b09d0ed1d465fb15687c14f8908e27f3d96542185602d39fb941c291248789fb",
     "geometry --n 4": "64b2e699bf5e03bfcb9044cb74cb78ed5978633427d534b1214d2a7b3e38b5f1",
     "branes --n 5 --grid 6": "72798627ea803078bed4c2b17df06bc0b44d6482343a880c94a8d6d56b9e3526",
+    "geometry --n 5": "698614f2b74aea4f8d206c80db9f4aba04f05264af9dc1b618c624726a6ef988",
+    "geometry --n 6": "914456eedb56880b55999f96bb016da0afcb4e926c6d213849af6c95aee05046",
 }
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
 GOLDEN_SEED_7 = {
     "branes --n 2": "5a605d4bc90c6e267a400c67142bdd1dc43ecf3beef37c22c8803a26229d3fd1",
     "geometry --n 2": "a528be039ce9d734b7cf598f2ccd6adccc8cd99cdb70ef9bcab255cd8a1ee1f7",
+    "geometry --n 3": "c8cb79c450649fb21475e41908028edd012c58a528204cdebc116fd3938a3bc5",
+    "branes --n 4 --grid 10": "4201bd0e5e43d7d3ed318f22360028cec5fa03a678a1e4a24807c788c0dc29d8",
 }
 
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
