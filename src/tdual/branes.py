@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TangentVector
+from .geometry import TangentVector, _last_argmax
 from .report import CheckReport
 
 # Grid points evaluated at once by the batch kernels; bounds their memory.
@@ -198,11 +198,6 @@ def potential_value(
     cell.require_inside(g)
     value = base_potential(cell.to_unit(g))
     return value if literal_scaling else (-cell.k) * value
-
-
-def _last_argmax(values: np.ndarray) -> int:
-    """Index of the last maximum of a 1-D array: the per-point loops' `>=` rule."""
-    return values.size - 1 - int(np.argmax(values[::-1]))
 
 
 def check_graph(
@@ -378,8 +373,15 @@ def geodesic_flow(
 
 
 def wrap_to_half(v: np.ndarray) -> np.ndarray:
-    """Reduce each component to the representative in [-1/2, 1/2)."""
-    return (v + 0.5) % 1.0 - 0.5
+    """Reduce each component to the representative in [-1/2, 1/2).
+
+    x - floor(x) is the same real number as Python's x % 1.0, rounded once,
+    and +0.0 at integers, so this equals (v + 0.5) % 1.0 - 0.5 bit for bit.
+    """
+    x = v + 0.5
+    x -= np.floor(x)
+    x -= 0.5
+    return x
 
 
 def separation_probe(

@@ -29,7 +29,6 @@ gives the numbers of one call per sample; the per-sample work stays scalar.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -288,88 +287,140 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
     return (2 * math.pi) ** n * total
 
 
+def _last_argmax(values: np.ndarray) -> int:
+    """Index of the last maximum of a 1-D array: the per-sample loops' `>=` rule."""
+    return values.size - 1 - int(np.argmax(values[::-1]))
+
+
+def _row_sums(a: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Row sums of a 2-D array, each `start` + a[0] + a[1] + ... added left to right.
+
+    With start 0.0 this is Python 3.11's `sum` of the row's floats, sign of
+    zero included (3.12 switched `sum` to compensated addition).
+    """
+    total = start + a[:, 0]
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _require_positive_radii(r: np.ndarray) -> None:
+    bad = ~(r > 0).all(axis=1)
+    if bad.any():
+        raise ValueError(f"fiber radii must be positive: {tuple(r[bad.argmax()].tolist())}")
+
+
+def _moment_of_radii(r: np.ndarray) -> np.ndarray:
+    """`moment_map` of the points [1 : r_1 : ... : r_n], one per row of r > 0.
+
+    |complex(r)| is r exactly, and its square is libm `pow`, as in the scalar map.
+    """
+    sq = np.array([v ** 2 for v in r.ravel().tolist()]).reshape(r.shape)
+    return sq / _row_sums(sq, start=1.0)[:, None]
+
+
 def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
+    """Points of (axis)^n with coordinate sum below 0.98, in `itertools.product` order.
+
+    The axis climbs from 0.05 in steps of `step`, so a point whose axis indices
+    sum to more than `bound` lies a whole step past 0.98.  The walk drops such a
+    prefix with all its completions, and tests every point it reaches by the
+    float sum itself.
+    """
     axis = np.linspace(0.05, 0.95, density).tolist()
-    return [
-        x
-        for x in itertools.product(axis, repeat=n)
-        if sum(x) < 0.98
-    ]
+    step = axis[1] - axis[0] if density > 1 else 1.0
+    bound = math.floor((0.98 - n * axis[0]) / step) + 1
+    grid = []
+
+    def walk(prefix: tuple[float, ...], index_sum: int) -> None:
+        if len(prefix) == n:
+            if sum(prefix) < 0.98:
+                grid.append(prefix)
+            return
+        for k, a in enumerate(axis):
+            if index_sum + k > bound:
+                break
+            walk(prefix + (a,), index_sum + k)
+
+    walk((), 0)
+    return grid
 
 
 def check_moment_round_trip(n: int, tol: float) -> CheckReport:
-    """moment_map after fiber_radii_from_moment must be the identity."""
-    max_dev = 0.0
-    witness = None
+    """moment_map after fiber_radii_from_moment must be the identity.
+
+    An empty grid (n >= 20, where n * 0.05 >= 0.98) fails instead of passing.
+    """
     grid = _moment_grid(n)
-    for x in grid:
-        image = MomentImage(x)
-        fiber = fiber_radii_from_moment(image)
-        point = ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber.r))
-        back = moment_map(point)
-        dev = max(abs(a - b) for a, b in zip(back.x, image.x))
-        if dev >= max_dev:
-            max_dev = dev
-            witness = {"x": list(x)}
+    x = np.array(grid, dtype=float).reshape(len(grid), n)
+    sums = _row_sums(x)
+    outside = ~((x > 0).all(axis=1) & (sums < 1))
+    if outside.any():
+        raise ValueError(f"moment point must be interior to the simplex: {grid[outside.argmax()]}")
+    r = np.sqrt(x / (1.0 - sums)[:, None])
+    _require_positive_radii(r)
+    dev = np.abs(_moment_of_radii(r) - x).max(axis=1)
+    max_dev, witness = 0.0, None
+    if grid:
+        p = _last_argmax(dev)
+        max_dev, witness = float(dev[p]), {"x": list(grid[p])}
     return CheckReport(
         check="geometry.moment_round_trip",
         parameters={"n": n, "tol": tol, "grid_points": len(grid)},
         max_deviation=max_dev,
         witness=witness,
-        passed=max_dev <= tol,
+        passed=bool(grid) and max_dev <= tol,
     )
 
 
 def check_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> CheckReport:
     """-log|z_j| / 2 pi must equal the moment coordinate of the fiber."""
     rng = np.random.default_rng(seed)
-    max_dev = 0.0
-    witness = None
-    # One row per sample, r then gamma.
-    for row in rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist():
-        r, gamma = tuple(row[:n]), tuple(row[n:])
-        point = MirrorPoint(r, gamma)
-        z = mirror_coordinates(point)
-        fiber_point = ProjectivePoint((1.0 + 0j,) + tuple(complex(v) for v in r))
-        phi = moment_map(fiber_point).x
-        dev = max(
-            abs(-math.log(abs(zj)) / (2 * math.pi) - pj) for zj, pj in zip(z, phi)
-        )
-        if dev >= max_dev:
-            max_dev = dev
-            witness = {"r": list(r), "gamma": list(gamma)}
+    # One row per sample, r then gamma; gamma is already in [0, 1), as MirrorPoint keeps it.
+    sample = rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n))
+    r, gamma = sample[:, :n], sample[:, n:]
+    _require_positive_radii(r)
+    re = -2 * math.pi * r * r / (1 + _row_sums(r * r))[:, None]
+    im = 2 * math.pi * gamma
+    log_modulus = [math.log(abs(cmath.exp(complex(a, b)))) for a, b in zip(re.ravel().tolist(), im.ravel().tolist())]
+    dev = np.abs(-np.array(log_modulus).reshape(r.shape) / (2 * math.pi) - _moment_of_radii(r)).max(axis=1)
+    max_dev, witness = 0.0, None
+    if num:
+        p = _last_argmax(dev)
+        max_dev, witness = float(dev[p]), {"r": r[p].tolist(), "gamma": gamma[p].tolist()}
     return CheckReport(
         check="geometry.mirror_modulus",
         parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
         max_deviation=max_dev,
         witness=witness,
-        passed=max_dev <= tol,
+        passed=num > 0 and max_dev <= tol,
     )
 
 
 def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> CheckReport:
     """Antisymmetry and bilinearity of the reference two-form on random vectors."""
     rng = np.random.default_rng(seed + 1)
-    base = MirrorPoint((1.0,) * n, (0.0,) * n)
-    max_dev = 0.0
     # Per sample row: u, v and w (y part, then gamma part), then the scalar c.
-    for row in rng.normal(size=(num, 6 * n + 1)).tolist():
-        u, v, w = (TangentVector(tuple(row[a : a + n]), tuple(row[a + n : a + 2 * n])) for a in range(0, 6 * n, 2 * n))
-        c = row[6 * n]
-        ev = symplectic_form_eval
-        scale = (2 * math.pi) ** n * 10
-        dev = abs(ev(base, u, v) + ev(base, v, u)) / scale
-        combo = TangentVector(
-            tuple(c * a + b for a, b in zip(u.y, w.y)),
-            tuple(c * a + b for a, b in zip(u.gamma, w.gamma)),
-        )
-        dev = max(dev, abs(ev(base, combo, v) - c * ev(base, u, v) - ev(base, w, v)) / scale)
-        max_dev = max(max_dev, dev)
+    rows = rng.normal(size=(num, 6 * n + 1))
+    uy, ug, vy, vg, wy, wg = (rows[:, a : a + n] for a in range(0, 6 * n, n))
+    c = rows[:, 6 * n :]
+    factor = (2 * math.pi) ** n
+
+    def ev(ay: np.ndarray, ag: np.ndarray, by: np.ndarray, bg: np.ndarray) -> np.ndarray:
+        # symplectic_form_eval, one pair of tangent vectors per row
+        return factor * _row_sums(ay * bg - ag * by)
+
+    scale = factor * 10
+    uv = ev(uy, ug, vy, vg)
+    dev = np.abs(uv + ev(vy, vg, uy, ug)) / scale
+    combo = ev(c * uy + wy, c * ug + wg, vy, vg)
+    dev = np.maximum(dev, np.abs(combo - c[:, 0] * uv - ev(wy, wg, vy, vg)) / scale)
+    max_dev = max(0.0, float(dev.max())) if num else 0.0
     return CheckReport(
         check="geometry.two_form_algebra",
         parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
         max_deviation=max_dev,
-        passed=max_dev <= tol,
+        passed=num > 0 and max_dev <= tol,
     )
 
 

@@ -195,6 +195,21 @@ def test_wrap_to_half():
     assert v == pytest.approx([-0.25, -0.5, 0.49, 0.25])
 
 
+def test_wrap_to_half_equals_float_remainder_bit_for_bit():
+    """x - floor(x) and Python's x % 1.0 agree in value and in the sign of zero."""
+    edge = [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 2.0**52, -(2.0**52)]
+    edge += [s * k + 0.5 for k in (0, 1, 2, 5, 1000) for s in (1, -1)]
+    edge += [-1e-20, 1e-20, -0.5 - 1e-17, 1e15 + 0.3, -(1e15 + 0.3), 0.5 - 2.0**-54]
+    rng = np.random.default_rng(3)
+    v = np.concatenate([edge, rng.uniform(-3, 3, 1000), rng.normal(0, 1e6, 200)])
+    got = branes.wrap_to_half(v)
+    want = (v + 0.5) % 1.0 - 0.5
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tolist() == [(x + 0.5) % 1.0 - 0.5 for x in v.tolist()]
+    assert np.array_equal(v[: len(edge)], edge)  # the input is left as it was
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_separation_probe_positive_at_face_midpoints(n):
     points = branes.domain_face_midpoints(n)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ def test_exit_code_one_on_failed_check(capsys):
     assert rc == 1
     body = json.loads(out)
     assert body["pass"] is False
+
+
+def test_geometry_fails_fast_on_an_empty_moment_grid(capsys):
+    """At n = 20 no grid point lies below the cut (20 * 0.05 >= 0.98)."""
+    start = time.perf_counter()
+    rc, out = run_cli(["geometry", "--n", "20"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    [round_trip] = [c for c in json.loads(out)["checks"] if c["check"] == "geometry.moment_round_trip"]
+    assert round_trip["pass"] is False
+    assert round_trip["parameters"]["grid_points"] == 0
 
 
 def test_usage_error_on_bad_oracle_dimension():

@@ -9,6 +9,17 @@ import numpy as np
 import pytest
 
 from tdual import geometry
+from tdual.geometry import (
+    MirrorPoint,
+    MomentImage,
+    ProjectivePoint,
+    TangentVector,
+    fiber_radii_from_moment,
+    mirror_coordinates,
+    moment_map,
+    symplectic_form_eval,
+)
+from tdual.report import CheckReport
 
 E_MINUS_PI = 0.04321391826377226
 E_MINUS_2PI = 0.0018674427317079893
@@ -213,3 +224,160 @@ def test_mirror_point_stores_angles_mod_one():
     (zp,) = geometry.mirror_coordinates(p)
     (zq,) = geometry.mirror_coordinates(q)
     assert abs(zp - zq) < 1e-15
+
+
+# The geometry checks run on whole sample arrays.  These references are the
+# per-sample loops they replaced, kept verbatim (with the product-and-filter
+# grid), so the array forms must give the same reports bit for bit.
+
+
+def _reference_moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
+    axis = np.linspace(0.05, 0.95, density).tolist()
+    return [
+        x
+        for x in itertools.product(axis, repeat=n)
+        if sum(x) < 0.98
+    ]
+
+
+def _reference_moment_round_trip(n: int, tol: float) -> CheckReport:
+    max_dev = 0.0
+    witness = None
+    grid = _reference_moment_grid(n)
+    for x in grid:
+        image = MomentImage(x)
+        fiber = fiber_radii_from_moment(image)
+        point = ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber.r))
+        back = moment_map(point)
+        dev = max(abs(a - b) for a, b in zip(back.x, image.x))
+        if dev >= max_dev:
+            max_dev = dev
+            witness = {"x": list(x)}
+    return CheckReport(
+        check="geometry.moment_round_trip",
+        parameters={"n": n, "tol": tol, "grid_points": len(grid)},
+        max_deviation=max_dev,
+        witness=witness,
+        passed=max_dev <= tol,
+    )
+
+
+def _reference_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> CheckReport:
+    rng = np.random.default_rng(seed)
+    max_dev = 0.0
+    witness = None
+    # One row per sample, r then gamma.
+    for row in rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist():
+        r, gamma = tuple(row[:n]), tuple(row[n:])
+        point = MirrorPoint(r, gamma)
+        z = mirror_coordinates(point)
+        fiber_point = ProjectivePoint((1.0 + 0j,) + tuple(complex(v) for v in r))
+        phi = moment_map(fiber_point).x
+        dev = max(
+            abs(-math.log(abs(zj)) / (2 * math.pi) - pj) for zj, pj in zip(z, phi)
+        )
+        if dev >= max_dev:
+            max_dev = dev
+            witness = {"r": list(r), "gamma": list(gamma)}
+    return CheckReport(
+        check="geometry.mirror_modulus",
+        parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
+        max_deviation=max_dev,
+        witness=witness,
+        passed=max_dev <= tol,
+    )
+
+
+def _reference_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> CheckReport:
+    rng = np.random.default_rng(seed + 1)
+    base = MirrorPoint((1.0,) * n, (0.0,) * n)
+    max_dev = 0.0
+    # Per sample row: u, v and w (y part, then gamma part), then the scalar c.
+    for row in rng.normal(size=(num, 6 * n + 1)).tolist():
+        u, v, w = (TangentVector(tuple(row[a : a + n]), tuple(row[a + n : a + 2 * n])) for a in range(0, 6 * n, 2 * n))
+        c = row[6 * n]
+        ev = symplectic_form_eval
+        scale = (2 * math.pi) ** n * 10
+        dev = abs(ev(base, u, v) + ev(base, v, u)) / scale
+        combo = TangentVector(
+            tuple(c * a + b for a, b in zip(u.y, w.y)),
+            tuple(c * a + b for a, b in zip(u.gamma, w.gamma)),
+        )
+        dev = max(dev, abs(ev(base, combo, v) - c * ev(base, u, v) - ev(base, w, v)) / scale)
+        max_dev = max(max_dev, dev)
+    return CheckReport(
+        check="geometry.two_form_algebra",
+        parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
+        max_deviation=max_dev,
+        passed=max_dev <= tol,
+    )
+
+
+def _same_report(new: CheckReport, ref: CheckReport) -> None:
+    assert new.to_dict() == ref.to_dict()
+    assert new.to_json() == ref.to_json()  # also the sign of every zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_moment_round_trip_equals_per_sample_reference(n):
+    _same_report(geometry.check_moment_round_trip(n, 1e-12), _reference_moment_round_trip(n, 1e-12))
+
+
+@pytest.mark.parametrize("num", [1, 7, None])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_seeded_checks_equal_per_sample_reference(n, seed, num):
+    size = {} if num is None else {"num": num}
+    _same_report(
+        geometry.check_mirror_modulus(n, 1e-12, seed, **size),
+        _reference_mirror_modulus(n, 1e-12, seed, **size),
+    )
+    _same_report(
+        geometry.check_two_form_algebra(n, 1e-12, seed, **size),
+        _reference_two_form_algebra(n, 1e-12, seed, **size),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, density",
+    [(n, 10) for n in range(1, 7)] + [(n, d) for n in range(1, 5) for d in (1, 2, 3, 7, 13)],
+)
+def test_pruned_moment_grid_equals_product_and_filter(n, density):
+    assert geometry._moment_grid(n, density) == _reference_moment_grid(n, density)
+
+
+@pytest.mark.parametrize("n", [20, 21, 40])
+def test_moment_round_trip_fails_on_an_empty_grid(n):
+    """For n >= 20 no grid point has sum below 0.98: no pass on zero samples."""
+    assert geometry._moment_grid(n) == []
+    rep = geometry.check_moment_round_trip(n, 1e-12)
+    assert rep.parameters["grid_points"] == 0
+    assert rep.witness is None
+    assert not rep.passed
+
+
+def test_seeded_checks_fail_on_zero_samples():
+    assert not geometry.check_mirror_modulus(2, 1e-12, 0, num=0).passed
+    assert not geometry.check_two_form_algebra(2, 1e-12, 0, num=0).passed
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.7)])
+def test_moment_round_trip_rejects_a_boundary_point(point, monkeypatch):
+    """The array form keeps fiber_radii_from_moment's interior test."""
+    monkeypatch.setattr(geometry, "_moment_grid", lambda n: [(0.2, 0.3), point])
+    with pytest.raises(ValueError, match="interior to the simplex"):
+        geometry.check_moment_round_trip(2, 1e-12)
+
+
+def test_moment_of_radii_equals_scalar_moment_map():
+    """Squares go through libm `pow`, as in moment_map.  On glibc each of these
+    radii has r**2 != r*r, so a product in place of the power changes digits."""
+    radii = [0.44575008292656293, 2.719848221629056, 1.9818580512458366, 0.9333039340971008, 2.480559805511111]
+    rows = [(a, b) for a in radii for b in (0.5, 1.0, 1.7)] + [(b, a) for a in radii for b in (0.5, 1.0, 1.7)]
+    expected = [list(moment_map(ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in row))).x) for row in rows]
+    assert geometry._moment_of_radii(np.array(rows)).tolist() == expected
+
+
+def test_nonpositive_radii_rejected():
+    with pytest.raises(ValueError, match=r"fiber radii must be positive: \(1\.0, 0\.0\)"):
+        geometry._require_positive_radii(np.array([[1.0, 2.0], [1.0, 0.0]]))
