@@ -24,7 +24,18 @@ Everything here is plain floating-point numerics; exact-arithmetic work lives
 in :mod:`tdual.oracle`.  The ``check_*`` functions at the end are the checks of
 the ``geometry`` command; each reports through :class:`tdual.report.CheckReport`.
 The seeded ones draw all their samples in one numpy call, row by row, which
-gives the numbers of one call per sample; the per-sample work stays scalar.
+gives the numbers of one call per sample.
+
+The checks work on whole (samples x n) float64 arrays, and their reports are
+the ones a loop over samples with the scalar functions above would give, bit
+for bit.  numpy does only what IEEE 754 rounds exactly as Python floats do:
++ - * /, sqrt, abs, floor and comparisons, in the per-sample order and
+grouping.  Row sums are column adds from left to right, which is the order of
+`sum` on Python 3.11 (3.12's `sum` compensates).  Every libm call stays a
+Python call per element: squares as `v ** 2` (libm `pow`, which can differ from
+v * v), and `cmath.exp`, `abs` of a complex (libm `hypot`) and `math.log`,
+whose numpy forms differ in the last bit.  Witnesses are the last sample of
+maximal deviation, the loop's `>=` rule.
 """
 from __future__ import annotations
 
@@ -288,7 +299,7 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
 
 
 def _last_argmax(values: np.ndarray) -> int:
-    """Index of the last maximum of a 1-D array: the per-sample loops' `>=` rule."""
+    """Index of the last maximum of a 1-D array: a running-maximum loop's `>=` rule."""
     return values.size - 1 - int(np.argmax(values[::-1]))
 
 
@@ -328,7 +339,7 @@ def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
     float sum itself.
     """
     axis = np.linspace(0.05, 0.95, density).tolist()
-    step = axis[1] - axis[0] if density > 1 else 1.0
+    step = axis[1] - axis[0] if density > 1 else 1.0  # one point: index sums stay 0
     bound = math.floor((0.98 - n * axis[0]) / step) + 1
     grid = []
 
@@ -415,7 +426,7 @@ def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> Che
     dev = np.abs(uv + ev(vy, vg, uy, ug)) / scale
     combo = ev(c * uy + wy, c * ug + wg, vy, vg)
     dev = np.maximum(dev, np.abs(combo - c[:, 0] * uv - ev(wy, wg, vy, vg)) / scale)
-    max_dev = max(0.0, float(dev.max())) if num else 0.0
+    max_dev = float(dev.max()) if num else 0.0
     return CheckReport(
         check="geometry.two_form_algebra",
         parameters={"n": n, "tol": tol, "samples": num, "seed": seed},
