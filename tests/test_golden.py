@@ -40,6 +40,8 @@ GOLDEN = {
     "branes --n 5 --grid 6": "72798627ea803078bed4c2b17df06bc0b44d6482343a880c94a8d6d56b9e3526",
     "geometry --n 5": "698614f2b74aea4f8d206c80db9f4aba04f05264af9dc1b618c624726a6ef988",
     "geometry --n 6": "914456eedb56880b55999f96bb016da0afcb4e926c6d213849af6c95aee05046",
+    "verify --n 7": "737a1c08bdbd200520249c460b346abacf25a5d243881b549e55c32109330506",
+    "quiver --n 5 --format dot": "0d58910af3b7a2293594c533756d34104054b932683808bbbb66ad200d7a3197",
 }
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
