@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import TangentVector, _last_argmax
 from .report import CheckReport
 
@@ -46,6 +47,10 @@ CHUNK_POINTS = 1 << 14
 
 # Per-constraint slack, in unit-cell coordinates, of the graph-check samples.
 GRAPH_MARGIN = 0.05
+
+# The largest n the sweep supports: the graph samples need GRAPH_MARGIN below
+# 1/(n+1), and the two-form arithmetic needs n <= geometry.MAX_N.
+MAX_N = min(math.ceil(1 / GRAPH_MARGIN) - 2, geometry.MAX_N)
 
 
 def hermitian_weight(k: int, r: tuple[float, ...] | np.ndarray) -> float:

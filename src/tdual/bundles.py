@@ -19,6 +19,10 @@ is affine in b, so both checks run on the quiver's int64 label arrays.  The
 composition check runs block by block (i <= j <= k, levels from the keys): it
 takes each block's composites from the quiver's block rule, in chunks of rows,
 and compares their images with the sums of the images.
+
+The monomial bases have their own generator, `exponent_labels`, independent
+of the cell side's: one int64 array of exponent rows per degree d = j - i,
+which `line_bundle_quiver` shares, read-only, among the keys of that degree.
 """
 from __future__ import annotations
 
@@ -66,31 +70,37 @@ class Monomial:
         return self.exponents
 
 
-def _exponent_vectors(i: int, j: int, n: int) -> list[tuple[int, ...]]:
-    """The exponent vectors of the degree j - i monomials in n+1 variables, in lexicographic order."""
+def exponent_labels(d: int, n: int) -> np.ndarray:
+    """Exponent vectors of the degree d monomials in n+1 variables, in lexicographic order.
+
+    An int64 array of shape (binomial(d + n, n), n + 1), empty for d < 0.
+    Row r counts the variables of the r-th multiset of size d from the end:
+    multisets come in lexicographic order, which is the reverse of their
+    exponent vectors' order.
+
+    >>> exponent_labels(2, 1).tolist()
+    [[0, 2], [1, 1], [2, 0]]
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if j < i:
-        return []
-    out = []
-    for head in itertools.combinations_with_replacement(range(n + 1), j - i):
-        exps = [0] * (n + 1)
-        for v in head:
-            exps[v] += 1
-        out.append(tuple(exps))
-    out.sort()
-    return out
+    if d < 0:
+        return np.empty((0, n + 1), dtype=np.int64)
+    count = math.comb(d + n, n)
+    heads = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n + 1), d))
+    slots = np.fromiter(heads, dtype=np.int64, count=count * d).reshape(count, d)
+    slots += np.arange(count)[::-1, None] * (n + 1)
+    return np.bincount(slots.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
 
 def monomial_hom_basis(i: int, j: int, n: int) -> list[Monomial]:
-    """All degree j - i monomials in n+1 variables, as morphisms from i to j.
+    """All degree j - i monomials in n+1 variables, as morphisms from i to j: the rows of `exponent_labels`.
 
     Empty for j < i.  Ordered lexicographically by exponent vector.
 
     >>> [m.exponents for m in monomial_hom_basis(-2, -1, 1)]
     [(0, 1), (1, 0)]
     """
-    return [Monomial(i, j, exps) for exps in _exponent_vectors(i, j, n)]
+    return [Monomial(i, j, exps) for exps in exponent_labels(j - i, n).tolist()]
 
 
 def monomial_compose(g: Monomial, f: Monomial) -> Monomial:
@@ -121,8 +131,10 @@ def to_monomial(e: HomElement) -> Monomial:
 
 def _images(steps: np.ndarray, i: int, j: int) -> np.ndarray:
     """`to_monomial` of each row of the hom(i, j) label array `steps`, as int64 rows."""
-    total = j - i + steps.sum(axis=-1)
-    return np.concatenate([total[:, None], -steps], axis=1)
+    images = np.empty((len(steps), steps.shape[1] + 1), dtype=np.int64)
+    np.add(steps.sum(axis=-1), j - i, out=images[:, 0])
+    np.negative(steps, out=images[:, 1:])
+    return images
 
 
 def euler_pairing(i: int, j: int, n: int) -> int:
@@ -140,9 +152,10 @@ def euler_pairing(i: int, j: int, n: int) -> int:
 def line_bundle_quiver(n: int) -> Quiver:
     """The monomial quiver on levels -n-1, ..., -1.
 
-    Its block rule adds exponents, as `monomial_compose` does for one pair.
+    Hom bases come from `exponent_labels`; the block rule adds exponents,
+    as `monomial_compose` does for one pair.
     """
-    return tabulate_quiver(n, monomial_hom_basis)
+    return tabulate_quiver(n, exponent_labels)
 
 
 def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
@@ -150,14 +163,18 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
 
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
-    dimensions equal to the binomial count; the monomial side is the exponent
-    vectors that `monomial_hom_basis` wraps, so no `Monomial` is built), and
-    that every composite of the cell quiver, taken block by block from its
-    rule `quiver.compose`, lies in its hom space and is sent to the product
-    of the images.  The witness is the first failure with blocks in
-    `hom_bases` order, f outer and g inner; a composite outside its hom
-    space ends the walk there.  A prebuilt (possibly corrupted) cell quiver
-    may be passed in; by default the canonical one for `n` is built.
+    dimensions equal to the binomial count; the monomial side is the
+    `exponent_labels` array of the degree j - i, so no `Monomial` is built),
+    and that every composite of the cell quiver, taken block by block from
+    its rule `quiver.compose`, lies in its hom space and is sent to the
+    product of the images.  The bijection holds when the images, sorted
+    lexicographically, are pairwise distinct and equal the monomial array;
+    it is computed once per distinct (cell array, degree), since the keys of
+    one degree share their array, and only a passing result is reused.  The
+    witness is the first failure with keys and blocks in `hom_bases` order,
+    f outer and g inner; a composite outside its hom space ends the walk
+    there.  A prebuilt (possibly corrupted) cell quiver may be passed in; by
+    default the canonical one for `n` is built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
@@ -167,25 +184,31 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     witness = None
     ok = True
     levels = quiver.levels
+    bijective = {}  # (id, degree) of each cell array that passed -> that array, which keeps its id unique
     for i in levels:
         for j in levels:
             cell_side = quiver.hom(i, j)
-            bundle_side = _exponent_vectors(i, j, n)
             pairs_checked += 1
             if j < i:
                 if len(cell_side):
                     ok = False
                     witness = {"kind": "backward_hom", "i": i, "j": j}
                 continue
-            expected = euler_pairing(i, j, n)
-            images = set(map(tuple, _images(cell_side, i, j).tolist()))
             elements_checked += len(cell_side)
+            d = j - i
+            if (id(cell_side), d) in bijective:
+                continue
+            bundle_side = exponent_labels(d, n)
+            expected = euler_pairing(i, j, n)
+            images = _images(cell_side, i, j)
+            images = images[np.lexsort(images.T[::-1])]
             if (
-                len(cell_side) != expected
-                or len(bundle_side) != expected
-                or len(images) != len(cell_side)
-                or images != set(bundle_side)
+                len(cell_side) == expected == len(bundle_side)
+                and (images[1:] != images[:-1]).any(axis=1).all()
+                and np.array_equal(images, bundle_side)
             ):
+                bijective[id(cell_side), d] = cell_side
+            else:
                 ok = False
                 witness = witness or {
                     "kind": "bijection",

@@ -18,10 +18,15 @@ and everything in a single degree.
 Multi-index containment arithmetic is exact integer arithmetic throughout.  A
 `Quiver` keeps each hom basis as one int64 array of labels, the levels only in
 its key, and composes whole blocks of basis pairs at once on those arrays.
+Since hom(i, j) depends only on the degree d = j - i, `hom_labels` builds each
+degree's labels once, straight into an array, and `tabulate_quiver` shares
+that one read-only array among the n + 1 - d keys of its degree.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -184,18 +189,28 @@ def hom_from_cells(outer: CellObject, inner: CellObject) -> Union[HomElement, No
     )
 
 
-def _step_vectors(n: int, lower: int) -> Iterator[tuple[int, ...]]:
-    """All multi-indices with nonpositive entries and sum >= lower, lex order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(lower, 1):
-        for rest in _step_vectors(n - 1, lower - first):
-            yield (first,) + rest
+def hom_labels(d: int, n: int) -> np.ndarray:
+    """Labels of a hom space of degree d = j - i: every b <= 0 with sum(b) >= -d, in lexicographic order.
+
+    An int64 array of shape (binomial(d + n, n), n), empty for d < 0.  Stars
+    and bars: the n bars of each combination of d + n slots leave n gaps
+    before them, with sum at most d, and b is the negated gaps.
+    Combinations come in lexicographic order, which is the reverse of
+    their labels' order.
+
+    >>> hom_labels(1, 2).tolist()
+    [[-1, 0], [0, -1], [0, 0]]
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    count = math.comb(max(d + n, 0), n)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(d + n), n))
+    gaps = np.diff(np.fromiter(bars, dtype=np.int64, count=count * n).reshape(count, n)[::-1], prepend=-1)
+    return np.subtract(1, gaps, out=gaps)
 
 
 def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
-    """Basis of the quotient hom space from level i to level j.
+    """Basis of the quotient hom space from level i to level j: the rows of `hom_labels`.
 
     Empty for j < i; for j >= i the basis has binomial(j - i + n, n) elements,
     one per multi-index b <= 0 with sum(b) >= i - j.
@@ -203,11 +218,7 @@ def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
     >>> [e.steps for e in hom_basis(-2, -1, 2)]
     [(-1, 0), (0, -1), (0, 0)]
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if j < i:
-        return []
-    return [HomElement(i, j, steps) for steps in _step_vectors(n, i - j)]
+    return [HomElement(i, j, steps) for steps in hom_labels(j - i, n).tolist()]
 
 
 def compose(g: HomElement, f: HomElement) -> HomElement:
@@ -344,26 +355,30 @@ class Quiver:
                         yield i, j, k, f, g, gf
 
 
-def tabulate_quiver(n: int, basis_fn: Callable) -> Quiver:
-    """The quiver on levels -n-1, ..., -1 with the nonempty bases `basis_fn(i, j, n)`.
+def tabulate_quiver(n: int, labels_fn: Callable) -> Quiver:
+    """The quiver on levels -n-1, ..., -1 whose hom(i, j), for i <= j, is `labels_fn(j - i, n)`.
 
-    Each basis is kept as the int64 array of its elements' labels; the
-    elements themselves are dropped.  Its compose rule is `compose_block`,
-    which serves every basis whose elements compose by adding labels.
+    `labels_fn(d, n)` gives the int64 label array of the hom spaces of degree
+    d.  Each degree's array is built once, made read-only, and shared by
+    every key (i, j) with j - i = d; a basis is replaced by assigning a new
+    array to its key.  The compose rule is `compose_block`, which serves
+    every basis whose elements compose by adding labels.
     """
     levels = range(-n - 1, 0)
-    pairs = ((i, j, basis_fn(i, j, n)) for i in levels for j in levels)  # one basis at a time
-    bases = {(i, j): np.array([e.label for e in b], dtype=np.int64) for i, j, b in pairs if b}
+    shared = [labels_fn(d, n) for d in range(n + 1)]
+    for basis in shared:
+        basis.flags.writeable = False
+    bases = {(i, j): shared[j - i] for i in levels for j in levels if i <= j}
     return Quiver(n=n, hom_bases=bases, compose=compose_block)
 
 
 def quotient_quiver(n: int) -> Quiver:
     """The quiver of quotient cells for given n: levels -n-1, ..., -1.
 
-    Hom bases come from `hom_basis`; the block rule `compose_block` adds
+    Hom bases come from `hom_labels`; the block rule `compose_block` adds
     multi-indices, as `compose` does for one pair.
     """
-    return tabulate_quiver(n, hom_basis)
+    return tabulate_quiver(n, hom_labels)
 
 
 def is_strong_exceptional(q: Quiver) -> bool:

@@ -134,7 +134,7 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
                 detail.append({"i": i, "j": j, "b": list(offset), "betti": list(betti), "cells": counts})
                 total = [t + b for t, b in zip(total, betti)]
                 halved = [t + b for t, b in zip(halved, betti_halved)]
-            expected = len(cells.hom_basis(i, j, cfg.n))
+            expected = len(cells.hom_labels(j - i, cfg.n))
             if total[0] != expected or any(v != 0 for v in total[1:]):
                 mismatch = mismatch or {"i": i, "j": j, "betti": total, "expected": expected}
             if halved != total:
@@ -300,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("the oracle supports --n 1 and --n 2 only")
         if not 0 < epsilon < oracle.MAX_EPSILON:
             parser.error(f"--epsilon must lie strictly between 0 and {oracle.MAX_EPSILON}")
+    if args.command == "geometry" and args.n > geometry.MAX_N:
+        parser.error(f"geometry supports --n up to {geometry.MAX_N}; past it the two-form's values, scaled by (2 pi)^n, can overflow a float")
+    if args.command == "branes" and args.n > branes.MAX_N:
+        parser.error(f"branes supports --n up to {branes.MAX_N}; past it the graph margin {branes.GRAPH_MARGIN} is not below 1/(n+1)")
     if args.command == "quiver" and args.fmt == "text":
         parser.error("quiver exports support --format json or dot")
     if args.grid < 1:

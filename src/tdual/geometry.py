@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,13 @@ from .report import CheckReport
 
 # Relative tolerance for projective-point comparison after normalization.
 POINT_RTOL = 1e-12
+
+# The largest n whose two-form arithmetic stays finite.  Every value of the
+# form carries the factor (2 pi)^n.  check_two_form_algebra evaluates it on
+# sums of at most 2n products of up to three normal samples, each far below
+# 2^8 in size, and scales by 10 (2 pi)^n; for n < 2^9 all of that stays below
+# (2 pi)^n * 2^38, which must not overflow a float.
+MAX_N = int((sys.float_info.max_exp - 38) / math.log2(2 * math.pi))
 
 
 @dataclass(frozen=True)

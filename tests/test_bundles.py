@@ -204,6 +204,17 @@ def _planted(rule, fs, gs, f, g, label):
     return planted
 
 
+def _own(q, *keys):
+    """Give each key its own copy of its basis, so that `_planted` corrupts that key's block alone.
+
+    The keys of one degree share one array, and `_planted` knows a block by
+    its arrays.
+    """
+    for key in keys:
+        q.hom_bases[key] = q.hom_bases[key].copy()
+    return [q.hom_bases[key] for key in keys]
+
+
 def _counting(calls, fn):
     def wrapped(gs, fs):
         calls.append((gs, fs))
@@ -244,7 +255,7 @@ def test_verify_equivalence_matches_reference(n):
 def test_verify_equivalence_matches_reference_on_planted_composite(i, j, k, inside):
     """One wrong composite, in hom(i, k) or outside it, gives the reference's report."""
     q = cells.quotient_quiver(3)
-    fs, gs = q.hom_bases[(i, j)], q.hom_bases[(j, k)]
+    fs, gs = _own(q, (i, j), (j, k))
     f, g = fs[-1], gs[len(gs) // 2]
     honest = (f + g).tolist()
     if inside:
@@ -256,6 +267,30 @@ def test_verify_equivalence_matches_reference_on_planted_composite(i, j, k, insi
     assert not rep.passed
     assert rep.witness["kind"] == "composition"
     assert ("table_result" in rep.witness) == inside
+
+
+def test_planted_composite_is_reported_at_its_own_levels():
+    """At n = 3 the blocks (-4, -3, -2) and (-3, -2, -1) hold the same array twice.
+
+    A composite planted on those shared arrays is met first at (-4, -3, -2);
+    planted on the copies that `_own` gives (-3, -2) and (-2, -1), it is
+    reported at those levels.
+    """
+    q = cells.quotient_quiver(3)
+    honest = q.compose
+    shared = q.hom_bases[(-3, -2)]
+    assert q.hom_bases[(-4, -3)] is shared is q.hom_bases[(-2, -1)]
+    f, g = shared[0], shared[1]
+    label = next(e for e in q.hom_bases[(-3, -1)].tolist() if e != (f + g).tolist())
+
+    def planted_levels(fs, gs):
+        q.compose = _planted(honest, fs, gs, f, g, label)
+        witness = _assert_matches_reference(3, q).witness
+        assert witness["table_result"] == label
+        return witness["f"]["source"], witness["f"]["target"], witness["g"]["target"]
+
+    assert planted_levels(shared, shared) == (-4, -3, -2)
+    assert planted_levels(*_own(q, (-3, -2), (-2, -1))) == (-3, -2, -1)
 
 
 @pytest.mark.parametrize("corruption", ["backward", "missing", "wide", "foreign"])
@@ -285,7 +320,7 @@ def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
     q.compose = _counting(calls, q.compose)
     assert _assert_matches_reference(4, q).passed
     assert calls and all(len(fs) == 1 for gs, fs in calls)
-    fs, gs = q.hom_bases[(-5, -3)], q.hom_bases[(-3, -1)]
+    fs, gs = _own(q, (-5, -3), (-3, -1))
     f, g = fs[7], gs[3]
     honest = (f + g).tolist()
     replacement = next(e for e in q.hom_bases[(-5, -1)].tolist() if e != honest)
@@ -305,7 +340,7 @@ def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
 def test_verify_equivalence_rejects_composite_outside_hom(label, error):
     """A composite outside hom(i, k) fails as HomElement would, where the walk reaches it."""
     q = cells.quotient_quiver(2)
-    fs, gs = q.hom_bases[(-3, -2)], q.hom_bases[(-2, -1)]
+    fs, gs = _own(q, (-3, -2), (-2, -1))
     f, g = fs[1], gs[2]
     before = next(
         index
@@ -329,7 +364,7 @@ def test_verify_equivalence_rejects_corrupt_composition():
     replacement = next(
         e for e in q.hom_bases[(-3, -1)].tolist() if e != honest
     )
-    q.compose = _planted(q.compose, q.hom_bases[(-3, -2)], q.hom_bases[(-2, -1)], f, g, replacement)
+    q.compose = _planted(q.compose, *_own(q, (-3, -2), (-2, -1)), f, g, replacement)
     rep = bundles.verify_equivalence(2, q)
     assert not rep.passed
     assert rep.witness["kind"] == "composition"
@@ -390,9 +425,16 @@ def test_verify_equivalence_builds_no_monomial(monkeypatch):
     assert len(bundles.monomial_hom_basis(-3, -1, 3)) == len(built) == 10  # the counter sees constructions
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_monomial_hom_basis_is_every_exponent_vector_in_order(n):
-    for i in range(-n - 1, 0):
-        for j in range(-n - 1, 0):
-            every = [e for e in itertools.product(range(j - i + 1), repeat=n + 1) if sum(e) == j - i]
-            assert [m.exponents for m in bundles.monomial_hom_basis(i, j, n)] == every
+    """The single-element bases and the quiver's shared arrays hold every exponent vector of their degree, in order."""
+    q = bundles.line_bundle_quiver(n)
+    levels = range(-n - 1, 0)
+    every = {d: [list(e) for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d] for d in range(n + 1)}
+    assert list(q.hom_bases) == [(i, j) for i in levels for j in levels if i <= j]
+    for i in levels:
+        for j in levels:
+            assert [list(m.exponents) for m in bundles.monomial_hom_basis(i, j, n)] == every.get(j - i, [])
+            if i <= j:
+                assert q.hom_bases[(i, j)].dtype == "int64"
+                assert q.hom_bases[(i, j)].tolist() == every[j - i]

@@ -18,6 +18,16 @@ def all_cells(n):
             yield CellObject(level, offset)
 
 
+def _step_vectors(n, lower):
+    """All multi-indices with nonpositive entries and sum >= lower, lex order (recursive reference)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(lower, 1):
+        for rest in _step_vectors(n - 1, lower - first):
+            yield (first,) + rest
+
+
 def test_cell_object_validation():
     with pytest.raises(ValueError):
         CellObject(-3, (0,))  # level below -n-1 for n=1
@@ -313,6 +323,38 @@ def test_composition_count_closed_form(n):
         if i <= j <= k
     )
     assert len(cells.quotient_quiver(n).composition) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_quotient_quiver_bases_match_recursive_reference(n):
+    q = cells.quotient_quiver(n)
+    levels = range(-n - 1, 0)
+    assert list(q.hom_bases) == [(i, j) for i in levels for j in levels if i <= j]
+    for (i, j), basis in q.hom_bases.items():
+        assert basis.dtype == "int64"
+        assert basis.tolist() == [list(steps) for steps in _step_vectors(n, i - j)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hom_labels_of_negative_degree_are_empty(n):
+    for d in range(-n - 2, 0):
+        assert cells.hom_labels(d, n).shape == (0, n)
+        assert bundles.exponent_labels(d, n).shape == (0, n + 1)
+        assert cells.hom_basis(-1, -1 + d, n) == [] == bundles.monomial_hom_basis(-1, -1 + d, n)
+
+
+@pytest.mark.parametrize("build", [cells.quotient_quiver, bundles.line_bundle_quiver])
+def test_keys_of_one_degree_share_one_read_only_basis(build):
+    """Each degree's basis is built once and shared; writing into it raises instead of corrupting every key."""
+    n = 3
+    q = build(n)
+    for d in range(n + 1):
+        shared = q.hom_bases[(-n - 1, -n - 1 + d)]
+        assert all(q.hom_bases[(i, i + d)] is shared for i in range(-n - 1, -d))
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1
+    assert len({id(basis) for basis in q.hom_bases.values()}) == n + 1
 
 
 def test_quiver_dims_and_hom_access():

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
-from tdual import cells, cli, oracle
+from tdual import branes, bundles, cells, cli, geometry, oracle
 
 
 def run_cli(args, capsys):
@@ -174,7 +175,7 @@ def test_json_pieces_splice_quiver_exports_at_their_depth():
 def test_quiver_export_raises_before_writing(extra, tmp_path, monkeypatch, capsys):
     """A compose rule that raises ValueError stops the export before any byte is written."""
     def broken(n):
-        q = cells.tabulate_quiver(n, cells.hom_basis)
+        q = cells.tabulate_quiver(n, cells.hom_labels)
         q.hom_bases[(-1, -1)] = np.zeros((1, n + 1), dtype=np.int64)  # a unit that does not compose
         return q
 
@@ -184,6 +185,65 @@ def test_quiver_export_raises_before_writing(extra, tmp_path, monkeypatch, capsy
         cli.main(["quiver", "--n", "1", *extra])
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_builds_no_hom_element_or_monomial(monkeypatch, capsys):
+    """The CLI works on label arrays alone: it validates no HomElement and no Monomial."""
+    built = []
+    for cls in (cells.HomElement, bundles.Monomial):
+        def counting(self, validate=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for argv in (["verify", "--n", "3"], ["quiver", "--n", "3"], ["quiver", "--n", "3", "--format", "dot"], ["oracle", "--n", "1"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    cells.hom_basis(-2, -1, 1)
+    bundles.monomial_hom_basis(-2, -1, 1)
+    assert built == ["HomElement"] * 2 + ["Monomial"] * 2  # the counters see constructions
+
+
+def test_largest_n_follows_from_the_arithmetic():
+    """geometry.MAX_N keeps (2 pi)^n * 2^38 finite; branes.MAX_N keeps GRAPH_MARGIN below 1/(n+1)."""
+    assert (geometry.MAX_N, branes.MAX_N) == (371, 18)
+    assert math.isfinite((2 * math.pi) ** geometry.MAX_N * 2.0**38)
+    assert math.isinf((2 * math.pi) ** (geometry.MAX_N + 1) * 2.0**38)
+    assert branes.GRAPH_MARGIN < 1 / (branes.MAX_N + 1)
+    assert not branes.GRAPH_MARGIN < 1 / (branes.MAX_N + 2)
+
+
+@pytest.mark.parametrize(
+    "argv", [["geometry", "--n", "372"], ["geometry", "--n", "1000"], ["branes", "--n", "19"], ["branes", "--n", "400", "--grid", "1"]]
+)
+def test_usage_error_past_the_largest_n(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    limit = {"geometry": geometry.MAX_N, "branes": branes.MAX_N}[argv[0]]
+    assert captured.err.splitlines()[-1].startswith(f"tdual: error: {argv[0]} supports --n up to {limit}; ")
+
+
+def test_geometry_runs_at_its_largest_n(capsys):
+    """At geometry.MAX_N every check reports a finite deviation (the round trip fails on its empty grid)."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    rc = cli.main(["geometry", "--n", str(geometry.MAX_N)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    body = json.loads(captured.out, parse_constant=refuse)
+    assert [c["check"] for c in body["checks"] if not c["pass"]] == ["geometry.moment_round_trip"]
+
+
+def test_branes_accepts_its_largest_n(monkeypatch, capsys):
+    """The sweep itself would take hours at branes.MAX_N; only the guard is run here."""
+    monkeypatch.setattr(cli, "run_branes", lambda cfg: [])
+    assert cli.main(["branes", "--n", str(branes.MAX_N)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_quiver_rejects_text_format():
