@@ -12,16 +12,16 @@ by purely combinatorial means, independent of the quiver calculus in
     every n: in partial sums p_l = g_1 + ... + g_l each bounding hyperplane
     is some p_i - p_j = const, and the faces are the simplices
     {m + 1_S : S in a chain of subsets} (`_faces`; Lam-Postnikov, "Alcoved
-    polytopes I").  A face is the tuple of its vertices.  The inner open cell
-    embeds in the torus and is lifted once.  Each of its faces is tested at
-    its barycenter, in integers: a face with k vertices is represented by the
-    sum of its vertices, k times the barycenter, and every test is scaled by
-    k.  The face of lattice point m and chain c has vertex sum k_c m + s_c,
-    from the chain's vertex count k_c and step sum s_c.  Against the outer
-    cell the point is tested through one lift: the canonical one, whose
-    coordinates lie in (a_l - (n+1), a_l] for the outer corner a.  The outer
-    closure contains the point iff it contains that lift, so no search over
-    translates is needed.  `region_pair` works for any n.
+    polytopes I").  A face is the tuple of its vertices.  The inner cell
+    (j, b) is the translate by b of the cell (j, 0), so the open faces of
+    (j, 0) are listed once per (n, j) (`_open_faces`), each with its vertex
+    count k and vertex sum kg, k times its barycenter.  A pair tests each of
+    them at its barycenter, in integers, against the outer corner taken
+    relative to b, and translates by b only the faces that enter X.  Against
+    the outer cell a point is tested through one lift: the canonical one,
+    whose coordinates lie in (a_l - (n+1), a_l] for the outer corner a.  The
+    outer closure contains the point iff it contains that lift, so no search
+    over translates is needed.  `region_pair` works for any n.
 
 2.  For n <= 2 the locally closed X is replaced by a compact deformation
     retract: the inner cell's strict inequalities are tightened by a rational
@@ -30,10 +30,15 @@ by purely combinatorial means, independent of the quiver calculus in
     segment or polygon, against the tightened halfspaces in exact integers,
     on homogeneous points (X_1, ..., X_n, W) = X / W; this yields a polytopal
     complex, triangulated by fanning each polygon from its lexicographically
-    smallest vertex; the A-faces form a subcomplex.
+    smallest vertex; the A-faces form a subcomplex.  Clipping and fanning
+    commute with integer translations, X -> X + t W, so each face is clipped
+    relative to the inner corner, against halfspaces that depend only on the
+    level and the margin; the pieces are memoised on exactly that and
+    translated back by the corner.
 
 3.  Ranks of the relative simplicial cochain complex over Q are computed by
-    fraction-free (Bareiss) elimination on the integer coboundary matrices.
+    fraction-free elimination on the nonzero entries of the integer
+    coboundary matrices, each row divided by the gcd of its entries.
 
 Summing the resulting Betti profiles over one cell per translation orbit of
 the inner offset gives the hom-space dimensions that `oracle_hom_dim` reports;
@@ -46,6 +51,7 @@ epsilon/2 to get the match and the stability check from a single pass.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,18 +86,16 @@ def _simplex_constraints(level: int, offset: Sequence[int]) -> list[Constraint]:
 Face = tuple[tuple[int, ...], ...]
 
 
-def _chains(n: int) -> list[tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]]:
-    """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}, as (steps, k_c, s_c).
+def _chains(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every chain {} = S_0 < S_1 < ... < S_r of subsets of {1, ..., n}, as its steps.
 
-    Vertex S of the face at lattice point m is m + step, step_l = [l in S] - [l-1 in S];
-    with k_c steps summing to s_c, the face's vertex sum is k_c m + s_c.
+    Vertex S of the face at lattice point m is m + step, step_l = [l in S] - [l-1 in S].
     """
     subsets = [frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
     chains = [(frozenset(),)]
     for chain in chains:  # the list grows while it is walked
         chains.extend(chain + (s,) for s in subsets if chain[-1] < s)
-    steps = [tuple(tuple(int(l in s) - int(l - 1 in s) for l in range(1, n + 1)) for s in c) for c in chains]
-    return [(st, len(st), tuple(map(sum, zip(*st)))) for st in steps]
+    return [tuple(tuple(int(l in s) - int(l - 1 in s) for l in range(1, n + 1)) for s in c) for c in chains]
 
 
 def _lattice_points(level: int, offset: Sequence[int]) -> Iterator[list[int]]:
@@ -99,10 +103,6 @@ def _lattice_points(level: int, offset: Sequence[int]) -> Iterator[list[int]]:
     for depth in itertools.product(range(1 - level), repeat=len(offset)):
         if sum(depth) <= -level:
             yield [b - d for b, d in zip(offset, depth)]
-
-
-def _face(m: Sequence[int], steps: Sequence[tuple[int, ...]]) -> Face:
-    return tuple(tuple(map(add, m, step)) for step in steps)
 
 
 def _faces(n: int, level: int, offset: Sequence[int]) -> Iterator[Face]:
@@ -121,8 +121,25 @@ def _faces(n: int, level: int, offset: Sequence[int]) -> Iterator[Face]:
     """
     chains = _chains(n)
     for m in _lattice_points(level, offset):
-        for steps, _, _ in chains:
-            yield _face(m, steps)
+        for steps in chains:
+            yield tuple(tuple(map(add, m, step)) for step in steps)
+
+
+@functools.lru_cache(maxsize=64)
+def _open_faces(n: int, level: int) -> tuple[tuple[int, tuple[int, ...], Face], ...]:
+    """The open faces of the cell (level, 0), each as (k, kg, face).
+
+    k is the face's vertex count and kg its vertex sum, k times its barycenter
+    g.  No open grid face crosses a bounding hyperplane, so g decides it: the
+    face lies in the open cell iff every g_l < 0 and sum g > level.  The cell
+    (level, b) holds the same faces translated by b, with vertex sums kg + k b.
+    """
+    out = []
+    for face in _faces(n, level, (0,) * n):
+        k, kg = len(face), tuple(map(sum, zip(*face)))
+        if sum(kg) > k * level and max(kg) < 0:
+            out.append((k, kg, face))
+    return tuple(out)
 
 
 def counts_by_dim(n: int, faces: Iterable[Sequence]) -> tuple[int, ...]:
@@ -155,9 +172,10 @@ class RegionPair:
 def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     """Compute X = closure(outer) ∩ inner and A = boundary(outer) ∩ inner.
 
-    Both cells live on the covering torus; the computation lifts the inner
-    cell once and tests each of its grid faces against the outer cell through
-    the canonical lift of its barycenter, in integers.  Any n is supported.
+    Both cells live on the covering torus; the computation takes the inner
+    cell's grid faces from the listing of its level at offset 0 and tests each
+    against the outer cell through the canonical lift of its barycenter, in
+    integers.  Any n is supported.
     """
     n = outer.n
     if inner.n != n:
@@ -165,10 +183,10 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     inner_cons = tuple(_simplex_constraints(inner.level, inner.offset))
     x_faces: set[Face] = set()
     a_faces: set[Face] = set()
-    # Every constraint hyperplane is a union of grid faces, so no open grid
-    # face crosses one and its barycenter g decides it.  The code tests the
-    # vertex sum kg = k * g = k_c m + s_c of the face (m, c), every bound scaled
-    # by k = k_c; the inner cell is {g_l < b_l, sum g > level + sum b}.
+    # Each open face of the inner cell (level, b) is a face of (level, 0),
+    # with vertex sum kg = k * g, translated by b; every bound below is scaled
+    # by its vertex count k, and kg + k b is tested against the outer corner a
+    # through kg against a - b.
     # The outer closure is {g : g_l <= a_l, sum(g - a) >= level} modulo (n+1)Z^n.
     # Among the lifts g' of a point with g' <= a, the canonical one,
     # g'_l = a_l - depth_l with depth_l = (a_l - g_l) mod (n+1) in [0, n+1),
@@ -177,21 +195,16 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     # nothing to the closure and never lies in the open cell.  With
     # slack = -sum(depth) - level, the point is in the closure iff slack >= 0,
     # and in the open cell iff also slack > 0 and every depth_l > 0.
-    b, a = inner.offset, outer.offset
-    floor = inner.level + sum(b)
-    chains = _chains(n)
-    for m in _lattice_points(inner.level, b):
-        for steps, k, s in chains:
-            kg = [k * ml + sl for ml, sl in zip(m, s)]
-            if sum(kg) <= k * floor or any(kg_l >= k * bl for kg_l, bl in zip(kg, b)):
-                continue
-            depth = [(k * al - kg_l) % (k * (n + 1)) for al, kg_l in zip(a, kg)]
-            slack = -sum(depth) - k * outer.level
-            if slack >= 0:
-                face = _face(m, steps)
-                x_faces.add(face)
-                if slack == 0 or 0 in depth:
-                    a_faces.add(face)
+    b = inner.offset
+    rel = [al - bl for al, bl in zip(outer.offset, b)]
+    for k, kg, face in _open_faces(n, inner.level):
+        depth = [(k * rl - kg_l) % (k * (n + 1)) for rl, kg_l in zip(rel, kg)]
+        slack = -sum(depth) - k * outer.level
+        if slack >= 0:
+            face = tuple(tuple(map(add, v, b)) for v in face)
+            x_faces.add(face)
+            if slack == 0 or 0 in depth:
+                a_faces.add(face)
     return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
 
 
@@ -213,18 +226,6 @@ class SimplicialPair:
 
     def counts_by_dim(self, relative: bool = False) -> tuple[int, ...]:
         return counts_by_dim(self.n, (s for s in self.simplices if not (relative and s in self.sub)))
-
-    def validate(self) -> None:
-        for group, name in ((self.simplices, "complex"), (self.sub, "subcomplex")):
-            for s in group:
-                if list(s) != sorted(set(s)):
-                    raise AssertionError(f"malformed simplex {s} in {name}")
-                for k in range(1, len(s)):
-                    for face in itertools.combinations(s, k):
-                        if face not in group:
-                            raise AssertionError(f"{name} not closed under faces at {s}")
-        if not self.sub <= self.simplices:
-            raise AssertionError("subcomplex not contained in complex")
 
 
 # A clipped point in homogeneous integers: (X_1, ..., X_n, W) is X / W, with
@@ -278,6 +279,17 @@ def _piece_simplices(face: Face, shrink: Sequence[Constraint]) -> list[tuple[Poi
             + a[2] * (b[0] * c[1] - b[1] * c[0])]
 
 
+@functools.lru_cache(maxsize=4096)
+def _relative_pieces(face: Face, shrink: tuple[Constraint, ...]) -> tuple[tuple[Point, ...], ...]:
+    """`_piece_simplices` of a face taken relative to the inner corner, memoised.
+
+    The key fixes the face's shape, the inner level and the margin, so each
+    relative face is clipped once per level and margin however many pairs hold
+    a translate of it.
+    """
+    return tuple(_piece_simplices(face, shrink))
+
+
 def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> SimplicialPair:
     """Compact model of the pair: tighten the inner halfspaces, clip, fan.
 
@@ -293,7 +305,12 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     if not 0 < eps < MAX_EPSILON:
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
     p, q = eps.numerator, eps.denominator
-    shrink = [(tuple(q * c for c in coeffs), q * rhs - p) for coeffs, rhs in pair.inner_constraints]
+    # Faces are clipped relative to the inner corner t (any integer t would do,
+    # since the clip and the fan commute with X -> X + t W); the halfspace
+    # c . x <= r becomes c . x <= r - c . t, which depends on the level alone.
+    corner = tuple(rhs for _, rhs in pair.inner_constraints[:n])
+    shrink = tuple((tuple(q * c for c in coeffs), q * (rhs - sum(map(mul, coeffs, corner))) - p)
+                   for coeffs, rhs in pair.inner_constraints)
     vertex_index: dict[Point, int] = {}
     vertices: list[tuple[Fraction, ...]] = []
     simplices: set[tuple[int, ...]] = set()
@@ -304,15 +321,17 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
         for pt in simplex_pts:
             if pt not in vertex_index:
                 vertex_index[pt] = len(vertices)
-                vertices.append(tuple(Fraction(x, pt[-1]) for x in pt[:-1]))
+                vertices.append(tuple(Fraction(x + t * pt[-1], pt[-1]) for x, t in zip(pt, corner)))
             idx.append(vertex_index[pt])
         idx = tuple(sorted(set(idx)))
         return [face for k in range(1, len(idx) + 1) for face in itertools.combinations(idx, k)]
 
     # A is a subset of X, so each face is clipped once and the pieces of an
-    # A face go into both complexes.
+    # A face go into both complexes.  Translation keeps the order of faces and
+    # of points, so vertices are numbered as for the untranslated pieces.
     for face in sorted(pair.X):
-        for piece in _piece_simplices(face, shrink):
+        relative = tuple(tuple(x - t for x, t in zip(v, corner)) for v in face)
+        for piece in _relative_pieces(relative, shrink):
             pieces = register(piece)
             simplices.update(pieces)
             if face in pair.A:
@@ -328,27 +347,36 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
 # --- exact linear algebra and Betti numbers ---------------------------------
 
 def matrix_rank_exact(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in rows if any(row)]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        pivot_row = next((r for r in range(rank, nr) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        for r in range(rank + 1, nr):
-            for c in range(col + 1, nc):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    """Rank over Q of an integer matrix, by fraction-free elimination on its nonzero entries.
+
+    Each row is reduced against the pivot rows found so far, as a dict
+    {column: entry} divided by the gcd of its entries: while its leading
+    column holds a pivot row p, the row r becomes p[col] r - r[col] p, which
+    clears that column and keeps the span over Q.  A row that keeps a
+    leading column with no pivot becomes the pivot there; one that reaches
+    zero adds nothing.  The rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v for c, v in enumerate(row) if v}
+        while r:
+            g = math.gcd(*r.values())
+            if g > 1:
+                r = {c: v // g for c, v in r.items()}
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = r
+                break
+            pc, rc = p[col], r[col]
+            r = {c: pc * v for c, v in r.items()}
+            for c, v in p.items():
+                x = r.get(c, 0) - rc * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 BettiProfile = tuple[int, ...]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tdual import cli, oracle
 from tdual.cells import CellObject, cell_contains, hom_basis, hom_from_cells
 from tdual.oracle import (
+    RegionPair,
     SimplicialPair,
     _faces,
     counts_by_dim,
@@ -216,6 +218,60 @@ def test_region_pair_matches_translate_union():
     assert nonempty_a > 10
 
 
+def _reference_region_pair_walk(outer, inner):
+    """`region_pair` as a walk over the closed inner cell's lattice points and chains.
+
+    Every candidate face of (level, b) is tested for the open inner cell and
+    then against the outer cell, each through its vertex sum k m + s.
+    """
+    n = outer.n
+    b, a = inner.offset, outer.offset
+    floor = inner.level + sum(b)
+    chains = [(steps, len(steps), tuple(map(sum, zip(*steps)))) for steps in oracle._chains(n)]
+    x_faces, a_faces = set(), set()
+    for m in oracle._lattice_points(inner.level, b):
+        for steps, k, s in chains:
+            kg = [k * ml + sl for ml, sl in zip(m, s)]
+            if sum(kg) <= k * floor or any(kg_l >= k * bl for kg_l, bl in zip(kg, b)):
+                continue
+            depth = [(k * al - kg_l) % (k * (n + 1)) for al, kg_l in zip(a, kg)]
+            slack = -sum(depth) - k * outer.level
+            if slack >= 0:
+                face = tuple(tuple(ml + sl for ml, sl in zip(m, step)) for step in steps)
+                x_faces.add(face)
+                if slack == 0 or 0 in depth:
+                    a_faces.add(face)
+    inner_cons = tuple(oracle._simplex_constraints(inner.level, inner.offset))
+    return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
+
+
+def _assert_translated_pairs_match_walk(pairs):
+    for outer, inner in pairs:
+        got, expected = region_pair(outer, inner), _reference_region_pair_walk(outer, inner)
+        assert (got.X, got.A, got.inner_constraints) == (expected.X, expected.A, expected.inner_constraints), (
+            outer, inner)
+
+
+def test_region_pair_matches_candidate_walk_n1_n2():
+    """Translated faces of the offset-0 listing give the walk's pair, at every outer offset."""
+    pairs = [(o, i) for n in (1, 2) for o in _every_cell(n) for i in _every_cell(n)]
+    assert len(pairs) == 16 + 729
+    _assert_translated_pairs_match_walk(pairs)
+
+
+def test_region_pair_matches_candidate_walk_n3():
+    """All 1,024 pairs of the n = 3 oracle loop (outer offset 0), and a fixed
+    sample of pairs whose outer cell sits at another offset."""
+    outer_at_zero = [(o, i) for o in _every_cell(3, [(0, 0, 0)]) for i in _every_cell(3)]
+    assert len(outer_at_zero) == 1024
+    _assert_translated_pairs_match_walk(outer_at_zero)
+    cells = list(_every_cell(3))
+    rng = random.Random(16)
+    sample = [(rng.choice(cells), rng.choice(cells)) for _ in range(300)]
+    assert sum(o.offset != (0, 0, 0) for o, _ in sample) > 250
+    _assert_translated_pairs_match_walk(sample)
+
+
 def test_region_pair_validation():
     with pytest.raises(ValueError):
         region_pair(CellObject(-1, (0,)), CellObject(-1, (0, 0)))
@@ -335,27 +391,36 @@ def test_shrink_matches_fraction_reference(eps):
 
 
 def test_shrink_clips_each_x_cell_once(monkeypatch):
-    """One clip per X face and margin, with the reference model's exact output.
+    """One clip per face relative to the inner corner, per level and margin,
+    across all pairs, with the reference model's exact output.
 
     Every pair at n = 1, and at n = 2 every outer cell against the inner
-    cells at offset (-1, -2).
+    cells at offset (-1, -2).  The pieces are memoised, so the memo is
+    cleared first and `_piece_simplices` sees each relative face once.
     """
     pairs = [(o, i) for o in _every_cell(1) for i in _every_cell(1)]
     pairs += [(o, i) for o in _every_cell(2) for i in _every_cell(2, [(-1, -2)])]
     calls = []
     piece_simplices = oracle._piece_simplices
     monkeypatch.setattr(
-        oracle, "_piece_simplices", lambda face, shrink: calls.append(face) or piece_simplices(face, shrink)
+        oracle, "_piece_simplices", lambda face, shrink: calls.append((face, shrink)) or piece_simplices(face, shrink)
     )
+    oracle._relative_pieces.cache_clear()
+    relative_faces = set()
     nonempty_a = 0
     for outer, inner in pairs:
         pair = region_pair(outer, inner)
         nonempty_a += bool(pair.A)
         for eps in (Fraction(1, 8), Fraction(1, 16)):
-            calls.clear()
             got = shrink_and_triangulate(pair, eps)
-            assert sorted(calls) == sorted(pair.X), (outer, inner)
             assert (got.vertices, got.simplices, got.sub) == _reference_shrink(pair, eps), (outer, inner)
+            relative_faces.update(
+                (inner.level, eps, tuple(tuple(x - b for x, b in zip(v, inner.offset)) for v in face))
+                for face in pair.X
+            )
+    oracle._relative_pieces.cache_clear()
+    assert len(calls) == len(set(calls)) == len(relative_faces)
+    assert {face for face, _ in calls} == {face for _, _, face in relative_faces}
     assert nonempty_a > 10
 
 
@@ -376,10 +441,25 @@ def test_profile_is_one_iff_cells_contain():
     assert contained == 19
 
 
+def _validate(sp):
+    """Check that `sp` is a simplicial pair: sorted simplices, both parts closed
+    under faces, and the subcomplex inside the complex."""
+    for group, name in ((sp.simplices, "complex"), (sp.sub, "subcomplex")):
+        for s in group:
+            if list(s) != sorted(set(s)):
+                raise AssertionError(f"malformed simplex {s} in {name}")
+            for k in range(1, len(s)):
+                for face in itertools.combinations(s, k):
+                    if face not in group:
+                        raise AssertionError(f"{name} not closed under faces at {s}")
+    if not sp.sub <= sp.simplices:
+        raise AssertionError("subcomplex not contained in complex")
+
+
 def test_shrink_identity_n1_is_path_graph():
     pair = region_pair(CellObject(-2, (0,)), CellObject(-2, (0,)))
     sp = shrink_and_triangulate(pair, Fraction(1, 8))
-    sp.validate()
+    _validate(sp)
     assert sp.counts_by_dim() == (3, 2)
     assert sp.sub == frozenset()
     assert relative_cohomology(sp) == (1, 0)
@@ -388,7 +468,7 @@ def test_shrink_identity_n1_is_path_graph():
 def test_shrink_identity_n2_is_triangle():
     pair = region_pair(CellObject(-1, (0, 0)), CellObject(-1, (0, 0)))
     sp = shrink_and_triangulate(pair, Fraction(1, 8))
-    sp.validate()
+    _validate(sp)
     assert sp.counts_by_dim() == (3, 3, 1)
     assert relative_cohomology(sp) == (1, 0, 0)
 
@@ -435,7 +515,7 @@ def test_simplicial_pair_validate_catches_missing_face():
         sub=frozenset(),
     )
     with pytest.raises(AssertionError):
-        broken.validate()
+        _validate(broken)
 
 
 def test_simplicial_pair_validate_catches_stray_sub():
@@ -446,10 +526,34 @@ def test_simplicial_pair_validate_catches_stray_sub():
         sub=frozenset({(1,)}),
     )
     with pytest.raises(AssertionError):
-        broken.validate()
+        _validate(broken)
 
 
 # --- exact rank --------------------------------------------------------------
+
+def _reference_rank(rows):
+    """Rank of an integer matrix by dense fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in rows if any(row)]
+    if not m:
+        return 0
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(nc):
+        pivot_row = next((r for r in range(rank, nr) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        for r in range(rank + 1, nr):
+            for c in range(col + 1, nc):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
 
 def test_matrix_rank_exact_cases():
     assert matrix_rank_exact([]) == 0
@@ -472,6 +576,42 @@ def test_matrix_rank_exact_agrees_with_numpy_on_random_small():
     for _ in range(30):
         mat = rng.integers(-3, 4, size=(5, 7))
         assert matrix_rank_exact(mat.tolist()) == np.linalg.matrix_rank(mat)
+
+
+def test_matrix_rank_exact_matches_reference_on_coboundaries(monkeypatch):
+    """The sparse rank equals the dense Bareiss rank on every coboundary matrix
+    of every CLI pair at n <= 2, at four margins."""
+    seen = []
+    rank = oracle.matrix_rank_exact
+    monkeypatch.setattr(oracle, "matrix_rank_exact", lambda rows: seen.append(rows) or rank(rows))
+    for outer, inner in _cli_pairs():
+        pair = region_pair(outer, inner)
+        for eps in (Fraction(1, 8), Fraction(1, 16), Fraction(3, 13), Fraction(1, 1000)):
+            relative_cohomology(shrink_and_triangulate(pair, eps))
+    assert len(seen) == 424
+    for rows in seen:
+        assert rank(rows) == _reference_rank(rows), rows
+
+
+def test_matrix_rank_exact_matches_reference_on_random_integers():
+    """Entries in [-5, 5], so rows have common factors and reductions grow
+    entries; products of thin factors make many matrices rank-deficient."""
+    rng = random.Random(16)
+    deficient = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        else:
+            inner = rng.randint(1, 3)
+            left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(nr)]
+            right = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(inner)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        expected = _reference_rank(rows)
+        deficient += expected < min(nr, nc)
+        assert matrix_rank_exact(rows) == expected, rows
+    assert deficient > 50
+    assert matrix_rank_exact([[2, 4, 6], [3, 6, 9], [4, 2, 0]]) == 2
 
 
 # --- relative cohomology -----------------------------------------------------
