@@ -2,15 +2,16 @@
 
 The package is organised around five pieces:
 
-* :mod:`tdual.geometry` — the moment map on projective space, torus fibers,
-  mirror coordinates, the reference two-form and the potential with its
-  critical points.
-* :mod:`tdual.branes` — weighted sections over the simplex, the potential
-  whose gradient graph reproduces them, exactness and graph checks, geodesic
-  flow and short-time separation probes.
+* :mod:`tdual.geometry` — the checks of the ``geometry`` command on whole
+  sample arrays: the moment-map and fiber-radii round trip, the modulus of
+  the mirror coordinates, the algebra of the reference two-form, and the
+  potential with its critical points.
+* :mod:`tdual.branes` — the level-k sections over the simplex, the lifted
+  cells whose potential's gradient graph reproduces them, and the exactness,
+  graph and short-time separation checks of the ``branes`` command.
 * :mod:`tdual.cells` — the category of open cells on the quotient torus,
-  containment homs, composition, deck translations and the strong
-  exceptionality test.
+  containment homs, composition, the quiver tables and their exports, and
+  the strong exceptionality test.
 * :mod:`tdual.bundles` — the monomial quiver of line bundles and the
   exhaustive comparison against the cell quiver.
 * :mod:`tdual.oracle` — exact relative-cohomology dimensions of cell pairs:
@@ -23,12 +24,7 @@ from .branes import (
     check_exactness,
     check_graph,
     domain_face_midpoints,
-    geodesic_flow,
-    hermitian_weight,
     potential_value,
-    section_gamma,
-    section_gamma_unreduced,
-    section_tangent_frame,
     separation_probe,
 )
 from .bundles import (
@@ -42,15 +38,12 @@ from .bundles import (
 )
 from .cells import (
     CellObject,
-    DeckElement,
     HomElement,
     Quiver,
     cell_contains,
     compose,
-    deck_translate,
     hom_basis,
     hom_from_cells,
-    identity_hom,
     is_strong_exceptional,
     quiver_to_dict,
     quiver_to_dot,
@@ -58,13 +51,7 @@ from .cells import (
 )
 from .geometry import (
     MirrorPoint,
-    MomentImage,
-    ProjectivePoint,
     TangentVector,
-    TorusFiber,
-    fiber_radii_from_moment,
-    mirror_coordinates,
-    moment_map,
     superpotential,
     superpotential_critical_points,
     superpotential_gradient,
@@ -84,34 +71,23 @@ __version__ = "0.1.0"
 __all__ = [
     "CellObject",
     "CheckReport",
-    "DeckElement",
     "HomElement",
     "LiftedCell",
     "MirrorPoint",
-    "MomentImage",
     "Monomial",
-    "ProjectivePoint",
     "Quiver",
     "TangentVector",
-    "TorusFiber",
     "base_potential",
     "cell_contains",
     "check_exactness",
     "check_graph",
     "compose",
-    "deck_translate",
     "domain_face_midpoints",
     "euler_pairing",
-    "fiber_radii_from_moment",
-    "geodesic_flow",
-    "hermitian_weight",
     "hom_basis",
     "hom_from_cells",
-    "identity_hom",
     "is_strong_exceptional",
     "line_bundle_quiver",
-    "mirror_coordinates",
-    "moment_map",
     "monomial_compose",
     "monomial_hom_basis",
     "oracle_hom_dim",
@@ -122,9 +98,6 @@ __all__ = [
     "quotient_quiver",
     "region_pair",
     "relative_cohomology",
-    "section_gamma",
-    "section_gamma_unreduced",
-    "section_tangent_frame",
     "separation_probe",
     "shrink_and_triangulate",
     "superpotential",

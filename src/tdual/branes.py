@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import TangentVector, _last_argmax
+from .geometry import _last_argmax
 from .report import CheckReport
 
 # Grid points evaluated at once by the batch kernels; bounds their memory.
@@ -51,38 +51,6 @@ GRAPH_MARGIN = 0.05
 # The largest n the sweep supports: the graph samples need GRAPH_MARGIN below
 # 1/(n+1), and the two-form arithmetic needs n <= geometry.MAX_N.
 MAX_N = min(math.ceil(1 / GRAPH_MARGIN) - 2, geometry.MAX_N)
-
-
-def hermitian_weight(k: int, r: tuple[float, ...] | np.ndarray) -> float:
-    """Weight function h_k(r) = (1 + sum r_i^2)^(-k) of the level-k connection.
-
-    >>> hermitian_weight(1, (1.0,))
-    0.5
-    >>> hermitian_weight(2, (1.0,))
-    0.25
-    """
-    rr = np.asarray(r, dtype=float)
-    return float((1.0 + (rr * rr).sum()) ** (-k))
-
-
-def section_gamma_unreduced(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[float, ...]:
-    """Angular coefficients k * r_j^2 / (1 + sum r_i^2), before mod-1 reduction.
-
-    This is both the lift of the level-k section and the angular part of the
-    level-k connection; it is exactly k times the level-1 value.
-    """
-    rr = np.asarray(r, dtype=float)
-    s = (rr * rr).sum()
-    return tuple(float(v) for v in k * rr * rr / (1.0 + s))
-
-
-def section_gamma(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[float, ...]:
-    """Level-k section value gamma^(k)(r), reduced to the torus [0, 1)^n.
-
-    >>> section_gamma(1, (1.0, 1.0))
-    (0.3333333333333333, 0.3333333333333333)
-    """
-    return tuple(v % 1.0 for v in section_gamma_unreduced(k, r))
 
 
 def base_potential(u: np.ndarray) -> float | np.ndarray:
@@ -144,9 +112,6 @@ class LiftedCell:
         total = (g - a).sum(axis=-1) - self.k
         return np.concatenate([a - g, total[..., None]], axis=-1)
 
-    def contains(self, gamma: tuple[float, ...] | np.ndarray, margin: float = 0.0) -> bool:
-        return bool(np.all(self.constraint_slacks(gamma) > margin))
-
     def require_inside(self, points: tuple[float, ...] | np.ndarray) -> None:
         """Raise ValueError naming the first point, in row order, outside the open cell."""
         pts = np.asarray(points, dtype=float)
@@ -154,10 +119,6 @@ class LiftedCell:
         if not np.all(inside):
             bad = pts.reshape(-1, self.n)[np.argmin(np.ravel(inside))]
             raise ValueError(f"point {tuple(bad)} lies outside the open cell {self}")
-
-    def barycenter(self) -> tuple[float, ...]:
-        """The center point a + k/(n+1) * (1, ..., 1), where grad f = 0."""
-        return tuple(ai + self.k / (self.n + 1) for ai in self.a)
 
     def interior_grid(self, density: int, margin: float = 0.05) -> np.ndarray:
         """Deterministic sample grid, `margin` being per-constraint slack in u.
@@ -265,24 +226,6 @@ def check_graph(
     )
 
 
-def section_tangent_frame(n: int, k: int, r: np.ndarray) -> list[TangentVector]:
-    """Tangent vectors of the level-k section along the radii directions.
-
-    The i-th frame vector is the image of d/dr_i under the parametrization
-    r -> (y = log r, gamma = k gamma^(1)(r)): its y-part is e_i / r_i and its
-    angular part is k * d(gamma^(1))/dr_i.
-    """
-    s = float((r * r).sum())
-    frame = []
-    for i in range(n):
-        y_part = np.zeros(n)
-        y_part[i] = 1.0 / r[i]
-        g_part = -2.0 * r[i] * r * r / (1.0 + s) ** 2
-        g_part[i] += 2.0 * r[i] / (1.0 + s)
-        frame.append(TangentVector(tuple(y_part), tuple(k * g_part)))
-    return frame
-
-
 def check_exactness(
     n: int,
     levels: Iterable[int],
@@ -299,11 +242,13 @@ def check_exactness(
     deviation 0.  The witness is the last (point, pair) of largest deviation,
     points in `itertools.product` order.
 
-    On the frame of `section_tangent_frame` the form has the closed value
+    The section's tangent frame maps d/dr_i to y-part e_i / r_i and angular
+    part k * d(gamma^(1))/dr_i.  On that frame the form has the closed value
     (2 pi)^n ((1/r_i) k g_j[i] - k g_i[j] (1/r_j)), with
     g_i[j] = (-2 r_i) r_j r_j / (1 + sum r^2)^2; it is evaluated here on
     CHUNK_POINTS grid points at a time, in the same operation order as
-    `symplectic_form_eval`, so the maximum is the per-point value bit for bit.
+    `symplectic_form_eval` on a per-point frame, so the maximum is the
+    per-point value bit for bit.
     The grid and the level-free products g_i[j] are built once per chunk and
     shared by all levels.
     """
@@ -324,7 +269,7 @@ def check_exactness(
         d = 1.0 + (r * r).sum(axis=1)  # row sums: the same summation order as one point
         r = np.ascontiguousarray(r.T)  # r[i] is coordinate i
         # Python's float power is libm pow, which differs from d * d in the
-        # last bit for some d; section_tangent_frame uses it.
+        # last bit for some d; the per-point frame uses it.
         d2 = np.array([v**2 for v in d.tolist()])
         inv = 1.0 / r
         m2 = -2.0 * r
@@ -354,27 +299,6 @@ def check_exactness(
         )
         for k, dev, witness in zip(levels, max_dev, worst)
     ]
-
-
-def geodesic_flow(
-    y: tuple[float, ...], gamma: tuple[float, ...], t: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Flow (y, gamma) for time t along the unit covector of y in the flat metric.
-
-    The angles move by t * y / |y| while y stays fixed; the zero covector has
-    no direction and is rejected.
-
-    >>> geodesic_flow((5.0,), (0.0,), 0.3)
-    ((5.0,), (0.3,))
-    """
-    yv = np.asarray(y, dtype=float)
-    gv = np.asarray(gamma, dtype=float)
-    if yv.shape != gv.shape:
-        raise ValueError("y and gamma must have the same length")
-    norm = float(np.linalg.norm(yv))
-    if norm == 0.0:
-        raise ValueError("geodesic direction undefined for the zero covector")
-    return tuple(float(v) for v in yv), tuple(float(v) for v in gv + t * yv / norm)
 
 
 def wrap_to_half(v: np.ndarray) -> np.ndarray:

@@ -171,9 +171,10 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     lexicographically, are pairwise distinct and equal the monomial array;
     it is computed once per distinct (cell array, degree), since the keys of
     one degree share their array, and only a passing result is reused.  The
-    witness is the first failure with keys and blocks in `hom_bases` order,
-    f outer and g inner; a composite outside its hom space ends the walk
-    there.  A prebuilt (possibly corrupted) cell quiver may be passed in; by
+    images of each distinct (cell array, degree) are computed once, for both
+    checks.  The witness is the first failure with keys and blocks in
+    `hom_bases` order, f outer and g inner; a composite outside its hom space
+    ends the walk there.  A prebuilt (possibly corrupted) cell quiver may be passed in; by
     default the canonical one for `n` is built.
     """
     if quiver is None:
@@ -185,6 +186,14 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     ok = True
     levels = quiver.levels
     bijective = {}  # (id, degree) of each cell array that passed -> that array, which keeps its id unique
+    memo = {}  # (id, degree) of each cell array -> (that array, its images)
+
+    def images_of(steps: np.ndarray, i: int, j: int) -> np.ndarray:
+        key = (id(steps), j - i)
+        if key not in memo:
+            memo[key] = (steps, _images(steps, i, j))
+        return memo[key][1]
+
     for i in levels:
         for j in levels:
             cell_side = quiver.hom(i, j)
@@ -200,7 +209,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 continue
             bundle_side = exponent_labels(d, n)
             expected = euler_pairing(i, j, n)
-            images = _images(cell_side, i, j)
+            images = images_of(cell_side, i, j)
             images = images[np.lexsort(images.T[::-1])]
             if (
                 len(cell_side) == expected == len(bundle_side)
@@ -220,7 +229,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 }
     try:
         for i, j, k, fs, gs in quiver.blocks():
-            f_images, g_images = _images(fs, i, j), _images(gs, j, k)
+            f_images, g_images = images_of(fs, i, j), images_of(gs, j, k)
             for rows in row_chunks(fs, gs):
                 chunk = fs[rows]
                 table = quiver.compose(gs, chunk)

@@ -98,43 +98,6 @@ class HomElement:
         return self.steps
 
 
-@dataclass(frozen=True)
-class DeckElement:
-    """A translation of the covering torus: shift in (Z/(n+1))^n.
-
-    Entries are stored reduced to {0, ..., n}.
-    """
-
-    shift: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sh = tuple(int(v) for v in self.shift)
-        if not sh:
-            raise ValueError("shift must be nonempty")
-        mod = len(sh) + 1
-        object.__setattr__(self, "shift", tuple(v % mod for v in sh))
-
-    @property
-    def n(self) -> int:
-        return len(self.shift)
-
-    @property
-    def modulus(self) -> int:
-        return self.n + 1
-
-    @classmethod
-    def identity(cls, n: int) -> "DeckElement":
-        return cls((0,) * n)
-
-    def compose(self, other: "DeckElement") -> "DeckElement":
-        if self.n != other.n:
-            raise ValueError("deck elements must share a dimension")
-        return DeckElement(tuple(a + b for a, b in zip(self.shift, other.shift)))
-
-    def inverse(self) -> "DeckElement":
-        return DeckElement(tuple(-v for v in self.shift))
-
-
 def _reduce_offset(value: int, modulus: int) -> int:
     """Reduce an integer to its representative in {-(modulus-1), ..., 0}."""
     return -((-value) % modulus)
@@ -236,36 +199,6 @@ def compose(g: HomElement, f: HomElement) -> HomElement:
     if g.n != f.n:
         raise ValueError("morphisms must share a dimension")
     return HomElement(f.source, g.target, tuple(b + c for b, c in zip(f.steps, g.steps)))
-
-
-def identity_hom(level: int, n: int) -> HomElement:
-    """The identity morphism at a level: the zero multi-index."""
-    return HomElement(level, level, (0,) * n)
-
-
-def deck_translate(
-    alpha: DeckElement, x: Union[CellObject, HomElement]
-) -> Union[CellObject, HomElement]:
-    """Translate by a deck element.
-
-    Cells translate by adding the shift to their corner offset (reduced back
-    to the representative window {-n, ..., 0}); quotient morphisms are fixed,
-    because their multi-index records a difference of offsets, which a common
-    translation preserves — see `hom_from_cells`.
-    """
-    if isinstance(x, CellObject):
-        if alpha.n != x.n:
-            raise ValueError("deck element and cell must share a dimension")
-        period = x.n + 1
-        return CellObject(
-            x.level,
-            tuple(_reduce_offset(o + s, period) for o, s in zip(x.offset, alpha.shift)),
-        )
-    if isinstance(x, HomElement):
-        if alpha.n != x.n:
-            raise ValueError("deck element and morphism must share a dimension")
-        return x
-    raise TypeError(f"cannot translate object of type {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -482,7 +415,10 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
         before, after = entry.rsplit("[]", 1)
         rows = _json_items(["%d"] * basis.shape[1], basis, item_pad + "    ")
         homs.append("".join([item_pad, before, *_json_list([rows], item_pad + "  "), after]))
-    ranks = {key: np.unique(basis, axis=0, return_inverse=True)[1].ravel() for key, basis in q.hom_bases.items()}
+    # Keys of one degree share their array, so each distinct array is ranked once.
+    by_id = {id(basis): basis for basis in q.hom_bases.values()}
+    rank_of = {key: np.unique(basis, axis=0, return_inverse=True)[1].ravel() for key, basis in by_id.items()}
+    ranks = {key: rank_of[id(basis)] for key, basis in q.hom_bases.items()}
     comps = []
     for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
         table = q.compose(gs, fs)

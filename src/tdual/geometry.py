@@ -27,14 +27,17 @@ The seeded ones draw all their samples in one numpy call, row by row, which
 gives the numbers of one call per sample.
 
 The checks work on whole (samples x n) float64 arrays, and their reports are
-the ones a loop over samples with the scalar functions above would give, bit
-for bit.  numpy does only what IEEE 754 rounds exactly as Python floats do:
-+ - * /, sqrt, abs, floor and comparisons, in the per-sample order and
-grouping.  Row sums are column adds from left to right, which is the order of
-`sum` on Python 3.11 (3.12's `sum` compensates).  Every libm call stays a
-Python call per element: squares as `v ** 2` (libm `pow`, which can differ from
-v * v), and `cmath.exp`, `abs` of a complex (libm `hypot`) and `math.log`,
-whose numpy forms differ in the last bit.  Witnesses are the last sample of
+the ones a loop over samples with per-sample scalar functions would give, bit
+for bit.  Those scalar functions (`moment_map`, `fiber_radii_from_moment`,
+`mirror_coordinates` and their point types) live in the tests, as the
+references the array checks are compared against.  numpy does only what
+IEEE 754 rounds exactly as Python floats do: + - * /, sqrt, abs, floor and
+comparisons, in the per-sample order and grouping.  Row sums are column adds
+from left to right, which is the order of `sum` on Python 3.11 (3.12's `sum`
+compensates).  Every libm call stays a Python call per element: squares as
+`v ** 2` (libm `pow`, which can differ from v * v), and `cmath.exp`, `abs` of
+a complex (libm `hypot`) and `math.log`, whose numpy forms differ in the last
+bit.  Witnesses are the last sample of
 maximal deviation, the loop's `>=` rule.
 """
 from __future__ import annotations
@@ -42,14 +45,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .report import CheckReport
-
-# Relative tolerance for projective-point comparison after normalization.
-POINT_RTOL = 1e-12
 
 # The largest n whose two-form arithmetic stays finite.  Every value of the
 # form carries the factor (2 pi)^n.  check_two_form_algebra evaluates it on
@@ -60,91 +60,8 @@ MAX_N = int((sys.float_info.max_exp - 38) / math.log2(2 * math.pi))
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of complex projective n-space in homogeneous coordinates.
-
-    `homogeneous` holds n+1 complex entries, not all zero.  Two points are
-    compared after normalizing by the first nonzero coordinate.
-
-    >>> p = ProjectivePoint((2 + 0j, 2 + 0j))
-    >>> p.normalized().homogeneous
-    ((1+0j), (1+0j))
-    """
-
-    homogeneous: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(complex(c) for c in self.homogeneous)
-        if len(coords) < 2:
-            raise ValueError("need at least two homogeneous coordinates")
-        if all(c == 0 for c in coords):
-            raise ValueError("homogeneous coordinates must not all vanish")
-        object.__setattr__(self, "homogeneous", coords)
-
-    @property
-    def n(self) -> int:
-        return len(self.homogeneous) - 1
-
-    def normalized(self) -> "ProjectivePoint":
-        """Scale so the first nonzero coordinate becomes 1."""
-        pivot = next(c for c in self.homogeneous if c != 0)
-        return ProjectivePoint(tuple(c / pivot for c in self.homogeneous))
-
-    def same_point(self, other: "ProjectivePoint", rtol: float = POINT_RTOL) -> bool:
-        """Projective equality up to a relative tolerance."""
-        if self.n != other.n:
-            return False
-        a = np.array(self.normalized().homogeneous)
-        b = np.array(other.normalized().homogeneous)
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-        return bool(np.abs(a - b).max() <= rtol * scale)
-
-
-@dataclass(frozen=True)
-class MomentImage:
-    """A point x of the closed moment simplex {x_i >= 0, sum x_i <= 1}."""
-
-    x: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.x)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"moment coordinates must be nonnegative: {vals}")
-        if sum(vals) > 1 + 1e-15:
-            raise ValueError(f"moment coordinates must sum to at most 1: {vals}")
-        object.__setattr__(self, "x", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    def is_interior(self) -> bool:
-        return all(v > 0 for v in self.x) and sum(self.x) < 1
-
-
-@dataclass(frozen=True)
-class TorusFiber:
-    """Radii r of a fiber torus over an interior moment point; all r_j > 0."""
-
-    r: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.r)
-        if any(v <= 0 for v in vals):
-            raise ValueError(f"fiber radii must be positive: {vals}")
-        object.__setattr__(self, "r", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-
-@dataclass(frozen=True)
 class MirrorPoint:
-    """A point of the dual fibration: radii r with angles gamma in [0, 1)^n.
-
-    Its complex coordinates come from `mirror_coordinates`.
-    """
+    """A point of the dual fibration: radii r with angles gamma in [0, 1)^n."""
 
     r: tuple[float, ...]
     gamma: tuple[float, ...]
@@ -182,50 +99,6 @@ class TangentVector:
     @property
     def n(self) -> int:
         return len(self.y)
-
-
-def moment_map(p: ProjectivePoint) -> MomentImage:
-    """Image of a projective point under the torus moment map.
-
-    Returns (|z_1|^2, ..., |z_n|^2) / sum_{i=0}^{n} |z_i|^2.
-
-    >>> moment_map(ProjectivePoint((1, 1))).x
-    (0.5,)
-    >>> moment_map(ProjectivePoint((1, 1, 1))).x
-    (0.3333333333333333, 0.3333333333333333)
-    """
-    sq = [abs(c) ** 2 for c in p.homogeneous]
-    total = sum(sq)
-    return MomentImage(tuple(v / total for v in sq[1:]))
-
-
-def fiber_radii_from_moment(x: MomentImage) -> TorusFiber:
-    """Radii of the fiber torus over an interior moment point.
-
-    Inverts the restriction of the moment map to a fiber with all |z_j| = r_j
-    and z_0 = 1:  r_j = sqrt(x_j / (1 - sum_i x_i)).  Raises ValueError on the
-    boundary of the simplex, where the fiber degenerates.
-
-    >>> fiber_radii_from_moment(MomentImage((0.5,))).r
-    (1.0,)
-    """
-    if not x.is_interior():
-        raise ValueError(f"moment point must be interior to the simplex: {x.x}")
-    rest = 1.0 - sum(x.x)
-    return TorusFiber(tuple(math.sqrt(v / rest) for v in x.x))
-
-
-def mirror_coordinates(m: MirrorPoint) -> tuple[complex, ...]:
-    """Complex coordinates z_j = exp(-2 pi r_j^2/(1 + sum r_i^2) + 2 pi i gamma_j).
-
-    Each |z_j| lies in (0, 1), and -log|z_j| / (2 pi) recovers the j-th moment
-    coordinate of the underlying fiber.
-    """
-    s = sum(v * v for v in m.r)
-    return tuple(
-        cmath.exp(complex(-2 * math.pi * rj * rj / (1 + s), 2 * math.pi * gj))
-        for rj, gj in zip(m.r, m.gamma)
-    )
 
 
 def superpotential(z: tuple[complex, ...] | np.ndarray) -> complex:
@@ -330,9 +203,10 @@ def _require_positive_radii(r: np.ndarray) -> None:
 
 
 def _moment_of_radii(r: np.ndarray) -> np.ndarray:
-    """`moment_map` of the points [1 : r_1 : ... : r_n], one per row of r > 0.
+    """Moment map of the points [1 : r_1 : ... : r_n], one per row of r > 0.
 
-    |complex(r)| is r exactly, and its square is libm `pow`, as in the scalar map.
+    |complex(r)| is r exactly, and its square is libm `pow`, as in a scalar
+    map over the complex coordinates.
     """
     sq = np.array([v ** 2 for v in r.ravel().tolist()]).reshape(r.shape)
     return sq / _row_sums(sq, start=1.0)[:, None]
@@ -366,7 +240,7 @@ def _moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
 
 
 def check_moment_round_trip(n: int, tol: float) -> CheckReport:
-    """moment_map after fiber_radii_from_moment must be the identity.
+    """The moment map after the fiber radii r_j = sqrt(x_j / (1 - sum x)) must be the identity.
 
     An empty grid (n >= 20, where n * 0.05 >= 0.98) fails instead of passing.
     """
@@ -444,22 +318,28 @@ def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> Che
 
 
 def check_critical_points(n: int, residual_tol: float = 1e-10) -> CheckReport:
-    """Count, residuals, distinctness and values of the potential's critical points."""
+    """Count, residuals, distinctness and values of the potential's critical points.
+
+    Each value must have the modulus (n+1) e^{-2 pi/(n+1)} and equal W at its
+    point; the report holds the residuals, values and gap, not W itself.
+    """
     pts = superpotential_critical_points(n, residual_tol=residual_tol)
     ok = len(pts) == n + 1
     max_residual = 0.0
     expected_mag = (n + 1) * math.exp(-2 * math.pi / (n + 1))
-    value_dev = 0.0
+    value_dev = w_dev = 0.0
     for point, value in pts:
         grad = superpotential_gradient(point)
         max_residual = max(max_residual, math.sqrt(sum(abs(g) ** 2 for g in grad)))
         value_dev = max(value_dev, abs(abs(value) - expected_mag))
+        w_dev = max(w_dev, abs(superpotential(point) - value))
     min_gap = min(
         abs(pts[a][1] - pts[b][1])
         for a in range(len(pts))
         for b in range(a + 1, len(pts))
     )
-    ok = ok and max_residual < residual_tol and min_gap > 1e-6 and value_dev <= 1e-12 * expected_mag + 1e-15
+    value_tol = 1e-12 * expected_mag + 1e-15
+    ok = ok and max_residual < residual_tol and min_gap > 1e-6 and value_dev <= value_tol and w_dev <= value_tol
     return CheckReport(
         check="geometry.critical_points",
         parameters={"n": n, "residual_tol": residual_tol},

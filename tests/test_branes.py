@@ -1,4 +1,4 @@
-"""Tests for weighted sections, lifted potentials, flows and probes."""
+"""Tests for weighted sections, lifted potentials and separation probes."""
 from __future__ import annotations
 
 import math
@@ -8,32 +8,25 @@ import pytest
 
 from tdual import branes
 from tdual.branes import LiftedCell
+from tdual.geometry import MirrorPoint, TangentVector, symplectic_form_eval
+
+from test_branes_batch import section_gamma_unreduced, section_tangent_frame
 
 LOG2_OVER_2 = 0.34657359027997264
 
 
-def test_hermitian_weight_values():
-    assert branes.hermitian_weight(1, (1.0,)) == pytest.approx(0.5)
-    assert branes.hermitian_weight(2, (1.0,)) == pytest.approx(0.25)
-    assert branes.hermitian_weight(1, (1.0, 1.0)) == pytest.approx(1 / 3)
-    # negative level inverts the weight
-    assert branes.hermitian_weight(-2, (1.0,)) == pytest.approx(4.0)
-
-
 def test_section_gamma_symmetric_point():
-    assert branes.section_gamma(1, (1.0, 1.0)) == pytest.approx((1 / 3, 1 / 3))
-    assert branes.section_gamma_unreduced(3, (1.0, 1.0)) == pytest.approx((1.0, 1.0))
-    # reduction wraps the unreduced value into [0, 1)
-    assert branes.section_gamma(3, (1.0, 1.0)) == pytest.approx((0.0, 0.0))
+    assert section_gamma_unreduced(1, (1.0, 1.0)) == pytest.approx((1 / 3, 1 / 3))
+    assert section_gamma_unreduced(3, (1.0, 1.0)) == pytest.approx((1.0, 1.0))
 
 
 def test_section_gamma_linear_in_level():
     rng = np.random.default_rng(11)
     for _ in range(20):
         r = tuple(rng.uniform(0.3, 2.5, 3))
-        base = branes.section_gamma_unreduced(1, r)
+        base = section_gamma_unreduced(1, r)
         for k in (-4, -1, 2, 5):
-            scaled = branes.section_gamma_unreduced(k, r)
+            scaled = section_gamma_unreduced(k, r)
             assert scaled == pytest.approx(tuple(k * v for v in base))
 
 
@@ -72,20 +65,21 @@ def test_lifted_cell_validation():
 
 def test_lifted_cell_membership_and_barycenter():
     cell = LiftedCell(2, -3, (0, -1))
-    center = cell.barycenter()
-    assert center == pytest.approx((-1.0, -2.0))
-    assert cell.contains(center)
+    center = (-1.0, -2.0)  # the barycenter a + k/(n+1) * (1, ..., 1)
     slacks = cell.constraint_slacks(center)
     assert len(slacks) == 3
     assert min(slacks) > 0
+    cell.require_inside(center)
     # a face point has one zero slack
-    assert not cell.contains((0.0, -2.0))
+    assert sorted(cell.constraint_slacks((0.0, -2.0))) == [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="outside the open cell"):
+        cell.require_inside((0.0, -2.0))
 
 
 def test_gradient_vanishes_at_barycenter():
     for n, k in [(1, -1), (1, -2), (2, -3), (3, -2)]:
         cell = LiftedCell(n, k, (0,) * n)
-        g0 = np.asarray(cell.barycenter())
+        g0 = np.full(n, k / (n + 1))  # the barycenter a + k/(n+1) * (1, ..., 1) at a = 0
         h = 1e-6
         for i in range(n):
             delta = np.zeros(n)
@@ -105,7 +99,7 @@ def test_brane_log_radii_matches_section():
             r = rng.uniform(0.3, 2.0, n)
             # the level k section sits at gamma = k r^2/(1+|r|^2) (mod 1);
             # its standard lift into the cell with offset 0 is the same value
-            gamma = np.asarray(branes.section_gamma_unreduced(k, r))
+            gamma = np.asarray(section_gamma_unreduced(k, r))
             y = cell.brane_log_radii(gamma)
             assert y == pytest.approx(np.log(r), abs=1e-12)
 
@@ -145,7 +139,7 @@ def test_check_graph_margin_guard():
 
 
 def test_section_tangent_frame_shapes():
-    frame = branes.section_tangent_frame(2, -3, np.array([1.0, 2.0]))
+    frame = section_tangent_frame(2, -3, np.array([1.0, 2.0]))
     assert len(frame) == 2
     assert frame[0].y == pytest.approx((1.0, 0.0))
     assert frame[1].y == pytest.approx((0.0, 0.5))
@@ -164,30 +158,14 @@ def test_check_exactness_all_levels(n):
 
 def test_exactness_detects_wrong_angular_part():
     """A frame with a corrupted angular part must not look exact."""
-    from tdual.geometry import MirrorPoint, symplectic_form_eval
-
     r = np.array([0.8, 1.7])
-    frame = branes.section_tangent_frame(2, -2, r)
+    frame = section_tangent_frame(2, -2, r)
     bad = [
-        branes.TangentVector(v.y, tuple(2.0 * g for g in v.gamma)) if i == 0 else v
+        TangentVector(v.y, tuple(2.0 * g for g in v.gamma)) if i == 0 else v
         for i, v in enumerate(frame)
     ]
     base = MirrorPoint(tuple(r), (0.0, 0.0))
     assert abs(symplectic_form_eval(base, bad[0], bad[1])) > 1e-3
-
-
-def test_geodesic_flow_moves_angles_only():
-    y, gamma = branes.geodesic_flow((5.0,), (0.0,), 0.3)
-    assert y == (5.0,)
-    assert gamma == pytest.approx((0.3,))
-    y2, gamma2 = branes.geodesic_flow((3.0, 4.0), (0.1, 0.2), 0.5)
-    assert y2 == (3.0, 4.0)
-    assert gamma2 == pytest.approx((0.1 + 0.5 * 0.6, 0.2 + 0.5 * 0.8))
-
-
-def test_geodesic_flow_zero_covector():
-    with pytest.raises(ValueError):
-        branes.geodesic_flow((0.0, 0.0), (0.1, 0.2), 1.0)
 
 
 def test_wrap_to_half():

@@ -4,8 +4,10 @@ check_exactness takes a list of levels and shares one radii grid among them;
 every level's report must still equal its own per-point loop.
 
 The loops below evaluate one grid point at a time through the single-point
-API (section_tangent_frame, symplectic_form_eval, brane_log_radii,
-potential_value), exactly as the checks did before they were batched.  The
+API (section_tangent_frame, defined here, and symplectic_form_eval,
+brane_log_radii and potential_value), exactly as the checks did before they
+were batched.  section_gamma_unreduced, the level-k section itself, is the
+reference of test_branes.py.  The
 batch kernels promise the same arithmetic in the same order, so maximum
 deviations and witnesses must agree with `==`, not within a tolerance.
 """
@@ -19,7 +21,36 @@ import pytest
 
 from tdual import branes
 from tdual.branes import LiftedCell
-from tdual.geometry import MirrorPoint, symplectic_form_eval
+from tdual.geometry import MirrorPoint, TangentVector, symplectic_form_eval
+
+
+def section_gamma_unreduced(k: int, r: tuple[float, ...] | np.ndarray) -> tuple[float, ...]:
+    """Angular coefficients k * r_j^2 / (1 + sum r_i^2), before mod-1 reduction.
+
+    This is both the lift of the level-k section and the angular part of the
+    level-k connection; it is exactly k times the level-1 value.
+    """
+    rr = np.asarray(r, dtype=float)
+    s = (rr * rr).sum()
+    return tuple(float(v) for v in k * rr * rr / (1.0 + s))
+
+
+def section_tangent_frame(n: int, k: int, r: np.ndarray) -> list[TangentVector]:
+    """Tangent vectors of the level-k section along the radii directions.
+
+    The i-th frame vector is the image of d/dr_i under the parametrization
+    r -> (y = log r, gamma = k gamma^(1)(r)): its y-part is e_i / r_i and its
+    angular part is k * d(gamma^(1))/dr_i.
+    """
+    s = float((r * r).sum())
+    frame = []
+    for i in range(n):
+        y_part = np.zeros(n)
+        y_part[i] = 1.0 / r[i]
+        g_part = -2.0 * r[i] * r * r / (1.0 + s) ** 2
+        g_part[i] += 2.0 * r[i] / (1.0 + s)
+        frame.append(TangentVector(tuple(y_part), tuple(k * g_part)))
+    return frame
 
 
 def exactness_per_point(n, k, density, r_min=0.2, r_max=3.0):
@@ -28,7 +59,7 @@ def exactness_per_point(n, k, density, r_min=0.2, r_max=3.0):
     for r in itertools.product(axis, repeat=n):
         rr = np.asarray(r)
         base = MirrorPoint(tuple(rr), (0.0,) * n)
-        frame = branes.section_tangent_frame(n, k, rr)
+        frame = section_tangent_frame(n, k, rr)
         for i in range(n):
             for j in range(i + 1, n):
                 val = abs(symplectic_form_eval(base, frame[i], frame[j]))

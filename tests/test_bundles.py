@@ -57,7 +57,7 @@ def test_to_monomial_examples():
     assert bundles.to_monomial(HomElement(-2, -1, (0, 0))).exponents == (1, 0, 0)
     assert bundles.to_monomial(HomElement(-3, -1, (-1, -1))).exponents == (0, 1, 1)
     # identities map to the constant monomial
-    assert bundles.to_monomial(cells.identity_hom(-2, 3)).exponents == (0, 0, 0, 0)
+    assert bundles.to_monomial(HomElement(-2, -2, (0, 0, 0))).exponents == (0, 0, 0, 0)
 
 
 def test_to_monomial_is_homomorphism_spot():
@@ -298,7 +298,7 @@ def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
     """Bijection failures and bases that do not compose give the reference's report."""
     q = cells.quotient_quiver(2)
     if corruption == "backward":
-        q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 2).label])
+        q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0, 0)).label])
     elif corruption == "missing":
         q.hom_bases[(-3, -1)] = q.hom_bases[(-3, -1)][1:]
     elif corruption == "wide":
@@ -373,7 +373,7 @@ def test_verify_equivalence_rejects_corrupt_composition():
 
 def test_verify_equivalence_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 1).label])
+    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).label])
     rep = bundles.verify_equivalence(1, q)
     assert not rep.passed
     assert rep.witness["kind"] == "backward_hom"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tdual import bundles, cells
-from tdual.cells import CellObject, DeckElement, HomElement
+from tdual.cells import CellObject, HomElement
 
 
 def all_cells(n):
@@ -200,40 +200,24 @@ def test_composition_associative_sampled_n3():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_identity_units(n):
     for i in range(-n - 1, 0):
-        e = cells.identity_hom(i, n)
+        e = HomElement(i, i, (0,) * n)
         assert e.steps == (0,) * n
         for j in range(i, 0):
             for f in cells.hom_basis(i, j, n):
                 assert cells.compose(f, e) == f
-                ej = cells.identity_hom(j, n)
+                ej = HomElement(j, j, (0,) * n)
                 assert cells.compose(ej, f) == f
 
 
-def test_deck_group_laws():
-    n = 2
-    a = DeckElement((1, 2))
-    b = DeckElement((2, 2))
-    assert a.modulus == 3
-    assert a.compose(a.inverse()) == DeckElement.identity(n)
-    assert a.compose(b).shift == ((1 + 2) % 3, (2 + 2) % 3)
-    # the generator has order n+1
-    g = DeckElement((1, 0))
-    power = DeckElement.identity(n)
-    for _ in range(3):
-        power = power.compose(g)
-    assert power == DeckElement.identity(n)
-
-
-def test_deck_translate_cell():
-    c = CellObject(-2, (0, -2))
-    t = cells.deck_translate(DeckElement((1, 1)), c)
-    assert t.level == -2
-    assert t.offset == (-2, -1)  # 0+1 -> 1 ~ -2, -2+1 -> -1 (mod 3)
-
-
 def test_deck_translate_preserves_containment_and_homs():
+    """A common translation by a shift in (Z/(n+1))^n changes no containment and no hom."""
     n = 2
-    shifts = [DeckElement(s) for s in itertools.product(range(3), repeat=2)]
+
+    def translate(shift, c):
+        # offsets reduced back to the window {-n, ..., 0}
+        return CellObject(c.level, tuple(-((-(o + s)) % (n + 1)) for o, s in zip(c.offset, shift)))
+
+    shifts = list(itertools.product(range(3), repeat=2))
     pairs = [
         (outer, inner)
         for outer in all_cells(n)
@@ -242,21 +226,14 @@ def test_deck_translate_preserves_containment_and_homs():
     ]
     for alpha in shifts:
         for outer, inner in pairs:
-            t_outer = cells.deck_translate(alpha, outer)
-            t_inner = cells.deck_translate(alpha, inner)
+            t_outer = translate(alpha, outer)
+            t_inner = translate(alpha, inner)
             assert cells.cell_contains(outer, inner) == cells.cell_contains(
                 t_outer, t_inner
             )
             assert cells.hom_from_cells(outer, inner) == cells.hom_from_cells(
                 t_outer, t_inner
             )
-
-
-def test_deck_translate_fixes_morphisms():
-    e = HomElement(-2, -1, (-1, 0))
-    assert cells.deck_translate(DeckElement((1, 2)), e) == e
-    with pytest.raises(TypeError):
-        cells.deck_translate(DeckElement((1,)), "nonsense")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -372,7 +349,7 @@ def test_quiver_dims_and_hom_access():
 
 def test_strong_exceptionality_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = np.array([cells.identity_hom(-1, 1).label])  # planted junk
+    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).label])  # planted junk
     assert not cells.is_strong_exceptional(q)
 
 

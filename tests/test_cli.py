@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -322,3 +324,78 @@ def test_usage_error_on_bad_seed(seed, monkeypatch, capsys):
         cli.main(["geometry", "--n", "1"])
     assert err.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("tdual: error: TDUAL_SEED")
+
+
+# Functions of geometry.py and branes.py that no command enters.
+UNREACHED_ALLOWED = {
+    "symplectic_form_eval",  # named by the bench's TARGETS; goes with ROADMAP item 2
+    "MirrorPoint",  # the point type of symplectic_form_eval; goes with ROADMAP item 2
+    "TangentVector",  # the vector type of symplectic_form_eval; goes with ROADMAP item 2
+}
+
+
+def _defined_code(module):
+    """(qualified owner, code object) of every function and method defined in the module's file.
+
+    Nested functions count; comprehensions do not.  Dataclass-generated
+    dunders are compiled from "<string>", not from the module's file, and
+    drop out.
+    """
+    found = []
+
+    def walk(owner, code):
+        if code.co_filename != module.__file__:
+            return
+        if not code.co_name.startswith("<") or code.co_name == "<lambda>":
+            found.append((owner, code))
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(owner, const)
+
+    for obj in vars(module).values():
+        if isinstance(obj, types.FunctionType):
+            walk(obj.__qualname__, obj.__code__)
+        elif isinstance(obj, type) and obj.__module__ == module.__name__:
+            for attr in vars(obj).values():
+                attr = attr.fget if isinstance(attr, property) else attr
+                attr = attr.__func__ if isinstance(attr, (classmethod, staticmethod)) else attr
+                if isinstance(attr, types.FunctionType):
+                    walk(attr.__qualname__, attr.__code__)
+    return found
+
+
+def test_every_geometry_and_branes_function_is_reached(capsys):
+    """Code of geometry.py and branes.py that no command runs must not come back.
+
+    Runs each command at a small n in-process under a profile hook and
+    requires every function and method of the two modules to be entered.
+    """
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    runs = [
+        ["geometry", "--n", "2"],
+        ["branes", "--n", "2"],
+        ["verify", "--n", "2"],
+        ["quiver", "--n", "2"],
+        ["quiver", "--n", "2", "--format", "dot"],
+        ["oracle", "--n", "1"],
+    ]
+    sys.setprofile(hook)
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    defined = _defined_code(geometry) + _defined_code(branes)
+    assert len(defined) > 20
+    missing = [
+        f"{code.co_filename.rsplit('/', 1)[-1]}:{owner}:{code.co_name}"
+        for owner, code in defined
+        if code not in entered and owner.split(".")[0] not in UNREACHED_ALLOWED
+    ]
+    assert missing == []

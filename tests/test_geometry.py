@@ -4,64 +4,139 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from tdual import geometry
-from tdual.geometry import (
-    MirrorPoint,
-    MomentImage,
-    ProjectivePoint,
-    TangentVector,
-    fiber_radii_from_moment,
-    mirror_coordinates,
-    moment_map,
-    symplectic_form_eval,
-)
+from tdual.geometry import MirrorPoint, TangentVector, symplectic_form_eval
 from tdual.report import CheckReport
 
 E_MINUS_PI = 0.04321391826377226
 E_MINUS_2PI = 0.0018674427317079893
 
 
+# The per-sample scalar forms of the geometry checks.  The checks work on
+# whole sample arrays; these are the references they are compared against
+# bit for bit here and in test_acceptance.py.
+
+
+@dataclass(frozen=True)
+class ProjectivePoint:
+    """A point of complex projective n-space in homogeneous coordinates.
+
+    `homogeneous` holds n+1 complex entries, not all zero.
+
+    >>> ProjectivePoint((2, 2)).homogeneous
+    ((2+0j), (2+0j))
+    """
+
+    homogeneous: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        coords = tuple(complex(c) for c in self.homogeneous)
+        if len(coords) < 2:
+            raise ValueError("need at least two homogeneous coordinates")
+        if all(c == 0 for c in coords):
+            raise ValueError("homogeneous coordinates must not all vanish")
+        object.__setattr__(self, "homogeneous", coords)
+
+
+@dataclass(frozen=True)
+class MomentImage:
+    """A point x of the closed moment simplex {x_i >= 0, sum x_i <= 1}."""
+
+    x: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        vals = tuple(float(v) for v in self.x)
+        if any(v < 0 for v in vals):
+            raise ValueError(f"moment coordinates must be nonnegative: {vals}")
+        if sum(vals) > 1 + 1e-15:
+            raise ValueError(f"moment coordinates must sum to at most 1: {vals}")
+        object.__setattr__(self, "x", vals)
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
+
+    def is_interior(self) -> bool:
+        return all(v > 0 for v in self.x) and sum(self.x) < 1
+
+
+def moment_map(p: ProjectivePoint) -> MomentImage:
+    """Image of a projective point under the torus moment map.
+
+    Returns (|z_1|^2, ..., |z_n|^2) / sum_{i=0}^{n} |z_i|^2.
+
+    >>> moment_map(ProjectivePoint((1, 1))).x
+    (0.5,)
+    >>> moment_map(ProjectivePoint((1, 1, 1))).x
+    (0.3333333333333333, 0.3333333333333333)
+    """
+    sq = [abs(c) ** 2 for c in p.homogeneous]
+    total = sum(sq)
+    return MomentImage(tuple(v / total for v in sq[1:]))
+
+
+def fiber_radii_from_moment(x: MomentImage) -> tuple[float, ...]:
+    """Radii of the fiber torus over an interior moment point.
+
+    Inverts the restriction of the moment map to a fiber with all |z_j| = r_j
+    and z_0 = 1:  r_j = sqrt(x_j / (1 - sum_i x_i)).  Raises ValueError on the
+    boundary of the simplex, where the fiber degenerates.
+
+    >>> fiber_radii_from_moment(MomentImage((0.5,)))
+    (1.0,)
+    """
+    if not x.is_interior():
+        raise ValueError(f"moment point must be interior to the simplex: {x.x}")
+    rest = 1.0 - sum(x.x)
+    return tuple(math.sqrt(v / rest) for v in x.x)
+
+
+def mirror_coordinates(m: MirrorPoint) -> tuple[complex, ...]:
+    """Complex coordinates z_j = exp(-2 pi r_j^2/(1 + sum r_i^2) + 2 pi i gamma_j).
+
+    Each |z_j| lies in (0, 1), and -log|z_j| / (2 pi) recovers the j-th moment
+    coordinate of the underlying fiber.
+    """
+    s = sum(v * v for v in m.r)
+    return tuple(
+        cmath.exp(complex(-2 * math.pi * rj * rj / (1 + s), 2 * math.pi * gj))
+        for rj, gj in zip(m.r, m.gamma)
+    )
+
+
 def test_projective_point_validation():
     with pytest.raises(ValueError):
-        geometry.ProjectivePoint((1.0 + 0j,))
+        ProjectivePoint((1.0 + 0j,))
     with pytest.raises(ValueError):
-        geometry.ProjectivePoint((0j, 0j))
-
-
-def test_projective_point_scaling_invariance():
-    p = geometry.ProjectivePoint((1 + 0j, 2j, -1 + 1j))
-    q = geometry.ProjectivePoint((3 - 1j, 2 + 6j, -2 + 4j))  # p scaled by 3 - i
-    assert p.same_point(q)
-    assert q.same_point(p)
-    r = geometry.ProjectivePoint((1 + 0j, 2j, -1 + 1.001j))
-    assert not p.same_point(r)
+        ProjectivePoint((0j, 0j))
 
 
 def test_moment_map_center_and_boundary():
-    center = geometry.moment_map(geometry.ProjectivePoint((1 + 0j, 1 + 0j, 1 + 0j)))
+    center = moment_map(ProjectivePoint((1 + 0j, 1 + 0j, 1 + 0j)))
     assert center.x == pytest.approx((1 / 3, 1 / 3))
     assert center.is_interior()
-    edge = geometry.moment_map(geometry.ProjectivePoint((1 + 0j, 0j)))
+    edge = moment_map(ProjectivePoint((1 + 0j, 0j)))
     assert edge.x == pytest.approx((0.0,))
     assert not edge.is_interior()
 
 
 def test_moment_image_validation():
     with pytest.raises(ValueError):
-        geometry.MomentImage((-0.1,))
+        MomentImage((-0.1,))
     with pytest.raises(ValueError):
-        geometry.MomentImage((0.7, 0.7))
+        MomentImage((0.7, 0.7))
 
 
 def test_fiber_radii_unit_at_symmetric_point():
-    fiber = geometry.fiber_radii_from_moment(geometry.MomentImage((0.5,)))
-    assert fiber.r == pytest.approx((1.0,))
+    fiber = fiber_radii_from_moment(MomentImage((0.5,)))
+    assert fiber == pytest.approx((1.0,))
     with pytest.raises(ValueError):
-        geometry.fiber_radii_from_moment(geometry.MomentImage((0.0,)))
+        fiber_radii_from_moment(MomentImage((0.0,)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -73,11 +148,11 @@ def test_moment_fiber_round_trip(n):
         if sum(x) >= 0.95:
             continue
         count += 1
-        fiber = geometry.fiber_radii_from_moment(geometry.MomentImage(x))
-        point = geometry.ProjectivePoint(
-            (1 + 0j,) + tuple(complex(r) for r in fiber.r)
+        fiber = fiber_radii_from_moment(MomentImage(x))
+        point = ProjectivePoint(
+            (1 + 0j,) + tuple(complex(r) for r in fiber)
         )
-        back = geometry.moment_map(point)
+        back = moment_map(point)
         assert max(abs(a - b) for a, b in zip(back.x, x)) < 1e-12
     assert count > 0
 
@@ -89,9 +164,9 @@ def test_mirror_modulus_matches_moment_coordinate(n):
     for _ in range(200):
         r = tuple(rng.uniform(0.2, 3.0, n))
         gamma = tuple(rng.uniform(0.0, 1.0, n))
-        z = geometry.mirror_coordinates(geometry.MirrorPoint(r, gamma))
-        base = geometry.ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in r))
-        phi = geometry.moment_map(base).x
+        z = mirror_coordinates(geometry.MirrorPoint(r, gamma))
+        base = ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in r))
+        phi = moment_map(base).x
         for zj, pj in zip(z, phi):
             assert abs(-math.log(abs(zj)) / (2 * math.pi) - pj) < 1e-12
 
@@ -99,14 +174,14 @@ def test_mirror_modulus_matches_moment_coordinate(n):
 def test_mirror_coordinates_at_unit_radii():
     # r = (1, 1), gamma = 0: each z_j = exp(-2 pi / 3)
     point = geometry.MirrorPoint((1.0, 1.0), (0.0, 0.0))
-    z = geometry.mirror_coordinates(point)
+    z = mirror_coordinates(point)
     expected = math.exp(-2 * math.pi / 3)
     assert z == pytest.approx((expected, expected))
 
 
 def test_mirror_coordinate_phase():
     point = geometry.MirrorPoint((1.0,), (0.25,))
-    (z,) = geometry.mirror_coordinates(point)
+    (z,) = mirror_coordinates(point)
     assert z.real == pytest.approx(0.0, abs=1e-15)
     assert z.imag == pytest.approx(math.exp(-math.pi))
     assert abs(z) == pytest.approx(E_MINUS_PI)
@@ -156,6 +231,21 @@ def test_critical_values_n1_are_plus_minus_two_e_minus_pi():
     values = sorted(v.real for _, v in geometry.superpotential_critical_points(1))
     assert values[0] == pytest.approx(-2 * E_MINUS_PI)
     assert values[1] == pytest.approx(2 * E_MINUS_PI)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_critical_values_are_checked_against_w(n, monkeypatch):
+    """Values rotated by a root of unity keep their modulus and stay distinct,
+    so only W at each point tells them from the true critical values."""
+    pts = geometry.superpotential_critical_points(n)
+    root = cmath.exp(2j * math.pi / (n + 1))
+    rotated = [(point, value * root) for point, value in pts]
+    monkeypatch.setattr(geometry, "superpotential_critical_points", lambda n, residual_tol: rotated)
+    rep = geometry.check_critical_points(n)
+    assert rep.witness["min_value_gap"] > 1e-6
+    assert not rep.passed
+    monkeypatch.undo()
+    assert geometry.check_critical_points(n).passed
 
 
 def test_critical_point_residual_gate():
@@ -221,8 +311,8 @@ def test_mirror_point_stores_angles_mod_one():
     p = geometry.MirrorPoint((1.0,), (1.75,))
     q = geometry.MirrorPoint((1.0,), (-0.25,))
     assert p.gamma == pytest.approx(q.gamma)
-    (zp,) = geometry.mirror_coordinates(p)
-    (zq,) = geometry.mirror_coordinates(q)
+    (zp,) = mirror_coordinates(p)
+    (zq,) = mirror_coordinates(q)
     assert abs(zp - zq) < 1e-15
 
 
@@ -247,7 +337,7 @@ def _reference_moment_round_trip(n: int, tol: float) -> CheckReport:
     for x in grid:
         image = MomentImage(x)
         fiber = fiber_radii_from_moment(image)
-        point = ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber.r))
+        point = ProjectivePoint((1.0 + 0j,) + tuple(complex(r) for r in fiber))
         back = moment_map(point)
         dev = max(abs(a - b) for a, b in zip(back.x, image.x))
         if dev >= max_dev:
@@ -363,7 +453,7 @@ def test_seeded_checks_fail_on_zero_samples():
 
 @pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.7)])
 def test_moment_round_trip_rejects_a_boundary_point(point, monkeypatch):
-    """The array form keeps fiber_radii_from_moment's interior test."""
+    """The array form keeps the interior test of fiber_radii_from_moment above."""
     monkeypatch.setattr(geometry, "_moment_grid", lambda n: [(0.2, 0.3), point])
     with pytest.raises(ValueError, match="interior to the simplex"):
         geometry.check_moment_round_trip(2, 1e-12)
