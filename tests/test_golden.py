@@ -44,6 +44,7 @@ GOLDEN = {
     "quiver --n 5 --format dot": "0d58910af3b7a2293594c533756d34104054b932683808bbbb66ad200d7a3197",
     "oracle --n 2 --epsilon 3/13": "447b847ec041132d7d8543d9ac7c31b513161d6073fa36a423beb0728220524b",
     "oracle --n 2 --epsilon 1/1000": "0fcc313413c1dd7ad9de3c0cc4c4e38982cad8b845106dcd26402bae162ea18d",
+    "quiver --n 6": "8fcc52ada3aa294414bcc85bb6d4ec4ff39c894c028f85e18086fba62df029b0",
 }
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
