@@ -26,6 +26,7 @@ which `line_bundle_quiver` shares, read-only, among the keys of that degree.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -171,11 +172,14 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     lexicographically, are pairwise distinct and equal the monomial array;
     it is computed once per distinct (cell array, degree), since the keys of
     one degree share their array, and only a passing result is reused.  The
-    images of each distinct (cell array, degree) are computed once, for both
-    checks.  The witness is the first failure with keys and blocks in
-    `hom_bases` order, f outer and g inner; a composite outside its hom space
-    ends the walk there.  A prebuilt (possibly corrupted) cell quiver may be passed in; by
-    default the canonical one for `n` is built.
+    composition check needs only the images' degrees j - i + sum(b), since
+    their exponents are the negated labels: it keeps the degrees of each
+    distinct (cell array, degree) from the first block that uses them to the
+    last, and holds no image array.  The witness is the first failure with
+    keys and blocks in `hom_bases` order, f outer and g inner; a composite
+    outside its hom space ends the walk there.  A prebuilt (possibly
+    corrupted) cell quiver may be passed in; by default the canonical one
+    for `n` is built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
@@ -186,13 +190,20 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     ok = True
     levels = quiver.levels
     bijective = {}  # (id, degree) of each cell array that passed -> that array, which keeps its id unique
-    memo = {}  # (id, degree) of each cell array -> (that array, its images)
+    uses = collections.Counter()  # (id, degree) of each cell array -> the blocks still to use it
+    for i, j, k, fs, gs in quiver.blocks():
+        uses[id(fs), j - i] += 1
+        uses[id(gs), k - j] += 1
+    memo = {}  # (id, degree) of each cell array -> (that array, its image degrees), until its last block
 
-    def images_of(steps: np.ndarray, i: int, j: int) -> np.ndarray:
+    def degrees_of(steps: np.ndarray, i: int, j: int) -> np.ndarray:
+        """The first column of `_images(steps, i, j)`, memoised from its first block to its last."""
         key = (id(steps), j - i)
-        if key not in memo:
-            memo[key] = (steps, _images(steps, i, j))
-        return memo[key][1]
+        _, degrees = memo.pop(key, None) or (steps, steps.sum(axis=-1) + (j - i))
+        uses[key] -= 1
+        if uses[key]:
+            memo[key] = (steps, degrees)
+        return degrees
 
     for i in levels:
         for j in levels:
@@ -209,7 +220,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 continue
             bundle_side = exponent_labels(d, n)
             expected = euler_pairing(i, j, n)
-            images = images_of(cell_side, i, j)
+            images = _images(cell_side, i, j)
             images = images[np.lexsort(images.T[::-1])]
             if (
                 len(cell_side) == expected == len(bundle_side)
@@ -229,19 +240,18 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 }
     try:
         for i, j, k, fs, gs in quiver.blocks():
-            f_images, g_images = images_of(fs, i, j), images_of(gs, j, k)
+            f_degrees, g_degrees = degrees_of(fs, i, j), degrees_of(gs, j, k)
             for rows in row_chunks(fs, gs):
                 chunk = fs[rows]
                 table = quiver.compose(gs, chunk)
                 sums = table.sum(axis=-1)
                 # Composites outside hom(i, k) end the walk, as HomElement did.
                 outside = ((table > 0).any(axis=-1) | (sums < i - k)).ravel()
-                # The image (k - i + sum, -steps) of g∘f must be the sum of the images.
-                expected = f_images[rows, None] + g_images[None]
-                wrong = k - i + sums != expected[..., 0]
-                # Negate the exponent part in place, so the check needs no third array.
-                steps = np.negative(expected[..., 1:], out=expected[..., 1:])
-                wrong = (wrong | (table != steps).any(axis=-1)).ravel()
+                # The image (k - i + sum, -steps) of g∘f must be the sum of the images: their
+                # degrees add, and their exponents, the negated labels, add as the labels do.
+                wrong = k - i + sums != f_degrees[rows, None] + g_degrees[None]
+                expected = np.add(chunk[:, None], gs[None])
+                wrong = (wrong | (table != expected).any(axis=-1)).ravel()
                 stop = int(outside.argmax()) if outside.any() else outside.size
                 compositions_checked += stop
                 failures = np.flatnonzero(wrong[:stop])
@@ -253,7 +263,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                         "f": {"source": i, "target": j, "steps": chunk[r].tolist()},
                         "g": {"source": j, "target": k, "steps": gs[c].tolist()},
                         "table_result": table[r, c].tolist(),
-                        "expected_exponents": (f_images[rows][r] + g_images[c]).tolist(),
+                        "expected_exponents": (_images(chunk[r : r + 1], i, j) + _images(gs[c : c + 1], j, k))[0].tolist(),
                     }
                 if stop < outside.size:
                     r, c = divmod(stop, len(gs))

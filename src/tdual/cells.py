@@ -33,6 +33,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 CHUNK_ENTRIES = 1 << 18  # cap on the entries of one temporary array in a block walk
+PIECE_ITEMS = 128  # cap on the compositions in one piece of the JSON export
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,13 @@ def hom_from_cells(outer: CellObject, inner: CellObject) -> Union[HomElement, No
 def hom_labels(d: int, n: int) -> np.ndarray:
     """Labels of a hom space of degree d = j - i: every b <= 0 with sum(b) >= -d, in lexicographic order.
 
-    An int64 array of shape (binomial(d + n, n), n), empty for d < 0.  Stars
-    and bars: the n bars of each combination of d + n slots leave n gaps
-    before them, with sum at most d, and b is the negated gaps.
-    Combinations come in lexicographic order, which is the reverse of
-    their labels' order.
+    An int64 array of shape (binomial(d + n, n), n), empty for d < 0.  Each
+    label is the run of differences b_l = c_(l-1) - c_l of a nondecreasing
+    sequence 0 = c_0 <= c_1 <= ... <= c_n <= d.  Those sequences are the
+    first binomial(d + n, n) multisets of size n + 1 from range(d + 1), the
+    ones that contain 0, and they come in lexicographic order, which is the
+    reverse of their labels' order.  Only the sequences and the labels are
+    held as arrays.
 
     >>> hom_labels(1, 2).tolist()
     [[-1, 0], [0, -1], [0, 0]]
@@ -167,9 +170,9 @@ def hom_labels(d: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     count = math.comb(max(d + n, 0), n)
-    bars = itertools.chain.from_iterable(itertools.combinations(range(d + n), n))
-    gaps = np.diff(np.fromiter(bars, dtype=np.int64, count=count * n).reshape(count, n)[::-1], prepend=-1)
-    return np.subtract(1, gaps, out=gaps)
+    runs = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d + 1), n + 1))
+    runs = np.fromiter(runs, dtype=np.int64, count=count * (n + 1)).reshape(count, n + 1)[::-1]
+    return np.subtract(runs[:, :-1], runs[:, 1:])
 
 
 def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
@@ -365,22 +368,23 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
     }
 
 
-def _json_items(item: object, rows: np.ndarray, pad: str) -> str:
-    """The items of an indent=2 JSON list: one copy of `item` per row of `rows`.
+def _label_texts(labels: np.ndarray, pad: str) -> np.ndarray:
+    """The indent=2 JSON list text of each row of `labels`, as an object array.
 
-    Each "%d" string in `item` stands for the next entry of the row.  `pad`
-    is a newline and the items' indentation; every item starts with it, and
-    items are joined by commas.  One %-template formats every row, so no
-    integer passes through json's encoder.
+    `pad` is a newline and the indentation of the line each list starts on.
     """
-    template = pad + json.dumps(item, indent=2).replace("\n", pad).replace('"%d"', "%d")
-    return ",".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+    sep = "," + pad + "  "
+    texts = np.empty(len(labels), dtype=object)
+    texts[:] = ["[" + pad + "  " + sep.join(map(str, row)) + pad + "]" if row else "[]" for row in labels.tolist()]
+    return texts
 
 
 def _json_list(pieces: list[str], pad: str) -> list[str]:
-    """An indent=2 JSON list of item texts from `_json_items`, as parts to join.
+    """An indent=2 JSON list from runs of its item texts, as parts to join.
 
-    `pad` is a newline and the indentation of the list's own line.
+    Each item starts with its newline and indentation, and the items of one
+    run are joined by commas.  `pad` is a newline and the indentation of the
+    list's own line.
     """
     items = [part for piece in pieces if piece for part in (",", piece)][1:]
     return ["[", *items, pad + "]"] if items else ["[]"]
@@ -394,6 +398,18 @@ def _pair_order(f_rank: np.ndarray, g_rank: np.ndarray) -> np.ndarray:
     return np.lexsort((np.tile(g_rank, len(f_rank)), np.repeat(f_rank, len(g_rank))))
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and the index of each row among them."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1]).any(axis=1, out=starts[1:])
+    groups = np.empty(len(rows), dtype=np.intp)
+    groups[order] = np.cumsum(starts) - 1
+    return ordered[starts], groups
+
+
 def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
     """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
 
@@ -402,33 +418,58 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
-    The compositions are written block by block, in (i, j, k) order, with
-    each block's pairs sorted by (f, g), which is `quiver_to_dict`'s order.
-    A compose rule that raises ValueError raises here too.
+    Each distinct label of a basis array is rendered once as its JSON list
+    text (`_label_texts`).  A basis is written by gathering its rows' texts;
+    the compositions are written block by block, in (i, j, k) order, with
+    each block's pairs sorted by (f, g), which is `quiver_to_dict`'s order,
+    as constant key strings around the gathered texts of f, g and g∘f.  The
+    composites come from `q.compose` and are grouped by a sort; when they
+    are the labels of hom(i, k) their texts are gathered too, and otherwise
+    each distinct composite is rendered once for its block.  A compose rule
+    that raises ValueError raises here too.
     """
     key_pad, item_pad = pad + "  ", pad + "    "
+    row_pad = item_pad + "    "
     head = {"n": q.n, "objects": [f"{prefix}({level})" for level in q.levels], "homs": [], "compositions": []}
     start, middle, end = json.dumps(head, indent=2).replace("\n", pad).rsplit("[]", 2)
+    # Keys of one degree share their array, so each distinct array is sorted and rendered once.
+    labels_of, rank_of = {}, {}  # id of a basis -> its distinct labels in order, and each row's rank among them
+    for basis in q.hom_bases.values():
+        if id(basis) not in labels_of:
+            labels_of[id(basis)], rank = np.unique(basis, axis=0, return_inverse=True)
+            rank_of[id(basis)] = rank.ravel()
+    # Entry templates from json itself; "%d" stands for a level, "[]" for a list.
+    entry = json.dumps({"i": "%d", "j": "%d", "basis": []}, indent=2)
+    before, after = (item_pad + entry.replace("\n", item_pad).replace('"%d"', "%d")).split("[]")
+    item = json.dumps({"i": "%d", "j": "%d", "k": "%d", "f": [], "g": [], "gf": []}, indent=2)
+    levels, middle_f, middle_g, tail = (item_pad + item.replace("\n", item_pad).replace('"%d"', "%d")).split("[]")
     homs = []
+    rows_of = {key: row_pad + _label_texts(labels, row_pad) for key, labels in labels_of.items()}
     for (i, j), basis in sorted(q.hom_bases.items()):
-        entry = json.dumps({"i": i, "j": j, "basis": []}, indent=2).replace("\n", item_pad)
-        before, after = entry.rsplit("[]", 1)
-        rows = _json_items(["%d"] * basis.shape[1], basis, item_pad + "    ")
-        homs.append("".join([item_pad, before, *_json_list([rows], item_pad + "  "), after]))
-    # Keys of one degree share their array, so each distinct array is ranked once.
-    by_id = {id(basis): basis for basis in q.hom_bases.values()}
-    rank_of = {key: np.unique(basis, axis=0, return_inverse=True)[1].ravel() for key, basis in by_id.items()}
-    ranks = {key: rank_of[id(basis)] for key, basis in q.hom_bases.items()}
+        rows = ",".join(rows_of[id(basis)][rank_of[id(basis)]].tolist())
+        homs.append("".join([before % (i, j), *_json_list([rows], item_pad + "  "), after]))
+    del rows_of
+    texts = {key: _label_texts(labels, item_pad + "  ") for key, labels in labels_of.items()}
     comps = []
     for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
         table = q.compose(gs, fs)
-        order = _pair_order(ranks[i, j], ranks[j, k])
-        rows = np.concatenate(
-            [fs[order // len(gs)], gs[order % len(gs)], table.reshape(len(order), table.shape[-1])[order]],
-            axis=1,
-        )
-        labels = {"f": ["%d"] * fs.shape[1], "g": ["%d"] * gs.shape[1], "gf": ["%d"] * table.shape[-1]}
-        comps.append(_json_items({"i": i, "j": j, "k": k, **labels}, rows, item_pad))
+        f_rank, g_rank = rank_of[id(fs)], rank_of[id(gs)]
+        order = _pair_order(f_rank, g_rank)
+        composites, groups = _group_rows(table.reshape(len(order), table.shape[-1]))
+        target = q.hom_bases.get((i, k))
+        if target is not None and np.array_equal(composites, labels_of[id(target)]):
+            gf_texts = texts[id(target)]
+        else:
+            gf_texts = _label_texts(composites, item_pad + "  ")
+        opening = levels % (i, j, k)
+        for first in range(0, len(order), PIECE_ITEMS):
+            pairs = order[first : first + PIECE_ITEMS]
+            parts = ["," + opening, "", middle_f, "", middle_g, "", tail] * len(pairs)
+            parts[0] = opening
+            parts[1::7] = texts[id(fs)][f_rank[pairs // len(gs)]].tolist()
+            parts[3::7] = texts[id(gs)][g_rank[pairs % len(gs)]].tolist()
+            parts[5::7] = gf_texts[groups[pairs]].tolist()
+            comps.append("".join(parts))
     return [start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end]
 
 

@@ -308,7 +308,7 @@ def test_quotient_quiver_bases_match_recursive_reference(n):
     levels = range(-n - 1, 0)
     assert list(q.hom_bases) == [(i, j) for i in levels for j in levels if i <= j]
     for (i, j), basis in q.hom_bases.items():
-        assert basis.dtype == "int64"
+        assert basis.dtype == "int64" and basis.flags.c_contiguous
         assert basis.tolist() == [list(steps) for steps in _step_vectors(n, i - j)]
 
 
@@ -436,10 +436,58 @@ def _assert_json_matches(q, prefix):
         assert spliced == json.dumps(embed(d), indent=2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("build, prefix", [(cells.quotient_quiver, "U"), (bundles.line_bundle_quiver, "O")])
 def test_quiver_json_matches_json_dumps(n, build, prefix):
     _assert_json_matches(build(n), prefix)
+
+
+@pytest.mark.parametrize("items", [1, 2, 5])
+def test_quiver_json_splits_blocks_into_pieces(items, monkeypatch):
+    """Blocks cut into pieces of at most `items` compositions still join to the same text."""
+    monkeypatch.setattr(cells, "PIECE_ITEMS", items)
+    q = cells.quotient_quiver(3)
+    pieces = cells.quiver_json(q, "U")
+    assert max(piece.count('"gf"') for piece in pieces) == items
+    _assert_json_matches(q, "U")
+
+
+def _scrambled(gs, fs):
+    """Composites outside every basis, with multi-digit entries of both signs, repeated within a block."""
+    table = cells.compose_block(gs, fs) // 2
+    table[..., 0] = table[..., 0] * 1000 - 17
+    table[..., -1] = 4321 - table[..., -1] * 11
+    return table
+
+
+def test_quiver_json_writes_planted_composites_as_the_rule_returns_them():
+    q = cells.Quiver(n=3, hom_bases=cells.quotient_quiver(3).hom_bases, compose=_scrambled)
+    tables = [_scrambled(gs, fs).reshape(-1, 3) for *_, fs, gs in q.blocks()]
+    assert any(len(np.unique(table, axis=0)) < len(table) for table in tables)
+    assert all((table[:, -1] > 0).all() and (table[:, 0] < -9).all() for table in tables)
+    text = "".join(cells.quiver_json(q, "U"))
+    assert "-2017," in text and "4343\n" in text
+    _assert_json_matches(q, "U")
+
+
+@pytest.mark.parametrize("label", [[-5, 12], [0, 0]])
+def test_quiver_json_with_one_composite_per_block(label):
+    """Every pair of a block composes to one label, inside hom(i, k) or not."""
+    q = cells.quotient_quiver(2)
+    q.compose = lambda gs, fs: np.broadcast_to(np.array(label), (len(fs), len(gs), 2)).copy()
+    _assert_json_matches(q, "U")
+
+
+def test_quiver_json_with_empty_bases_among_composable_ones():
+    """A zero-row basis writes an empty list and takes part in no block; a block may target one."""
+    q = cells.quotient_quiver(2)
+    q.hom_bases[(-3, -2)] = np.empty((0, 2), dtype=np.int64)
+    q.hom_bases[(-2, -1)] = np.empty((0, 2), dtype=np.int64)
+    q.hom_bases[(-3, -1)] = np.empty((0, 2), dtype=np.int64)
+    assert [block[:3] for block in q.blocks()] == [(-3, -3, -3), (-2, -2, -2), (-1, -1, -1)]
+    q.hom_bases[(-2, -1)] = cells.quotient_quiver(2).hom_bases[(-2, -1)]
+    assert (-2, -2, -1) in [block[:3] for block in q.blocks()]
+    _assert_json_matches(q, "U")
 
 
 def test_quiver_json_sorts_shuffled_bases():
