@@ -263,7 +263,9 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                         "f": {"source": i, "target": j, "steps": chunk[r].tolist()},
                         "g": {"source": j, "target": k, "steps": gs[c].tolist()},
                         "table_result": table[r, c].tolist(),
-                        "expected_exponents": (_images(chunk[r : r + 1], i, j) + _images(gs[c : c + 1], j, k))[0].tolist(),
+                        "expected_exponents": (
+                            _images(chunk[r : r + 1], i, j) + _images(gs[c : c + 1], j, k)
+                        )[0].tolist(),
                     }
                 if stop < outside.size:
                     r, c = divmod(stop, len(gs))

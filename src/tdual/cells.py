@@ -414,7 +414,8 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
     """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
 
     The text comes as a list of pieces to join or write in turn, so no
-    joined copy of the whole export is made.
+    joined copy of the whole export is made, and a piece holds at most
+    PIECE_ITEMS compositions, so writing one piece copies little of it.
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
@@ -438,16 +439,18 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
         if id(basis) not in labels_of:
             labels_of[id(basis)], rank = np.unique(basis, axis=0, return_inverse=True)
             rank_of[id(basis)] = rank.ravel()
-    # Entry templates from json itself; "%d" stands for a level, "[]" for a list.
-    entry = json.dumps({"i": "%d", "j": "%d", "basis": []}, indent=2)
-    before, after = (item_pad + entry.replace("\n", item_pad).replace('"%d"', "%d")).split("[]")
-    item = json.dumps({"i": "%d", "j": "%d", "k": "%d", "f": [], "g": [], "gf": []}, indent=2)
-    levels, middle_f, middle_g, tail = (item_pad + item.replace("\n", item_pad).replace('"%d"', "%d")).split("[]")
+
+    def template(entry: dict) -> list[str]:
+        """The text of a list item `entry` from json itself, split at each "[]"; "%d" stands for a level."""
+        return (item_pad + json.dumps(entry, indent=2).replace("\n", item_pad).replace('"%d"', "%d")).split("[]")
+
+    entry_head, entry_tail = template({"i": "%d", "j": "%d", "basis": []})
+    item_head, middle_f, middle_g, item_tail = template({"i": "%d", "j": "%d", "k": "%d", "f": [], "g": [], "gf": []})
     homs = []
     rows_of = {key: row_pad + _label_texts(labels, row_pad) for key, labels in labels_of.items()}
     for (i, j), basis in sorted(q.hom_bases.items()):
         rows = ",".join(rows_of[id(basis)][rank_of[id(basis)]].tolist())
-        homs.append("".join([before % (i, j), *_json_list([rows], item_pad + "  "), after]))
+        homs.append("".join([entry_head % (i, j), *_json_list([rows], item_pad + "  "), entry_tail]))
     del rows_of
     texts = {key: _label_texts(labels, item_pad + "  ") for key, labels in labels_of.items()}
     comps = []
@@ -461,10 +464,10 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
             gf_texts = texts[id(target)]
         else:
             gf_texts = _label_texts(composites, item_pad + "  ")
-        opening = levels % (i, j, k)
+        opening = item_head % (i, j, k)
         for first in range(0, len(order), PIECE_ITEMS):
             pairs = order[first : first + PIECE_ITEMS]
-            parts = ["," + opening, "", middle_f, "", middle_g, "", tail] * len(pairs)
+            parts = ["," + opening, "", middle_f, "", middle_g, "", item_tail] * len(pairs)
             parts[0] = opening
             parts[1::7] = texts[id(fs)][f_rank[pairs // len(gs)]].tolist()
             parts[3::7] = texts[id(gs)][g_rank[pairs % len(gs)]].tolist()
