@@ -45,6 +45,7 @@ GOLDEN = {
     "oracle --n 2 --epsilon 3/13": "447b847ec041132d7d8543d9ac7c31b513161d6073fa36a423beb0728220524b",
     "oracle --n 2 --epsilon 1/1000": "0fcc313413c1dd7ad9de3c0cc4c4e38982cad8b845106dcd26402bae162ea18d",
     "quiver --n 6": "8fcc52ada3aa294414bcc85bb6d4ec4ff39c894c028f85e18086fba62df029b0",
+    "verify --n 8": "b02374ca756aa4850a8447aa3700f4df8767bf097277701e127dd659086aba7b",
 }
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
