@@ -17,8 +17,9 @@ exhaustively that this assignment is a bijection on every hom space and turns
 composition of multi-indices into multiplication of monomials.  The assignment
 is affine in b, so both checks run on the quiver's int64 label arrays.  The
 composition check runs block by block (i <= j <= k, levels from the keys): it
-takes each block's composites from the quiver's block rule, in chunks of rows,
-and compares their images with the sums of the images.
+takes each block's composites from the quiver's block rule, in chunks bounded
+on both bases, and compares their images with the sums of the images, once
+per distinct pair of arrays and degrees.
 
 The monomial bases have their own generator, `exponent_labels`, independent
 of the cell side's: one int64 array of exponent rows per degree d = j - i,
@@ -26,14 +27,13 @@ which `line_bundle_quiver` shares, read-only, among the keys of that degree.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import HomElement, Quiver, quotient_quiver, row_chunks, tabulate_quiver
+from .cells import HomElement, Quiver, block_chunks, quotient_quiver, tabulate_quiver
 from .report import CheckReport
 
 
@@ -172,12 +172,18 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     lexicographically, are pairwise distinct and equal the monomial array;
     it is computed once per distinct (cell array, degree), since the keys of
     one degree share their array, and only a passing result is reused.  The
-    composition check needs only the images' degrees j - i + sum(b), since
-    their exponents are the negated labels: it keeps the degrees of each
-    distinct (cell array, degree) from the first block that uses them to the
-    last, and holds no image array.  The witness is the first failure with
-    keys and blocks in `hom_bases` order, f outer and g inner; a composite
-    outside its hom space ends the walk there.  A prebuilt (possibly
+    image of g∘f is the sum of the images exactly when its label is f + g,
+    since an image's exponents are the negated label and its degree j - i +
+    sum(b) then adds too; so the composition check compares labels and
+    builds no image.  A block's check depends only on its two arrays, its
+    degrees j - i and k - j and the rule, which must be a pure function of
+    the arrays.  So it runs, in chunks that `block_chunks` bounds on both
+    bases, on the first block of each distinct (f array, g array, j - i,
+    k - j); a later block of the same key counts its composites without
+    composing them when that first block passed in full, and is walked again
+    otherwise.  The witness is the first failure with keys and blocks in
+    `hom_bases` order, f outer and g inner; a composite outside its hom space
+    ends the walk there.  A prebuilt (possibly
     corrupted) cell quiver may be passed in; by default the canonical one
     for `n` is built.
     """
@@ -190,21 +196,6 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     ok = True
     levels = quiver.levels
     bijective = {}  # (id, degree) of each cell array that passed -> that array, which keeps its id unique
-    uses = collections.Counter()  # (id, degree) of each cell array -> the blocks still to use it
-    for i, j, k, fs, gs in quiver.blocks():
-        uses[id(fs), j - i] += 1
-        uses[id(gs), k - j] += 1
-    memo = {}  # (id, degree) of each cell array -> (that array, its image degrees), until its last block
-
-    def degrees_of(steps: np.ndarray, i: int, j: int) -> np.ndarray:
-        """The first column of `_images(steps, i, j)`, memoised from its first block to its last."""
-        key = (id(steps), j - i)
-        _, degrees = memo.pop(key, None) or (steps, steps.sum(axis=-1) + (j - i))
-        uses[key] -= 1
-        if uses[key]:
-            memo[key] = (steps, degrees)
-        return degrees
-
     for i in levels:
         for j in levels:
             cell_side = quiver.hom(i, j)
@@ -238,39 +229,45 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     "bundle_dim": len(bundle_side),
                     "expected": expected,
                 }
+    # (id(fs), id(gs), j - i, k - j) of each block that passed in full; the quiver holds the
+    # arrays through the walk, which keeps their ids unique.
+    passed = set()
     try:
         for i, j, k, fs, gs in quiver.blocks():
-            f_degrees, g_degrees = degrees_of(fs, i, j), degrees_of(gs, j, k)
-            for rows in row_chunks(fs, gs):
-                chunk = fs[rows]
-                table = quiver.compose(gs, chunk)
-                sums = table.sum(axis=-1)
+            key = (id(fs), id(gs), j - i, k - j)
+            if key in passed:
+                compositions_checked += len(fs) * len(gs)
+                continue
+            clean = True
+            for rows, cols in block_chunks(fs, gs):
+                chunk, g_chunk = fs[rows], gs[cols]
+                table = quiver.compose(g_chunk, chunk)
                 # Composites outside hom(i, k) end the walk, as HomElement did.
-                outside = ((table > 0).any(axis=-1) | (sums < i - k)).ravel()
-                # The image (k - i + sum, -steps) of g∘f must be the sum of the images: their
-                # degrees add, and their exponents, the negated labels, add as the labels do.
-                wrong = k - i + sums != f_degrees[rows, None] + g_degrees[None]
-                expected = np.add(chunk[:, None], gs[None])
-                wrong = (wrong | (table != expected).any(axis=-1)).ravel()
+                outside = ((table > 0).any(axis=-1) | (table.sum(axis=-1) < i - k)).ravel()
+                # The image (k - i + sum, -steps) of g∘f is the sum of the images exactly when
+                # its label is f + g: the exponents are the negated labels, and the degrees then add.
+                wrong = (table != np.add(chunk[:, None], g_chunk[None])).any(axis=-1).ravel()
                 stop = int(outside.argmax()) if outside.any() else outside.size
                 compositions_checked += stop
                 failures = np.flatnonzero(wrong[:stop])
                 if failures.size:
-                    ok = False
-                    r, c = divmod(int(failures[0]), len(gs))
+                    ok = clean = False
+                    r, c = divmod(int(failures[0]), len(g_chunk))
                     witness = witness or {
                         "kind": "composition",
                         "f": {"source": i, "target": j, "steps": chunk[r].tolist()},
-                        "g": {"source": j, "target": k, "steps": gs[c].tolist()},
+                        "g": {"source": j, "target": k, "steps": g_chunk[c].tolist()},
                         "table_result": table[r, c].tolist(),
                         "expected_exponents": (
-                            _images(chunk[r : r + 1], i, j) + _images(gs[c : c + 1], j, k)
+                            _images(chunk[r : r + 1], i, j) + _images(g_chunk[c : c + 1], j, k)
                         )[0].tolist(),
                     }
                 if stop < outside.size:
-                    r, c = divmod(stop, len(gs))
+                    r, c = divmod(stop, len(g_chunk))
                     HomElement(i, k, table[r, c].tolist())  # raises
-                del table, expected  # free this chunk's arrays before the next one is built
+                del table  # free this chunk's table before the next one is built
+            if clean:
+                passed.add(key)
     except ValueError as exc:  # a composite outside its hom space, or a basis that does not compose
         ok = False
         witness = witness or {"kind": "composition", "error": str(exc)}

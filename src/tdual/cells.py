@@ -231,10 +231,22 @@ def compose_block(gs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return fs[:, None, :] + gs[None, :, :]
 
 
-def row_chunks(fs: np.ndarray, gs: np.ndarray) -> Iterator[slice]:
-    """Slices of `fs` whose blocks against `gs` hold at most about CHUNK_ENTRIES label entries."""
-    step = max(1, CHUNK_ENTRIES // gs.size)
-    return (slice(start, start + step) for start in range(0, len(fs), step))
+def block_chunks(fs: np.ndarray, gs: np.ndarray) -> Iterator[tuple[slice, slice]]:
+    """(rows of `fs`, rows of `gs`) slices whose blocks hold at most about CHUNK_ENTRIES label entries.
+
+    A chunk runs as many rows of `fs` as fit against all of `gs`.  When one
+    row against all of `gs` is already over the cap, each row of `fs` runs
+    against slices of `gs` in turn.  Either way the chunks come f outer and
+    g inner, so their pairs come in the order of the whole block's.
+    """
+    f_rows = CHUNK_ENTRIES // gs.size
+    g_rows = len(gs) if f_rows else max(1, CHUNK_ENTRIES // gs.shape[1])
+    f_rows = max(1, f_rows)
+    return (
+        (slice(f, f + f_rows), slice(g, g + g_rows))
+        for f in range(0, len(fs), f_rows)
+        for g in range(0, len(gs), g_rows)
+    )
 
 
 @dataclass
@@ -244,9 +256,11 @@ class Quiver:
     `hom_bases` maps (source_level, target_level) to the basis as an int64
     array of shape (dim, label length), one label per row; the levels live
     only in the key.  `compose(gs, fs)` returns the labels of g after f
-    (f first) for whole bases at once, as `compose_block` does.  No composite
-    is stored: `compositions()` computes them block by block.  All stored
-    morphisms sit in degree 0; other degrees are empty.
+    (f first) for whole bases at once, as `compose_block` does; it must be a
+    pure function of its two arrays, since `bundles.verify_equivalence`
+    checks the blocks that share both arrays and both degrees once.  No
+    composite is stored: `compositions()` computes them block by block.  All
+    stored morphisms sit in degree 0; other degrees are empty.
     """
 
     n: int
@@ -284,10 +298,10 @@ class Quiver:
         """(i, j, k, f, g, g∘f) per composable basis pair, labels as lists; f is the outer loop."""
         for i, j, k, fs, gs in self.blocks():
             g_labels = gs.tolist()
-            for rows in row_chunks(fs, gs):
+            for rows, cols in block_chunks(fs, gs):
                 chunk = fs[rows]
-                for f, labels in zip(chunk.tolist(), self.compose(gs, chunk).tolist()):
-                    for g, gf in zip(g_labels, labels):
+                for f, labels in zip(chunk.tolist(), self.compose(gs[cols], chunk).tolist()):
+                    for g, gf in zip(g_labels[cols], labels):
                         yield i, j, k, f, g, gf
 
 

@@ -193,12 +193,12 @@ def _planted(rule, fs, gs, f, g, label):
     """The block rule `rule`, except that the composite of rows f and g has `label`.
 
     f is a row of `fs` and g a row of `gs`.  A block is known by its bases:
-    `gs` itself and `fs` or a row chunk of it.
+    `fs` or a row chunk of it, and `gs` or a slice of its rows.
     """
     def planted(block_gs, block_fs):
         table = rule(block_gs, block_fs)
-        if block_gs is gs and (block_fs is fs or block_fs.base is fs):
-            rows, cols = (block_fs == f).all(axis=1), (gs == g).all(axis=1)
+        if (block_gs is gs or block_gs.base is gs) and (block_fs is fs or block_fs.base is fs):
+            rows, cols = (block_fs == f).all(axis=1), (block_gs == g).all(axis=1)
             table[np.ix_(rows, cols)] = label
         return table
     return planted
@@ -226,9 +226,25 @@ def _covered(calls):
     return sum(len(fs) * len(gs) for gs, fs in calls)
 
 
+def _block_keys(q):
+    """The composite count of each distinct block key (f array, g array, j - i, k - j) of `q`."""
+    return {(id(fs), id(gs), j - i, k - j): len(fs) * len(gs) for i, j, k, fs, gs in q.blocks()}
+
+
+def _whole(a):
+    """The array that `a` is a chunk of, or `a` itself."""
+    return a if a.base is None else a.base
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quivers_compose_only_when_walked(n, monkeypatch):
-    """Building a quiver composes nothing; verify's rule calls cover each composite once."""
+    """Building a quiver composes nothing; verify calls the rule once per distinct block.
+
+    A block's key is its two arrays and its degrees j - i and k - j.  At
+    n <= 3 every block fits one chunk and every degree has one array, so the
+    calls are one per key, and `compositions_checked` still counts every
+    composite of every block: sum C(j-i+n, n) * C(k-j+n, n).
+    """
     calls = []
     monkeypatch.setattr(cells, "compose_block", _counting(calls, cells.compose_block))
     q = cells.quotient_quiver(n)
@@ -236,9 +252,32 @@ def test_quivers_compose_only_when_walked(n, monkeypatch):
     assert calls == []
     rep = bundles.verify_equivalence(n, q)
     assert rep.passed
-    assert _covered(calls) == rep.parameters["compositions_checked"]
+    keys = _block_keys(q)
+    assert sorted((id(_whole(fs)), id(_whole(gs))) for gs, fs in calls) == sorted(key[:2] for key in keys)
+    assert _covered(calls) == sum(keys.values())
+    closed_form = sum(
+        math.comb(j - i + n, n) * math.comb(k - j + n, n)
+        for i in range(-n - 1, 0)
+        for j in range(i, 0)
+        for k in range(j, 0)
+    )
+    assert rep.parameters["compositions_checked"] == closed_form > _covered(calls)
     calls.clear()
     rep = bundles.verify_equivalence(n)
+    assert len(calls) == len(keys)
+    assert _covered(calls) == sum(keys.values())
+    assert rep.parameters["compositions_checked"] == closed_form
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_composes_every_block_of_unshared_bases(n):
+    """With its own array at every key, no two blocks share a key, so the calls cover every composite."""
+    q = cells.quotient_quiver(n)
+    _own(q, *q.hom_bases)
+    calls = []
+    q.compose = _counting(calls, q.compose)
+    rep = bundles.verify_equivalence(n, q)
+    assert rep.passed
     assert _covered(calls) == rep.parameters["compositions_checked"]
 
 
@@ -293,6 +332,57 @@ def test_planted_composite_is_reported_at_its_own_levels():
     assert planted_levels(*_own(q, (-3, -2), (-2, -1))) == (-3, -2, -1)
 
 
+def test_blocks_that_failed_are_composed_again():
+    """A composite planted on the shared n = 3 arrays fails each block of their key, and each is composed.
+
+    The blocks (-4, -3, -2) and (-3, -2, -1) share the key (degree-1 array,
+    degree-1 array, 1, 1).  With the honest rule the second block reuses the
+    first's result; with the planted one it is composed again.
+    """
+    q = cells.quotient_quiver(3)
+    shared = q.hom_bases[(-3, -2)]
+    f, g = shared[0], shared[1]
+    label = next(e for e in q.hom_bases[(-3, -1)].tolist() if e != (f + g).tolist())
+    for rule, blocks in ((q.compose, 1), (_planted(q.compose, shared, shared, f, g, label), 2)):
+        calls = []
+        q.compose = _counting(calls, rule)
+        bundles.verify_equivalence(3, q)
+        walked = [(gs, fs) for gs, fs in calls if _whole(fs) is shared and _whole(gs) is shared]
+        assert _covered(walked) == blocks * len(shared) ** 2
+        _assert_matches_reference(3, q)
+
+
+def test_one_array_at_two_degrees_is_composed_at_each():
+    """The degree-1 array at the degree-2 key (-4, -2) keeps its id, and its blocks there are walked apart.
+
+    Only the bijection fails; the blocks (-4, -3, -2) and (-4, -2, -1) hold
+    the same two arrays at the degrees (1, 1) and (2, 1), and each is composed.
+    """
+    q = cells.quotient_quiver(3)
+    q.hom_bases[(-4, -2)] = q.hom_bases[(-4, -3)]
+    calls = []
+    q.compose = _counting(calls, q.compose)
+    bundles.verify_equivalence(3, q)
+    keys = _block_keys(q)
+    assert len(calls) == len(keys) > len({key[:2] for key in keys})
+    assert _covered(calls) == sum(keys.values())
+    assert _assert_matches_reference(3, q).witness["kind"] == "bijection"
+
+
+def test_one_array_at_two_degrees_is_checked_at_each():
+    """The degree-2 array at the degree-1 key (-3, -2) has composites outside hom(-3, -1).
+
+    The block (-4, -2, -1) holds the same two arrays at the degrees (2, 1)
+    and passes; the block (-3, -2, -1), at (1, 1), is walked on its own and
+    ends the walk.
+    """
+    q = cells.quotient_quiver(3)
+    q.hom_bases[(-3, -2)] = q.hom_bases[(-4, -2)]
+    rep = _assert_matches_reference(3, q)
+    assert rep.witness["kind"] == "bijection"
+    assert rep.parameters["compositions_checked"] < sum(len(fs) * len(gs) for *_, fs, gs in q.blocks())
+
+
 @pytest.mark.parametrize("corruption", ["backward", "missing", "wide", "foreign"])
 def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
     """Bijection failures and bases that do not compose give the reference's report."""
@@ -314,20 +404,33 @@ def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
 
 
 def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):
-    monkeypatch.setattr(cells, "CHUNK_ENTRIES", 1)
-    calls = []
-    q = cells.quotient_quiver(4)
-    q.compose = _counting(calls, q.compose)
-    assert _assert_matches_reference(4, q).passed
-    assert calls and all(len(fs) == 1 for gs, fs in calls)
-    fs, gs = _own(q, (-5, -3), (-3, -1))
-    f, g = fs[7], gs[3]
-    honest = (f + g).tolist()
-    replacement = next(e for e in q.hom_bases[(-5, -1)].tolist() if e != honest)
-    q.compose = _planted(q.compose, fs, gs, f, g, replacement)
-    rep = _assert_matches_reference(4, q)
-    assert rep.witness["f"]["steps"] == f.tolist()
-    assert rep.witness["g"]["steps"] == g.tolist()
+    """Chunks of one f row, against all of g or against slices of g, give the reference's report.
+
+    At n = 4 a label has 4 entries: a cap of 1 entry runs every pair alone,
+    and a cap of 10 runs two f rows against the unit and one f row against
+    two g rows of every larger basis.  The chunks keep the whole blocks'
+    order, f outer and g inner: `compositions()` lists the same entries, and
+    of two planted composites the first in that order is the witness.
+    """
+    whole = list(cells.quotient_quiver(4).compositions())
+    for entries in (1, 10):
+        monkeypatch.setattr(cells, "CHUNK_ENTRIES", entries)
+        calls = []
+        q = cells.quotient_quiver(4)
+        assert list(q.compositions()) == whole
+        q.compose = _counting(calls, q.compose)
+        assert _assert_matches_reference(4, q).passed
+        assert calls and all(len(fs) * gs.size <= max(entries, 4) for gs, fs in calls)
+        assert any(len(gs) < len(_whole(gs)) for gs, fs in calls)
+        fs, gs = _own(q, (-5, -3), (-3, -1))
+        f, g = fs[7], gs[3]
+        honest = (f + g).tolist()
+        replacement = next(e for e in q.hom_bases[(-5, -1)].tolist() if e != honest)
+        q.compose = _planted(q.compose, fs, gs, fs[8], gs[0], replacement)
+        q.compose = _planted(q.compose, fs, gs, f, g, replacement)
+        rep = _assert_matches_reference(4, q)
+        assert rep.witness["f"]["steps"] == f.tolist()
+        assert rep.witness["g"]["steps"] == g.tolist()
 
 
 @pytest.mark.parametrize(
