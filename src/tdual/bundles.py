@@ -171,21 +171,17 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     product of the images.  The bijection holds when the images, sorted
     lexicographically, are pairwise distinct and equal the monomial array;
     it is computed once per distinct (cell array, degree), since the keys of
-    one degree share their array, and only a passing result is reused.  The
-    image of g∘f is the sum of the images exactly when its label is f + g,
-    since an image's exponents are the negated label and its degree j - i +
-    sum(b) then adds too; so the composition check compares labels and
-    builds no image.  A block's check depends only on its two arrays, its
-    degrees j - i and k - j and the rule, which must be a pure function of
-    the arrays.  So it runs, in chunks that `block_chunks` bounds on both
-    bases, on the first block of each distinct (f array, g array, j - i,
-    k - j); a later block of the same key counts its composites without
-    composing them when that first block passed in full, and is walked again
-    otherwise.  The witness is the first failure with keys and blocks in
-    `hom_bases` order, f outer and g inner; a composite outside its hom space
-    ends the walk there.  A prebuilt (possibly
-    corrupted) cell quiver may be passed in; by default the canonical one
-    for `n` is built.
+    one degree share their array, and only a passing result is reused.  An
+    image's exponents are the negated label, so the image of g∘f is the sum
+    of the images exactly when its label is f + g.  A block's check depends
+    only on its two arrays, its degrees j - i and k - j and the rule, a pure
+    function of the arrays: it runs in `block_chunks` on the first block of
+    each such key, and a later block of a key whose first block passed in
+    full counts its composites without composing them.  The witness is the
+    first failure with keys and blocks in `hom_bases` order, f outer and g
+    inner; a composite outside its hom space ends the walk there.  A
+    prebuilt (possibly corrupted) cell quiver may be passed in; by default
+    the canonical one for `n` is built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
@@ -229,9 +225,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                     "bundle_dim": len(bundle_side),
                     "expected": expected,
                 }
-    # (id(fs), id(gs), j - i, k - j) of each block that passed in full; the quiver holds the
-    # arrays through the walk, which keeps their ids unique.
-    passed = set()
+    passed = set()  # (id(fs), id(gs), j - i, k - j) of blocks that passed; the quiver keeps the ids unique
     try:
         for i, j, k, fs, gs in quiver.blocks():
             key = (id(fs), id(gs), j - i, k - j)

@@ -234,10 +234,8 @@ def compose_block(gs: np.ndarray, fs: np.ndarray) -> np.ndarray:
 def block_chunks(fs: np.ndarray, gs: np.ndarray) -> Iterator[tuple[slice, slice]]:
     """(rows of `fs`, rows of `gs`) slices whose blocks hold at most about CHUNK_ENTRIES label entries.
 
-    A chunk runs as many rows of `fs` as fit against all of `gs`.  When one
-    row against all of `gs` is already over the cap, each row of `fs` runs
-    against slices of `gs` in turn.  Either way the chunks come f outer and
-    g inner, so their pairs come in the order of the whole block's.
+    `gs` is sliced too when one row of `fs` against all of it exceeds the
+    cap; chunks come f outer and g inner, so pairs keep the block's order.
     """
     f_rows = CHUNK_ENTRIES // gs.size
     g_rows = len(gs) if f_rows else max(1, CHUNK_ENTRIES // gs.shape[1])

@@ -370,14 +370,16 @@ def test_one_array_at_two_degrees_is_composed_at_each():
 
 
 def test_one_array_at_two_degrees_is_checked_at_each():
-    """The degree-2 array at the degree-1 key (-3, -2) has composites outside hom(-3, -1).
+    """The degree-2 array at the degree-1 key (-3, -2) has composites outside hom(-3, -2).
 
-    The block (-4, -2, -1) holds the same two arrays at the degrees (2, 1)
-    and passes; the block (-3, -2, -1), at (1, 1), is walked on its own and
-    ends the walk.
+    With (-4, -3) moved last in `hom_bases`, the unit and that array meet
+    first in the block (-4, -4, -2), at the degrees (0, 2), and pass; they
+    meet again in (-3, -3, -2), at (0, 1), which is walked on its own and
+    ends the walk where the reference does.
     """
     q = cells.quotient_quiver(3)
     q.hom_bases[(-3, -2)] = q.hom_bases[(-4, -2)]
+    q.hom_bases[(-4, -3)] = q.hom_bases.pop((-4, -3))
     rep = _assert_matches_reference(3, q)
     assert rep.witness["kind"] == "bijection"
     assert rep.parameters["compositions_checked"] < sum(len(fs) * len(gs) for *_, fs, gs in q.blocks())
