@@ -59,7 +59,6 @@ from .geometry import (
 )
 from .oracle import (
     oracle_hom_dim,
-    pair_cohomology,
     region_pair,
     relative_cohomology,
     shrink_and_triangulate,
@@ -91,7 +90,6 @@ __all__ = [
     "monomial_compose",
     "monomial_hom_basis",
     "oracle_hom_dim",
-    "pair_cohomology",
     "potential_value",
     "quiver_to_dict",
     "quiver_to_dot",

@@ -34,11 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
+from .cells import CellObject
 from .geometry import _last_argmax
 from .report import CheckReport
 
@@ -67,39 +67,17 @@ def base_potential(u: np.ndarray) -> float | np.ndarray:
     return float(value) if u.ndim == 1 else value
 
 
-@dataclass(frozen=True)
-class LiftedCell:
-    """An open cell of the covering torus carrying a lifted potential.
+class LiftedCell(CellObject):
+    """A cell of the covering torus, as `CellObject`, carrying a lifted potential.
 
-    The cell at level k in {-n-1, ..., -1} with corner offset a (each
-    a_i in {-n, ..., 0}) is the open region
-
-        { g : g_i < a_i for all i,  sum_i (g_i - a_i) > k }
-
-    of (R/(n+1)Z)^n, described here through its standard lift to R^n.  Its
-    points are in bijection with the radii space via u = (g - a)/(-k) and
-    r_i = sqrt(-u_i / (1 + sum u)).
+    The cell of level k and corner offset a is described through its
+    standard lift to R^n.  Its points are in bijection with the radii space
+    via u = (g - a)/(-k) and r_i = sqrt(-u_i / (1 + sum u)).
     """
-
-    n: int
-    k: int
-    a: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not (-self.n - 1 <= self.k <= -1):
-            raise ValueError(f"level k={self.k} outside {{-n-1, ..., -1}} for n={self.n}")
-        a = tuple(int(v) for v in self.a)
-        if len(a) != self.n:
-            raise ValueError(f"offset must have length n={self.n}: {a}")
-        if any(not (-self.n <= v <= 0) for v in a):
-            raise ValueError(f"offset entries must lie in {{-n, ..., 0}}: {a}")
-        object.__setattr__(self, "a", a)
 
     def to_unit(self, gamma: np.ndarray) -> np.ndarray:
         """Map a cell point to the level -1 domain: u = (gamma - a) / (-k)."""
-        return (gamma - np.asarray(self.a, dtype=float)) / (-self.k)
+        return (gamma - np.asarray(self.offset, dtype=float)) / (-self.level)
 
     def constraint_slacks(self, gamma: tuple[float, ...] | np.ndarray) -> np.ndarray:
         """Positive parts required for membership: (a_i - g_i ..., sum slack).
@@ -108,8 +86,8 @@ class LiftedCell:
         inequality; the point lies in the open cell iff all are positive.
         """
         g = np.asarray(gamma, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        total = (g - a).sum(axis=-1) - self.k
+        a = np.asarray(self.offset, dtype=float)
+        total = (g - a).sum(axis=-1) - self.level
         return np.concatenate([a - g, total[..., None]], axis=-1)
 
     def require_inside(self, points: tuple[float, ...] | np.ndarray) -> None:
@@ -132,7 +110,7 @@ class LiftedCell:
         axis = np.linspace(-1.0 + margin, -margin, density)
         pts = np.array(list(itertools.product(axis, repeat=self.n))).reshape(-1, self.n)
         pts = pts[pts.sum(axis=1) > -1.0 + margin]
-        return np.asarray(self.a, dtype=float) + (-self.k) * pts
+        return np.asarray(self.offset, dtype=float) + (-self.level) * pts
 
     def brane_log_radii(self, gamma: tuple[float, ...] | np.ndarray) -> np.ndarray:
         """Parametric route to y = log r at the section point over `gamma`.
@@ -163,7 +141,7 @@ def potential_value(
     g = np.asarray(gamma, dtype=float)
     cell.require_inside(g)
     value = base_potential(cell.to_unit(g))
-    return value if literal_scaling else (-cell.k) * value
+    return value if literal_scaling else (-cell.level) * value
 
 
 def check_graph(
@@ -184,7 +162,10 @@ def check_graph(
     samples at least 2 * fd_step away from the cell boundary.  The witness is
     the last sample of largest deviation.  An empty grid raises ValueError.
     """
-    cell = LiftedCell(n, k, a if a is not None else (0,) * n)
+    a = (0,) * n if a is None else tuple(a)
+    if len(a) != n:
+        raise ValueError(f"offset must have length n={n}: {a}")
+    cell = LiftedCell(k, a)
     if (-k) * margin < 2 * fd_step:
         raise ValueError("sample margin too small for the requested fd step")
     samples = cell.interior_grid(density, margin)
@@ -212,7 +193,7 @@ def check_graph(
         parameters={
             "n": n,
             "k": k,
-            "a": list(cell.a),
+            "a": list(cell.offset),
             "density": density,
             "fd_step": fd_step,
             "tol": tol,

@@ -65,11 +65,6 @@ class Monomial:
     def n(self) -> int:
         return len(self.exponents) - 1
 
-    @property
-    def label(self) -> tuple[int, ...]:
-        """Identifier of this element within its hom space (used by exports)."""
-        return self.exponents
-
 
 def exponent_labels(d: int, n: int) -> np.ndarray:
     """Exponent vectors of the degree d monomials in n+1 variables, in lexicographic order.

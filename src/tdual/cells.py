@@ -63,6 +63,11 @@ class CellObject:
         return len(self.offset)
 
 
+def offset_window(n: int) -> list[tuple[int, ...]]:
+    """One corner offset per translation orbit: the window {-n, ..., 0}^n."""
+    return list(itertools.product(range(-n, 1), repeat=n))
+
+
 @dataclass(frozen=True)
 class HomElement:
     """Quotient morphism from level `source` to level `target`.
@@ -92,11 +97,6 @@ class HomElement:
     @property
     def n(self) -> int:
         return len(self.steps)
-
-    @property
-    def label(self) -> tuple[int, ...]:
-        """Identifier of this element within its hom space (used by exports)."""
-        return self.steps
 
 
 def _reduce_offset(value: int, modulus: int) -> int:
@@ -258,7 +258,7 @@ class Quiver:
     pure function of its two arrays, since `bundles.verify_equivalence`
     checks the blocks that share both arrays and both degrees once.  No
     composite is stored: `compositions()` computes them block by block.  All
-    stored morphisms sit in degree 0; other degrees are empty.
+    stored morphisms sit in degree 0.
     """
 
     n: int
@@ -274,9 +274,9 @@ class Quiver:
         """Sized stand-in for the old composition table; bench/child.py reads its `len`."""
         return _CompositionCount(self)
 
-    def hom(self, i: int, j: int, degree: int = 0) -> np.ndarray:
+    def hom(self, i: int, j: int) -> np.ndarray:
         """The stored label array of hom(i, j), or an empty one as wide as the stored labels."""
-        basis = self.hom_bases.get((i, j)) if degree == 0 else None
+        basis = self.hom_bases.get((i, j))
         if basis is None:
             width = next((b.shape[1] for b in self.hom_bases.values()), self.n)
             basis = np.empty((0, width), dtype=np.int64)

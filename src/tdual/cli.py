@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -81,11 +80,7 @@ def run_branes(cfg: RunConfig) -> list[CheckReport]:
     levels = range(-cfg.n - 1, 0)
     checks = branes.check_exactness(cfg.n, levels, density=cfg.grid, tol=cfg.sym_tol)
     graph_density = {1: 100, 2: 12}.get(cfg.n, 6)
-    offsets = (
-        list(itertools.product(range(-cfg.n, 1), repeat=cfg.n))
-        if cfg.n <= 2
-        else [(0,) * cfg.n]
-    )
+    offsets = cells.offset_window(cfg.n) if cfg.n <= 2 else [(0,) * cfg.n]
     for k in levels:
         for a in offsets:
             checks.append(
@@ -134,7 +129,7 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
                 detail.append({"i": i, "j": j, "b": list(offset), "betti": list(betti), "cells": counts})
                 total = [t + b for t, b in zip(total, betti)]
                 halved = [t + b for t, b in zip(halved, betti_halved)]
-            expected = math.comb(j - i + cfg.n, cfg.n) if i <= j else 0  # binomial(j - i + n, n); the closed form keeps numpy off this path
+            expected = bundles.euler_pairing(i, j, cfg.n) if i <= j else 0
             if total[0] != expected or any(v != 0 for v in total[1:]):
                 mismatch = mismatch or {"i": i, "j": j, "betti": total, "expected": expected}
             if halved != total:
@@ -304,8 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"geometry supports --n up to {geometry.MAX_N}; past it the two-form's values, scaled by (2 pi)^n, can overflow a float")
     if args.command == "branes" and args.n > branes.MAX_N:
         parser.error(f"branes supports --n up to {branes.MAX_N}; past it the graph margin {branes.GRAPH_MARGIN} is not below 1/(n+1)")
-    if args.command == "quiver" and args.fmt == "text":
-        parser.error("quiver exports support --format json or dot")
+    formats = ("json", "dot") if args.command == "quiver" else ("json", "text")
+    if args.fmt not in formats:
+        parser.error(f"--format {args.fmt} is not supported by {args.command}; use {' or '.join(formats)}")
     if args.grid < 1:
         parser.error("--grid must be a positive integer")
     if args.samples < 1:

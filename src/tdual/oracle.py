@@ -59,7 +59,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .cells import CellObject
+from .cells import CellObject, offset_window
 
 # A halfspace bounded by coeffs . x = rhs: read with < for the open inner
 # cell, and by the shrink step with <= on homogeneous points (see `Point`).
@@ -154,19 +154,21 @@ def counts_by_dim(n: int, faces: Iterable[Sequence]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RegionPair:
-    """The pair (X, A) for an outer/inner cell, plus the inner cell's halfspaces.
+    """The pair (X, A) for an outer/inner cell, plus the inner cell.
 
     X and A are finite sets of relatively open grid faces.  Coordinates are
     standard lifts to R^n of the covering torus (R/(n+1)Z)^n; the lift is
-    injective on everything stored here.  `inner_constraints` bound the
-    (lifted) inner cell, which is the set where every one holds with `<`; the
-    shrink step tightens exactly these.
+    injective on everything stored here.  The shrink step tightens the
+    halfspaces of the (lifted) `inner` cell.
     """
 
-    n: int
     X: frozenset[Face]
     A: frozenset[Face]
-    inner_constraints: tuple[Constraint, ...]
+    inner: CellObject
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
 
 
 def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
@@ -180,7 +182,6 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
     n = outer.n
     if inner.n != n:
         raise ValueError("cells must share a dimension")
-    inner_cons = tuple(_simplex_constraints(inner.level, inner.offset))
     x_faces: set[Face] = set()
     a_faces: set[Face] = set()
     # Each open face of the inner cell (level, b) is a face of (level, 0),
@@ -205,7 +206,7 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
             x_faces.add(face)
             if slack == 0 or 0 in depth:
                 a_faces.add(face)
-    return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
+    return RegionPair(frozenset(x_faces), frozenset(a_faces), inner)
 
 
 # --- shrink and triangulate -------------------------------------------------
@@ -223,9 +224,6 @@ class SimplicialPair:
     vertices: tuple[tuple[Fraction, ...], ...]
     simplices: frozenset[tuple[int, ...]]
     sub: frozenset[tuple[int, ...]]
-
-    def counts_by_dim(self, relative: bool = False) -> tuple[int, ...]:
-        return counts_by_dim(self.n, (s for s in self.simplices if not (relative and s in self.sub)))
 
 
 # A clipped point in homogeneous integers: (X_1, ..., X_n, W) is X / W, with
@@ -306,11 +304,12 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
     p, q = eps.numerator, eps.denominator
     # Faces are clipped relative to the inner corner t (any integer t would do,
-    # since the clip and the fan commute with X -> X + t W); the halfspace
-    # c . x <= r becomes c . x <= r - c . t, which depends on the level alone.
-    corner = tuple(rhs for _, rhs in pair.inner_constraints[:n])
-    shrink = tuple((tuple(q * c for c in coeffs), q * (rhs - sum(map(mul, coeffs, corner))) - p)
-                   for coeffs, rhs in pair.inner_constraints)
+    # since the clip and the fan commute with X -> X + t W); relative to t the
+    # inner halfspaces are those of the cell at offset 0, so they depend on the
+    # level alone.
+    corner = pair.inner.offset
+    shrink = tuple((tuple(q * c for c in coeffs), q * rhs - p)
+                   for coeffs, rhs in _simplex_constraints(pair.inner.level, (0,) * n))
     vertex_index: dict[Point, int] = {}
     vertices: list[tuple[Fraction, ...]] = []
     simplices: set[tuple[int, ...]] = set()
@@ -420,18 +419,6 @@ def relative_cohomology(sp: SimplicialPair) -> BettiProfile:
         count = len(by_dim.get(dim, []))
         betti.append(count - ranks[dim] - ranks.get(dim - 1, 0))
     return tuple(betti)
-
-
-def pair_cohomology(
-    outer: CellObject, inner: CellObject, epsilon: Fraction | int | str = Fraction(1, 8)
-) -> BettiProfile:
-    """Relative cohomology of (closure(outer) ∩ inner, boundary(outer) ∩ inner)."""
-    return relative_cohomology(shrink_and_triangulate(region_pair(outer, inner), epsilon))
-
-
-def offset_window(n: int) -> list[tuple[int, ...]]:
-    """One corner offset per translation orbit: the window {-n, ..., 0}^n."""
-    return list(itertools.product(range(-n, 1), repeat=n))
 
 
 def cell_pair_profiles(

@@ -11,7 +11,6 @@ byte-identical serializations.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,6 +57,3 @@ class CheckReport:
             out["witness"] = _jsonable(self.witness)
         out["pass"] = bool(self.passed)
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

@@ -1,6 +1,7 @@
 """Tests for weighted sections, lifted potentials and separation probes."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -35,17 +36,17 @@ def test_base_potential_frozen_value():
 
 
 def test_potential_value_rescaled_vs_literal():
-    cell = LiftedCell(1, -1, (0,))
+    cell = LiftedCell(-1, (0,))
     assert branes.potential_value(cell, (-0.5,)) == pytest.approx(LOG2_OVER_2)
     # the two scalings agree at level -1 and differ by the factor -k below it
-    deep = LiftedCell(1, -2, (0,))
+    deep = LiftedCell(-2, (0,))
     g = (-1.0,)
     lit = branes.potential_value(deep, g, literal_scaling=True)
     assert branes.potential_value(deep, g) == pytest.approx(2 * lit)
 
 
 def test_potential_value_outside_cell():
-    cell = LiftedCell(1, -1, (0,))
+    cell = LiftedCell(-1, (0,))
     with pytest.raises(ValueError):
         branes.potential_value(cell, (0.5,))
     with pytest.raises(ValueError):
@@ -54,17 +55,17 @@ def test_potential_value_outside_cell():
 
 def test_lifted_cell_validation():
     with pytest.raises(ValueError):
-        LiftedCell(1, 0, (0,))
+        LiftedCell(0, (0,))
     with pytest.raises(ValueError):
-        LiftedCell(1, -3, (0,))
+        LiftedCell(-3, (0,))
     with pytest.raises(ValueError):
-        LiftedCell(2, -1, (1, 0))
-    with pytest.raises(ValueError):
-        LiftedCell(2, -1, (0,))
+        LiftedCell(-1, (1, 0))
+    with pytest.raises(ValueError, match="length n=2"):
+        branes.check_graph(2, -1, (0,))
 
 
 def test_lifted_cell_membership_and_barycenter():
-    cell = LiftedCell(2, -3, (0, -1))
+    cell = LiftedCell(-3, (0, -1))
     center = (-1.0, -2.0)  # the barycenter a + k/(n+1) * (1, ..., 1)
     slacks = cell.constraint_slacks(center)
     assert len(slacks) == 3
@@ -78,7 +79,7 @@ def test_lifted_cell_membership_and_barycenter():
 
 def test_gradient_vanishes_at_barycenter():
     for n, k in [(1, -1), (1, -2), (2, -3), (3, -2)]:
-        cell = LiftedCell(n, k, (0,) * n)
+        cell = LiftedCell(k, (0,) * n)
         g0 = np.full(n, k / (n + 1))  # the barycenter a + k/(n+1) * (1, ..., 1) at a = 0
         h = 1e-6
         for i in range(n):
@@ -94,7 +95,7 @@ def test_brane_log_radii_matches_section():
     """The potential's target graph inverts the section's angular map."""
     rng = np.random.default_rng(3)
     for n, k in [(1, -2), (2, -1), (2, -3), (3, -4)]:
-        cell = LiftedCell(n, k, (0,) * n)
+        cell = LiftedCell(k, (0,) * n)
         for _ in range(20):
             r = rng.uniform(0.3, 2.0, n)
             # the level k section sits at gamma = k r^2/(1+|r|^2) (mod 1);
@@ -214,7 +215,7 @@ def test_separation_probe_shares_one_sample(n, seed):
     reps = branes.separation_probe(n, points, num_samples=800, seed=seed)
     for s, rep in zip(points, reps, strict=True):
         [single] = branes.separation_probe(n, [s], num_samples=800, seed=seed)
-        assert rep.to_json() == single.to_json()
+        assert json.dumps(rep.to_dict(), indent=2) == json.dumps(single.to_dict(), indent=2)
 
 
 def test_separation_probe_rejects_a_short_point():
@@ -233,7 +234,7 @@ def test_domain_face_midpoints():
 
 def test_gradient_norm_grows_toward_boundary():
     """|grad f| increases monotonically along a ray approaching a face."""
-    cell = LiftedCell(2, -1, (0, 0))
+    cell = LiftedCell(-1, (0, 0))
     start = np.array([-1 / 3, -1 / 3])
     norms = []
     for m in range(1, 14):

@@ -69,7 +69,7 @@ def exactness_per_point(n, k, density, r_min=0.2, r_max=3.0):
 
 
 def graph_per_point(n, k, a, density, fd_step, literal_scaling):
-    cell = LiftedCell(n, k, a)
+    cell = LiftedCell(k, a)
     max_dev, worst = 0.0, None
     for g in cell.interior_grid(density, branes.GRAPH_MARGIN):
         expected = cell.brane_log_radii(g)
@@ -184,7 +184,7 @@ def test_graph_rejects_empty_grid():
 
 
 def test_potential_value_rows_name_first_outside_point():
-    cell = LiftedCell(2, -1, (0, 0))
+    cell = LiftedCell(-1, (0, 0))
     pts = np.array([[-0.3, -0.3], [-0.2, 0.1], [0.5, -0.1]])
     with pytest.raises(ValueError, match=r"-0\.2"):
         branes.potential_value(cell, pts)

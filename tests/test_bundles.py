@@ -21,7 +21,7 @@ def test_monomial_validation():
         Monomial(-2, -1, (1, 1))  # degree 2 but target - source = 1
     m = Monomial(-3, -1, (1, 1, 0))
     assert m.n == 2
-    assert m.label == (1, 1, 0)
+    assert m.exponents == (1, 1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -390,7 +390,7 @@ def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
     """Bijection failures and bases that do not compose give the reference's report."""
     q = cells.quotient_quiver(2)
     if corruption == "backward":
-        q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0, 0)).label])
+        q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0, 0)).steps])
     elif corruption == "missing":
         q.hom_bases[(-3, -1)] = q.hom_bases[(-3, -1)][1:]
     elif corruption == "wide":
@@ -478,7 +478,7 @@ def test_verify_equivalence_rejects_corrupt_composition():
 
 def test_verify_equivalence_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).label])
+    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).steps])
     rep = bundles.verify_equivalence(1, q)
     assert not rep.passed
     assert rep.witness["kind"] == "backward_hom"

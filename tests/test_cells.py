@@ -48,7 +48,7 @@ def test_hom_element_validation():
         HomElement(-1, -2, (0,))  # backward morphisms need sum >= 1, impossible
     e = HomElement(-2, -1, (-1, 0))
     assert e.n == 2
-    assert e.label == (-1, 0)
+    assert e.steps == (-1, 0)
 
 
 def test_containment_basic_examples():
@@ -253,15 +253,15 @@ def test_generation_by_consecutive_levels(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compose_block_matches_single_compose(n):
     """One block rule composes both quivers, as compose and monomial_compose do per pair."""
-    for q, basis, single in (
-        (cells.quotient_quiver(n), cells.hom_basis, cells.compose),
-        (bundles.line_bundle_quiver(n), bundles.monomial_hom_basis, bundles.monomial_compose),
+    for q, basis, single, label in (
+        (cells.quotient_quiver(n), cells.hom_basis, cells.compose, "steps"),
+        (bundles.line_bundle_quiver(n), bundles.monomial_hom_basis, bundles.monomial_compose, "exponents"),
     ):
         for i, j, k, fs, gs in q.blocks():
             table = cells.compose_block(gs, fs)
             assert table.dtype == "int64"
             assert table.tolist() == [
-                [list(single(g, f).label) for g in basis(j, k, n)] for f in basis(i, j, n)
+                [list(getattr(single(g, f), label)) for g in basis(j, k, n)] for f in basis(i, j, n)
             ]
 
 
@@ -272,8 +272,8 @@ def test_compose_block_raises_compose_error():
     first_f, first_g = HomElement(-3, -2, fs[0]), HomElement(-2, -1, gs[0])
     wide_f, wide_g = HomElement(-3, -2, (0, 0, 0)), HomElement(-2, -1, (0, 0, 0))
     for block_gs, block_fs, g, f in (
-        (gs, np.array([wide_f.label]), first_g, wide_f),  # the f labels are wider
-        (np.array([wide_g.label]), fs, wide_g, first_f),  # the g labels are wider
+        (gs, np.array([wide_f.steps]), first_g, wide_f),  # the f labels are wider
+        (np.array([wide_g.steps]), fs, wide_g, first_f),  # the g labels are wider
     ):
         with pytest.raises(ValueError) as block_error:
             cells.compose_block(block_gs, block_fs)
@@ -341,7 +341,6 @@ def test_quiver_dims_and_hom_access():
     assert dims[(-2, -1)] == 3
     assert (-1, -3) not in dims
     assert q.hom(-1, -3).shape == (0, 2)
-    assert q.hom(-2, -1, degree=1).shape == (0, 2)
     assert len(q.hom(-3, -2)) == 3
     assert q.hom(-3, -2) is q.hom_bases[(-3, -2)]
     assert q.hom(-3, -2).dtype == "int64"
@@ -349,7 +348,7 @@ def test_quiver_dims_and_hom_access():
 
 def test_strong_exceptionality_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).label])  # planted junk
+    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).steps])  # planted junk
     assert not cells.is_strong_exceptional(q)
 
 
@@ -415,7 +414,6 @@ def test_hom_of_missing_key_is_as_wide_as_the_stored_labels(build, prefix):
         width = q.hom_bases[(-1, -1)].shape[1]
         assert width == (n if prefix == "U" else n + 1)
         assert q.hom(-1, -n - 1).shape == (0, width)
-        assert q.hom(-1, -1, degree=1).shape == (0, width)
     assert cells.Quiver(n=2, hom_bases={}, compose=cells.compose_block).hom(-1, -1).shape == (0, 2)
 
 

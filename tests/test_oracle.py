@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tdual import cli, oracle
-from tdual.cells import CellObject, cell_contains, hom_basis, hom_from_cells
+from tdual.cells import CellObject, cell_contains, hom_basis, hom_from_cells, offset_window
 from tdual.oracle import (
     RegionPair,
     SimplicialPair,
@@ -17,7 +17,6 @@ from tdual.oracle import (
     counts_by_dim,
     matrix_rank_exact,
     oracle_hom_dim,
-    pair_cohomology,
     region_pair,
     relative_cohomology,
     shrink_and_triangulate,
@@ -241,12 +240,11 @@ def _reference_region_pair_walk(outer, inner):
                 x_faces.add(face)
                 if slack == 0 or 0 in depth:
                     a_faces.add(face)
-    inner_cons = tuple(oracle._simplex_constraints(inner.level, inner.offset))
-    return RegionPair(n, frozenset(x_faces), frozenset(a_faces), inner_cons)
+    return RegionPair(frozenset(x_faces), frozenset(a_faces), inner)
 
 
 def _assert_translated_pairs_match_walk(pairs):
-    """Equal pairs: the same n, X, A and `inner_constraints`."""
+    """Equal pairs: the same X, A and inner cell."""
     for outer, inner in pairs:
         assert region_pair(outer, inner) == _reference_region_pair_walk(outer, inner), (outer, inner)
 
@@ -307,7 +305,8 @@ def _reference_shrink(pair, eps):
 
     Returns (vertices, simplices, sub) as `shrink_and_triangulate` builds them.
     """
-    shrink = [(coeffs, rhs - Fraction(eps)) for coeffs, rhs in pair.inner_constraints]
+    inner_constraints = oracle._simplex_constraints(pair.inner.level, pair.inner.offset)
+    shrink = [(coeffs, rhs - Fraction(eps)) for coeffs, rhs in inner_constraints]
 
     def pieces(face):
         poly = _reference_clip([tuple(map(Fraction, v)) for v in face], shrink)
@@ -374,8 +373,13 @@ def _cli_pairs():
         for n in (1, 2)
         for i in range(-n - 1, 0)
         for j in range(-n - 1, 0)
-        for offset in oracle.offset_window(n)
+        for offset in offset_window(n)
     ]
+
+
+def _pair_profile(outer, inner):
+    """The relative Betti profile of (closure(outer) ∩ inner, boundary(outer) ∩ inner) at epsilon 1/8."""
+    return relative_cohomology(shrink_and_triangulate(region_pair(outer, inner), Fraction(1, 8)))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 16), Fraction(3, 13), Fraction(1, 1000)])
@@ -429,7 +433,7 @@ def test_profile_is_one_iff_cells_contain():
     contained = 0
     for outer, inner in _cli_pairs():
         n = outer.n
-        betti = pair_cohomology(outer, inner, Fraction(1, 8))
+        betti = _pair_profile(outer, inner)
         if cell_contains(outer, inner):
             contained += 1
             assert betti == (1,) + (0,) * n, (outer, inner)
@@ -458,7 +462,7 @@ def test_shrink_identity_n1_is_path_graph():
     pair = region_pair(CellObject(-2, (0,)), CellObject(-2, (0,)))
     sp = shrink_and_triangulate(pair, Fraction(1, 8))
     _validate(sp)
-    assert sp.counts_by_dim() == (3, 2)
+    assert counts_by_dim(1, sp.simplices) == (3, 2)
     assert sp.sub == frozenset()
     assert relative_cohomology(sp) == (1, 0)
 
@@ -467,7 +471,7 @@ def test_shrink_identity_n2_is_triangle():
     pair = region_pair(CellObject(-1, (0, 0)), CellObject(-1, (0, 0)))
     sp = shrink_and_triangulate(pair, Fraction(1, 8))
     _validate(sp)
-    assert sp.counts_by_dim() == (3, 3, 1)
+    assert counts_by_dim(2, sp.simplices) == (3, 3, 1)
     assert relative_cohomology(sp) == (1, 0, 0)
 
 
@@ -494,8 +498,8 @@ def test_shrink_epsilon_bounds():
 
 
 def test_shrink_accepts_string_epsilon():
-    betti = pair_cohomology(CellObject(-1, (0,)), CellObject(-1, (0,)), "1/10")
-    assert betti == (1, 0)
+    pair = region_pair(CellObject(-1, (0,)), CellObject(-1, (0,)))
+    assert relative_cohomology(shrink_and_triangulate(pair, "1/10")) == (1, 0)
 
 
 def test_shrink_deterministic():
@@ -641,16 +645,16 @@ def test_relative_cohomology_mod_full_sub_is_zero():
 
 def test_pair_cohomology_contained_cases():
     # half-open arc rel its closed end is contractible relative to nothing
-    assert pair_cohomology(CellObject(-1, (0,)), CellObject(-2, (0,))) == (0, 0)
+    assert _pair_profile(CellObject(-1, (0,)), CellObject(-2, (0,))) == (0, 0)
     # interval rel an interior point likewise vanishes
-    assert pair_cohomology(CellObject(-2, (0,)), CellObject(-2, (-1,))) == (0, 0)
+    assert _pair_profile(CellObject(-2, (0,)), CellObject(-2, (-1,))) == (0, 0)
     # triangle rel one open side vanishes
-    assert pair_cohomology(CellObject(-1, (0, 0)), CellObject(-2, (0, 0))) == (0, 0, 0)
+    assert _pair_profile(CellObject(-1, (0, 0)), CellObject(-2, (0, 0))) == (0, 0, 0)
 
 
 def test_pair_cohomology_identity_cases():
-    assert pair_cohomology(CellObject(-1, (0,)), CellObject(-1, (0,))) == (1, 0)
-    assert pair_cohomology(CellObject(-3, (0, 0)), CellObject(-3, (0, 0))) == (1, 0, 0)
+    assert _pair_profile(CellObject(-1, (0,)), CellObject(-1, (0,))) == (1, 0)
+    assert _pair_profile(CellObject(-3, (0, 0)), CellObject(-3, (0, 0))) == (1, 0, 0)
 
 
 # --- the oracle against the quiver calculus ----------------------------------
@@ -675,11 +679,11 @@ def test_oracle_epsilon_stability_spot():
 def test_oracle_euler_characteristic_consistency():
     """Alternating cell counts equal alternating Betti sums, pair by pair."""
     outer = CellObject(-3, (0, 0))
-    for offset in oracle.offset_window(2):
+    for offset in offset_window(2):
         inner = CellObject(-2, offset)
         pair = region_pair(outer, inner)
         sp = shrink_and_triangulate(pair, Fraction(1, 8))
-        counts = sp.counts_by_dim(relative=True)
+        counts = counts_by_dim(2, sp.simplices - sp.sub)
         betti = relative_cohomology(sp)
         chi_cells = sum((-1) ** p * c for p, c in enumerate(counts))
         chi_betti = sum((-1) ** p * b for p, b in enumerate(betti))
