@@ -436,9 +436,15 @@ def test_every_geometry_and_branes_function_is_reached(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [0] * len(runs)
-    defined = [(f"{module.__name__.split('.')[-1]}.{owner}", code) for module in modules for owner, code in _defined_code(module)]
+    defined = [
+        (f"{module.__name__.split('.')[-1]}.{owner}", code)
+        for module in modules
+        for owner, code in _defined_code(module)
+    ]
     assert len(defined) > 100
+
     def allowed_as(owner):
+        """The name of UNREACHED_ALLOWED that covers `owner`, or None."""
         return next((name for name in UNREACHED_ALLOWED if owner == name or owner.startswith(name + ".")), None)
 
     unreached = [(owner, code) for owner, code in defined if code not in entered]
