@@ -231,7 +231,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             for rows, cols in block_chunks(fs, gs):
                 chunk, g_chunk = fs[rows], gs[cols]
                 table = quiver.compose(g_chunk, chunk)
-                # Composites outside hom(i, k) end the walk, as HomElement did.
+                # Composites outside hom(i, k) end the walk with the ValueError HomElement would raise.
                 outside = ((table > 0).any(axis=-1) | (table.sum(axis=-1) < i - k)).ravel()
                 # The image (k - i + sum, -steps) of g∘f is the sum of the images exactly when
                 # its label is f + g: the exponents are the negated labels, and the degrees then add.
@@ -252,8 +252,10 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                         )[0].tolist(),
                     }
                 if stop < outside.size:
-                    r, c = divmod(stop, len(g_chunk))
-                    HomElement(i, k, table[r, c].tolist())  # raises
+                    steps = tuple(table[divmod(stop, len(g_chunk))].tolist())
+                    if any(v > 0 for v in steps):
+                        raise ValueError(f"step entries must be nonpositive: {steps}")
+                    raise ValueError(f"sum of steps {sum(steps)} below source - target = {i - k}")
                 del table  # free this chunk's table before the next one is built
             if clean:
                 passed.add(key)

@@ -11,12 +11,15 @@ verify     exhaustive cell-vs-monomial comparison and strong exceptionality
 oracle     exact relative-cohomology dimensions vs the combinatorial count
            (n = 1 or 2), with an epsilon-stability check
 
-Every run prints a machine-readable JSON report (or writes it to --out); the
-report has the fixed shape {command, n, parameters, checks, pass} with no
-timestamps, so identical configurations produce byte-identical reports.  The
+`COMMANDS` gives each command's largest --n, the options it reads besides
+--n, --format and --out, and its formats; any other option is a usage error,
+and each option checks its own value as it is parsed.  Every run prints a
+JSON report (or writes it to --out) of the fixed shape {command, n,
+parameters, checks, pass}, with every option's value, defaults included, and
+no timestamps, so identical configurations give byte-identical reports.  The
 exit code is 0 when every check passes, 1 when any check fails, and 2 for
-usage errors.  Seeded sweeps read the TDUAL_SEED environment variable
-(default 0).
+usage errors, printed under the command's own usage line.  Seeded sweeps read
+the TDUAL_SEED environment variable (default 0).
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import branes, bundles, cells, geometry, oracle
@@ -52,19 +55,10 @@ class RunConfig:
     seed: int = 0
 
     def parameter_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tol": self.tol,
-            "sym_tol": self.sym_tol,
-            "fd_step": self.fd_step,
-            "graph_tol": self.graph_tol,
-            "grid": self.grid,
-            "samples": self.samples,
-            "delta_probe": self.delta_probe,
-            "epsilon": str(self.epsilon),
-            "format": self.fmt,
-            "seed": self.seed,
-        }
+        """Every field but command and out, defaults included, in field order; fmt is named "format"."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("command", "out")}
+        values["epsilon"] = str(self.epsilon)
+        return {("format" if name == "fmt" else name): value for name, value in values.items()}
 
 
 def run_geometry(cfg: RunConfig) -> list[CheckReport]:
@@ -232,27 +226,73 @@ def _emit(body: dict, cfg: RunConfig) -> None:
             sys.stdout.write(piece)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _checked(parse, accept, expected: str):
+    """An argparse `type=` that parses a value and refuses it unless `accept(value)`."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _at_most(top: int, why: str) -> tuple:
+    return (int, lambda v: 1 <= v <= top, f"an integer from 1 to {top} ({why})")
+
+
+_TOLERANCE = (float, lambda v: 0 <= v < math.inf, "a finite non-negative number")  # NaN fails both comparisons
+_COUNT = (int, lambda v: v >= 1, "a positive integer")
+# Each option that some command reads, as (parse, accept, expected value) for `_checked`, and its help.
+# The option fills the RunConfig field of its name.
+OPTIONS = {
+    "--tol": (_TOLERANCE, "identity-check tolerance"),
+    "--sym-tol": (_TOLERANCE, "two-form vanishing tolerance"),
+    # check_graph needs 2 * fd_step <= (-k) * GRAPH_MARGIN; level -1 is the tightest.
+    "--fd-step": ((float, lambda v: 0 < 2 * v <= branes.GRAPH_MARGIN, f"in (0, {branes.GRAPH_MARGIN / 2}]"), "finite-difference step"),
+    "--graph-tol": (_TOLERANCE, "graph-check tolerance"),
+    "--grid": (_COUNT, "grid density per axis"),
+    "--samples": (_COUNT, "random samples per probe"),
+    "--delta-probe": ((float, lambda v: 0 < v < 0.5, "in (0, 1/2)"), "probe time horizon"),
+    "--epsilon": ((Fraction, lambda v: 0 < v < oracle.MAX_EPSILON, f"a rational number in (0, {oracle.MAX_EPSILON})"), "rational shrink margin of the oracle"),
+}
+# Each command: its largest --n and why (None: no limit), the OPTIONS it reads, its --format choices.
+COMMANDS = {
+    "geometry": (geometry.MAX_N, "larger n can overflow the two-form's values, scaled by (2 pi)^n", ("--tol",), ("json", "text")),
+    "branes": (
+        branes.MAX_N,
+        f"for larger n the graph margin {branes.GRAPH_MARGIN} is not below 1/(n+1)",
+        ("--sym-tol", "--fd-step", "--graph-tol", "--grid", "--samples", "--delta-probe"),
+        ("json", "text"),
+    ),
+    "quiver": (None, None, (), ("json", "dot")),
+    "verify": (None, None, (), ("json", "text")),
+    "oracle": (2, "its shrink model clips planar polygons only", ("--epsilon",), ("json", "text")),
+}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `tdual` parser and its command parsers by name; an option not given takes RunConfig's default."""
     parser = argparse.ArgumentParser(
         prog="tdual",
         description="Checks and exports for the dual torus fibration toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="ambient dimension n >= 1")
-    common.add_argument("--tol", type=float, default=RunConfig.tol, help="identity-check tolerance")
-    common.add_argument("--sym-tol", type=float, default=RunConfig.sym_tol, help="two-form vanishing tolerance")
-    common.add_argument("--fd-step", type=float, default=RunConfig.fd_step, help="finite-difference step")
-    common.add_argument("--graph-tol", type=float, default=RunConfig.graph_tol, help="graph-check tolerance")
-    common.add_argument("--grid", type=int, default=RunConfig.grid, help="grid density per axis")
-    common.add_argument("--samples", type=int, default=RunConfig.samples, help="random samples per probe")
-    common.add_argument("--delta-probe", type=float, default=RunConfig.delta_probe, help="probe time horizon")
-    common.add_argument("--epsilon", type=str, default=str(RunConfig.epsilon), help="oracle shrink margin (rational)")
-    common.add_argument("--format", dest="fmt", choices=("json", "text", "dot"), default=RunConfig.fmt)
-    common.add_argument("--out", type=str, default=None, help="write the report/export here")
-    for name in ("geometry", "branes", "quiver", "verify", "oracle"):
-        sub.add_parser(name, parents=[common])
-    return parser
+    for name, (largest, why, reads, formats) in COMMANDS.items():
+        command = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        n_check = _COUNT if largest is None else _at_most(largest, why)
+        command.add_argument("--n", type=_checked(*n_check), required=True, help=f"ambient dimension, {n_check[2]}")
+        for flag in reads:
+            check, help_text = OPTIONS[flag]
+            default = getattr(RunConfig, flag[2:].replace("-", "_"))
+            command.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
+        command.add_argument("--format", dest="fmt", choices=formats, help=f"report format (default {RunConfig.fmt})")
+        out_file = (str, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
+        command.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
+    return parser, sub.choices
 
 
 def _is_negative_number(token: str) -> bool:
@@ -282,62 +322,20 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.n < 1:
-        parser.error("--n must be a positive integer")
+    parser, commands = build_parser()
+    args, extras = parser.parse_known_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    if extras:  # argparse hands a command's unknown arguments up to the top-level parser
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        epsilon = Fraction(args.epsilon)
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"--epsilon must be a rational number, got {args.epsilon!r}")
-    if args.command == "oracle":
-        if args.n not in (1, 2):
-            parser.error("the oracle supports --n 1 and --n 2 only")
-        if not 0 < epsilon < oracle.MAX_EPSILON:
-            parser.error(f"--epsilon must lie strictly between 0 and {oracle.MAX_EPSILON}")
-    if args.command == "geometry" and args.n > geometry.MAX_N:
-        parser.error(f"geometry supports --n up to {geometry.MAX_N}; past it the two-form's values, scaled by (2 pi)^n, can overflow a float")
-    if args.command == "branes" and args.n > branes.MAX_N:
-        parser.error(f"branes supports --n up to {branes.MAX_N}; past it the graph margin {branes.GRAPH_MARGIN} is not below 1/(n+1)")
-    formats = ("json", "dot") if args.command == "quiver" else ("json", "text")
-    if args.fmt not in formats:
-        parser.error(f"--format {args.fmt} is not supported by {args.command}; use {' or '.join(formats)}")
-    if args.grid < 1:
-        parser.error("--grid must be a positive integer")
-    if args.samples < 1:
-        parser.error("--samples must be a positive integer")
-    for flag, value in (("--tol", args.tol), ("--sym-tol", args.sym_tol), ("--graph-tol", args.graph_tol)):
-        if not 0 <= value < math.inf:  # NaN fails both comparisons
-            parser.error(f"{flag} must be a finite non-negative number, got {value}")
-    if args.out is not None and (
-        os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")
-    ):
-        parser.error(f"--out must name a file in an existing directory, got {args.out!r}")
-    if not 0 < args.delta_probe < 0.5:
-        parser.error("--delta-probe must lie strictly between 0 and 1/2")
-    # check_graph needs 2 * fd_step <= (-k) * GRAPH_MARGIN; level -1 is the tightest.
-    if not 0 < 2 * args.fd_step <= branes.GRAPH_MARGIN:
-        parser.error(f"--fd-step must lie in (0, {branes.GRAPH_MARGIN / 2}]")
-    raw_seed = os.environ.get("TDUAL_SEED", "0")
-    try:
-        seed = int(raw_seed)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        parser.error(f"TDUAL_SEED must be a non-negative integer, got {raw_seed!r}")
-    cfg = RunConfig(**{**vars(args), "epsilon": epsilon, "seed": seed})
+        seed = _checked(int, lambda v: v >= 0, "a non-negative integer")(os.environ.get("TDUAL_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        commands[args.command].error(f"TDUAL_SEED {exc}")
+    cfg = RunConfig(**vars(args), seed=seed)
     if cfg.command == "quiver":
         _emit(run_quiver(cfg), cfg)
         return 0
-    detail = None
-    if cfg.command == "geometry":
-        checks = run_geometry(cfg)
-    elif cfg.command == "branes":
-        checks = run_branes(cfg)
-    elif cfg.command == "verify":
-        checks = run_verify(cfg)
-    else:
-        checks, detail = run_oracle(cfg)
+    run = {"geometry": run_geometry, "branes": run_branes, "verify": run_verify}.get(cfg.command)
+    checks, detail = (run(cfg), None) if run else run_oracle(cfg)
     ok = all(c.passed for c in checks)
     body = {
         "command": cfg.command,

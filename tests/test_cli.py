@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import sys
 import time
 import types
@@ -66,18 +67,6 @@ def test_geometry_fails_fast_on_an_empty_moment_grid(capsys):
     assert round_trip["parameters"]["grid_points"] == 0
 
 
-def test_usage_error_on_bad_oracle_dimension():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["oracle", "--n", "3"])
-    assert err.value.code == 2
-
-
-def test_usage_error_on_nonpositive_n():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["geometry", "--n", "0"])
-    assert err.value.code == 2
-
-
 def test_usage_error_on_bad_epsilon(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["oracle", "--n", "1", "--epsilon", "1/4"])
@@ -88,7 +77,7 @@ def test_usage_error_on_bad_epsilon(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["oracle", "--n", "1", "--epsilon", "-1/8"])
     assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual: error: --epsilon")
+    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual oracle: error: argument --epsilon: ")
 
 
 def test_reports_are_byte_identical(capsys):
@@ -217,16 +206,26 @@ def test_largest_n_follows_from_the_arithmetic():
 
 
 @pytest.mark.parametrize(
-    "argv", [["geometry", "--n", "372"], ["geometry", "--n", "1000"], ["branes", "--n", "19"], ["branes", "--n", "400", "--grid", "1"]]
+    "argv",
+    [
+        ["geometry", "--n", "372"],
+        ["geometry", "--n", "1000"],
+        ["branes", "--n", "19"],
+        ["branes", "--n", "400", "--grid", "1"],
+        ["oracle", "--n", "3"],
+        ["geometry", "--n", "0"],
+    ],
 )
 def test_usage_error_past_the_largest_n(argv, capsys):
+    """An --n past the command's largest n, or below 1, is refused with that range and its reason."""
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    limit = {"geometry": geometry.MAX_N, "branes": branes.MAX_N}[argv[0]]
-    assert captured.err.splitlines()[-1].startswith(f"tdual: error: {argv[0]} supports --n up to {limit}; ")
+    assert captured.err.startswith(f"usage: tdual {argv[0]} ")
+    limit = {"geometry": geometry.MAX_N, "branes": branes.MAX_N, "oracle": 2}[argv[0]]
+    assert captured.err.splitlines()[-1].startswith(f"tdual {argv[0]}: error: argument --n: must be an integer from 1 to {limit} (")
 
 
 def test_geometry_runs_at_its_largest_n(capsys):
@@ -248,12 +247,6 @@ def test_branes_accepts_its_largest_n(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_quiver_rejects_text_format():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["quiver", "--n", "1", "--format", "text"])
-    assert err.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv",
     [[command, "--n", "1", "--format", "dot"] for command in ("geometry", "branes", "verify", "oracle")]
@@ -266,7 +259,7 @@ def test_usage_error_on_a_format_the_command_lacks(argv, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("tdual: error: --format ")
+    assert captured.err.splitlines()[-1].startswith(f"tdual {argv[0]}: error: argument --format: ")
 
 
 def test_text_format_lines(capsys):
@@ -324,12 +317,13 @@ def test_branes_command_structure(capsys):
     ],
 )
 def test_usage_error_on_out_of_range_flag(flags, capsys):
+    command = "geometry" if flags[0] == "--tol" else "branes"  # --tol is read by geometry alone
     with pytest.raises(SystemExit) as err:
-        cli.main(["branes", "--n", "2"] + flags)
+        cli.main([command, "--n", "2"] + flags)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("tdual: error: " + flags[0])
+    assert captured.err.splitlines()[-1].startswith(f"tdual {command}: error: argument {flags[0]}: ")
 
 
 @pytest.mark.parametrize("seed", ["abc", "-1"])
@@ -338,7 +332,65 @@ def test_usage_error_on_bad_seed(seed, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["geometry", "--n", "1"])
     assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual: error: TDUAL_SEED")
+    assert capsys.readouterr().err.splitlines()[-1].startswith("tdual geometry: error: TDUAL_SEED")
+
+
+# The options each command reads besides --n, --format and --out, which every
+# command reads, with a value in range for each.
+READS = {
+    "geometry": {"--tol"},
+    "branes": {"--sym-tol", "--fd-step", "--graph-tol", "--grid", "--samples", "--delta-probe"},
+    "quiver": set(),
+    "verify": set(),
+    "oracle": {"--epsilon"},
+}
+VALUES = {
+    "--tol": "1e-12",
+    "--sym-tol": "1e-9",
+    "--fd-step": "1e-5",
+    "--graph-tol": "1e-7",
+    "--grid": "5",
+    "--samples": "3",
+    "--delta-probe": "0.05",
+    "--epsilon": "1/9",
+}
+UNREAD = [(command, flag) for command, reads in READS.items() for flag in VALUES if flag not in reads]
+
+
+def test_commands_read_23_of_55_command_option_pairs():
+    """Each command parser takes --n, --format, --out and the options READS gives it, and no other."""
+    _, commands = cli.build_parser()
+    values = {**VALUES, "--format": "json", "--out": "report.json"}
+    accepted = []
+    for command, reads in READS.items():
+        commands[command].parse_args(["--n", "1"])
+        accepted.append((command, "--n"))
+        for flag in ["--format", "--out", *reads]:
+            commands[command].parse_args(["--n", "1", flag, values[flag]])
+            accepted.append((command, flag))
+    assert (len(accepted), len(UNREAD)) == (23, 32)
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_usage_error_on_an_option_the_command_does_not_read(command, flag, capsys):
+    """The report could only echo such a value, so it is refused; a valid value does not help."""
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--n", "1", flag, VALUES[flag]])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: tdual {command} ")
+    assert captured.err.splitlines()[-1] == f"tdual {command}: error: unrecognized arguments: {flag} {VALUES[flag]}"
+
+
+def test_readme_flag_table_matches_the_parser_table():
+    """The "read by" column of README's flag table names the commands that take each flag."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split(" | ") for line in readme.splitlines() if line.startswith("| `--")]
+    read_by = {row[0].strip("| `"): row[2] for row in rows}
+    expected = {flag: [c for c, (*_, reads, _) in cli.COMMANDS.items() if flag in reads] for flag in cli.OPTIONS}
+    expected.update(dict.fromkeys(["--n", "--format", "--out"], "every command"))
+    assert read_by == {flag: v if isinstance(v, str) else ", ".join(f"`{c}`" for c in v) for flag, v in expected.items()}
 
 
 # Functions that no command enters, as module.qualified_name; a name also
@@ -401,13 +453,15 @@ def _defined_code(module):
     return found
 
 
-def test_every_geometry_and_branes_function_is_reached(capsys):
+def test_every_function_of_the_seven_modules_is_reached(tmp_path, capsys):
     """Code of the package that no command runs must not come back.
 
     Runs each command at a small n in-process under a profile hook and
     requires every function and method of the seven modules to be entered,
-    but for those `UNREACHED_ALLOWED` names.  The memo caches are cleared
-    first, so a memoised function is entered however the tests ran before.
+    but for those `UNREACHED_ALLOWED` names.  Each command also runs once
+    with every option it reads, so each option's check of its value is
+    entered.  The memo caches are cleared first, so a memoised function is
+    entered however the tests ran before.
     """
     modules = (geometry, branes, cells, bundles, oracle, cli, report)
     for module in modules:
@@ -429,6 +483,10 @@ def test_every_geometry_and_branes_function_is_reached(capsys):
         ["oracle", "--n", "1"],
         ["oracle", "--n", "2"],
     ]
+    for command, reads in READS.items():
+        options = [token for flag in sorted(reads) for token in (flag, VALUES[flag])]
+        fmt = "dot" if command == "quiver" else "text"
+        runs.append([command, "--n", "1", *options, "--format", fmt, "--out", str(tmp_path / command)])
     sys.setprofile(hook)
     try:
         codes = [cli.main(argv) for argv in runs]
