@@ -274,25 +274,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The `tdual` parser and its command parsers by name; an option not given takes RunConfig's default."""
-    parser = argparse.ArgumentParser(
-        prog="tdual",
-        description="Checks and exports for the dual torus fibration toolkit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (largest, why, reads, formats) in COMMANDS.items():
-        command = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        n_check = _COUNT if largest is None else _at_most(largest, why)
-        command.add_argument("--n", type=_checked(*n_check), required=True, help=f"ambient dimension, {n_check[2]}")
-        for flag in reads:
-            check, help_text = OPTIONS[flag]
-            default = getattr(RunConfig, flag[2:].replace("-", "_"))
-            command.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
-        command.add_argument("--format", dest="fmt", choices=formats, help=f"report format (default {RunConfig.fmt})")
-        out_file = (str, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
-        command.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
-    return parser, sub.choices
+def build_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name`; an option not given takes RunConfig's default."""
+    largest, why, reads, formats = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"tdual {name}", argument_default=argparse.SUPPRESS)
+    n_check = _COUNT if largest is None else _at_most(largest, why)
+    parser.add_argument("--n", type=_checked(*n_check), required=True, help=f"ambient dimension, {n_check[2]}")
+    for flag in reads:
+        check, help_text = OPTIONS[flag]
+        default = getattr(RunConfig, flag[2:].replace("-", "_"))
+        parser.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
+    parser.add_argument("--format", dest="fmt", choices=formats, help=f"report format (default {RunConfig.fmt})")
+    out_file = (str, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
+    parser.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
+    return parser
 
 
 def _is_negative_number(token: str) -> bool:
@@ -322,15 +317,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
-    args, extras = parser.parse_known_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if extras:  # argparse hands a command's unknown arguments up to the top-level parser
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    top = argparse.ArgumentParser(prog="tdual", description="Checks and exports for the dual torus fibration toolkit.")
+    top.add_argument("command", choices=COMMANDS, help="the check or export to run")
+    top.add_argument("options", nargs=argparse.REMAINDER, help="--n N and the options the command reads (tdual COMMAND -h)")
+    run = top.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    parser = build_parser(run.command)  # only this command's parser is built, and it reports every usage error
+    args = parser.parse_args(run.options)
     try:
         seed = _checked(int, lambda v: v >= 0, "a non-negative integer")(os.environ.get("TDUAL_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
-        commands[args.command].error(f"TDUAL_SEED {exc}")
-    cfg = RunConfig(**vars(args), seed=seed)
+        parser.error(f"TDUAL_SEED {exc}")
+    cfg = RunConfig(run.command, **vars(args), seed=seed)
     if cfg.command == "quiver":
         _emit(run_quiver(cfg), cfg)
         return 0

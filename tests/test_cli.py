@@ -359,16 +359,26 @@ UNREAD = [(command, flag) for command, reads in READS.items() for flag in VALUES
 
 def test_commands_read_23_of_55_command_option_pairs():
     """Each command parser takes --n, --format, --out and the options READS gives it, and no other."""
-    _, commands = cli.build_parser()
     values = {**VALUES, "--format": "json", "--out": "report.json"}
     accepted = []
     for command, reads in READS.items():
-        commands[command].parse_args(["--n", "1"])
+        parser = cli.build_parser(command)
+        parser.parse_args(["--n", "1"])
         accepted.append((command, "--n"))
         for flag in ["--format", "--out", *reads]:
-            commands[command].parse_args(["--n", "1", flag, values[flag]])
+            parser.parse_args(["--n", "1", flag, values[flag]])
             accepted.append((command, flag))
     assert (len(accepted), len(UNREAD)) == (23, 32)
+
+
+def test_help_of_each_command_lists_only_the_options_it_reads(capsys):
+    for command, reads in READS.items():
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "-h"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: tdual {command} ")
+        assert {flag for flag in ["--n", "--format", "--out", *VALUES] if f"  {flag} " in out} == {"--n", "--format", "--out", *reads}
 
 
 @pytest.mark.parametrize("command,flag", UNREAD)
