@@ -262,6 +262,15 @@ def test_usage_error_on_a_format_the_command_lacks(argv, capsys):
     assert captured.err.splitlines()[-1].startswith(f"tdual {argv[0]}: error: argument --format: ")
 
 
+def test_quiver_rejects_text_format(tmp_path, capsys):
+    """The usage error comes before the quiver export would open its --out file."""
+    target = tmp_path / "quiver.txt"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["quiver", "--n", "1", "--format", "text", "--out", str(target)])
+    assert err.value.code == 2
+    assert not target.exists()
+
+
 def test_text_format_lines(capsys):
     rc, out = run_cli(["verify", "--n", "1", "--format", "text"], capsys)
     assert rc == 0
