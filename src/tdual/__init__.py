@@ -9,9 +9,9 @@ The package is organised around five pieces:
 * :mod:`tdual.branes` — the level-k sections over the simplex, the lifted
   cells whose potential's gradient graph reproduces them, and the exactness,
   graph and short-time separation checks of the ``branes`` command.
-* :mod:`tdual.cells` — the category of open cells on the quotient torus,
-  containment homs, composition, the quiver tables and their exports, and
-  the strong exceptionality test.
+* :mod:`tdual.cells` — the open cells on the quotient torus and the label of
+  each containment, the quiver's hom bases as label arrays composed block by
+  block (labels add), their exports, and the strong exceptionality test.
 * :mod:`tdual.bundles` — the monomial quiver of line bundles and the
   exhaustive comparison against the cell quiver.
 * :mod:`tdual.oracle` — exact relative-cohomology dimensions of cell pairs:
@@ -28,21 +28,14 @@ from .branes import (
     separation_probe,
 )
 from .bundles import (
-    Monomial,
     euler_pairing,
     line_bundle_quiver,
-    monomial_compose,
-    monomial_hom_basis,
-    to_monomial,
     verify_equivalence,
 )
 from .cells import (
     CellObject,
-    HomElement,
     Quiver,
     cell_contains,
-    compose,
-    hom_basis,
     hom_from_cells,
     is_strong_exceptional,
     quiver_to_dict,
@@ -70,25 +63,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CellObject",
     "CheckReport",
-    "HomElement",
     "LiftedCell",
     "MirrorPoint",
-    "Monomial",
     "Quiver",
     "TangentVector",
     "base_potential",
     "cell_contains",
     "check_exactness",
     "check_graph",
-    "compose",
     "domain_face_midpoints",
     "euler_pairing",
-    "hom_basis",
     "hom_from_cells",
     "is_strong_exceptional",
     "line_bundle_quiver",
-    "monomial_compose",
-    "monomial_hom_basis",
     "oracle_hom_dim",
     "potential_value",
     "quiver_to_dict",
@@ -102,6 +89,5 @@ __all__ = [
     "superpotential_critical_points",
     "superpotential_gradient",
     "symplectic_form_eval",
-    "to_monomial",
     "verify_equivalence",
 ]

@@ -29,41 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import HomElement, Quiver, block_chunks, quotient_quiver, tabulate_quiver
+from .cells import Quiver, block_chunks, quotient_quiver, tabulate_quiver
 from .report import CheckReport
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial hom between line-bundle levels.
-
-    `exponents` has n+1 nonnegative entries summing to target - source.
-    """
-
-    source: int
-    target: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        exps = tuple(int(v) for v in self.exponents)
-        if len(exps) < 2:
-            raise ValueError("need at least two exponents")
-        if any(v < 0 for v in exps):
-            raise ValueError(f"exponents must be nonnegative: {exps}")
-        if sum(exps) != self.target - self.source:
-            raise ValueError(
-                f"total degree {sum(exps)} must equal target - source = "
-                f"{self.target - self.source}"
-            )
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents) - 1
 
 
 def exponent_labels(d: int, n: int) -> np.ndarray:
@@ -88,45 +58,8 @@ def exponent_labels(d: int, n: int) -> np.ndarray:
     return np.bincount(slots.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
 
-def monomial_hom_basis(i: int, j: int, n: int) -> list[Monomial]:
-    """All degree j - i monomials in n+1 variables, as morphisms from i to j: the rows of `exponent_labels`.
-
-    Empty for j < i.  Ordered lexicographically by exponent vector.
-
-    >>> [m.exponents for m in monomial_hom_basis(-2, -1, 1)]
-    [(0, 1), (1, 0)]
-    """
-    return [Monomial(i, j, exps) for exps in exponent_labels(j - i, n).tolist()]
-
-
-def monomial_compose(g: Monomial, f: Monomial) -> Monomial:
-    """Composite of f followed by g: exponents add."""
-    if g.source != f.target:
-        raise ValueError(
-            f"monomials not composable: f targets {f.target}, g starts at {g.source}"
-        )
-    if g.n != f.n:
-        raise ValueError("monomials must share a dimension")
-    return Monomial(
-        f.source, g.target, tuple(a + b for a, b in zip(f.exponents, g.exponents))
-    )
-
-
-def to_monomial(e: HomElement) -> Monomial:
-    """The monomial corresponding to a quotient cell morphism.
-
-    Steps b from level i to level j map to exponents
-    (j - i + sum(b), -b_1, ..., -b_n).
-
-    >>> to_monomial(HomElement(-2, -1, (-1, 0))).exponents
-    (0, 1, 0)
-    """
-    total = e.target - e.source + sum(e.steps)
-    return Monomial(e.source, e.target, (total,) + tuple(-b for b in e.steps))
-
-
 def _images(steps: np.ndarray, i: int, j: int) -> np.ndarray:
-    """`to_monomial` of each row of the hom(i, j) label array `steps`, as int64 rows."""
+    """The exponents (j - i + sum(b), -b_1, ..., -b_n) of each row b of the hom(i, j) label array `steps`, as int64 rows."""
     images = np.empty((len(steps), steps.shape[1] + 1), dtype=np.int64)
     np.add(steps.sum(axis=-1), j - i, out=images[:, 0])
     np.negative(steps, out=images[:, 1:])
@@ -148,8 +81,8 @@ def euler_pairing(i: int, j: int, n: int) -> int:
 def line_bundle_quiver(n: int) -> Quiver:
     """The monomial quiver on levels -n-1, ..., -1.
 
-    Hom bases come from `exponent_labels`; the block rule adds exponents,
-    as `monomial_compose` does for one pair.
+    Hom bases come from `exponent_labels`; the block rule adds exponents:
+    monomials of hom(i, j) and hom(j, k) multiply into hom(i, k).
     """
     return tabulate_quiver(n, exponent_labels)
 
@@ -160,7 +93,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     Checks, for every pair of levels, that the monomial assignment is a
     bijection from the cell hom basis onto the monomial basis (with both
     dimensions equal to the binomial count; the monomial side is the
-    `exponent_labels` array of the degree j - i, so no `Monomial` is built),
+    `exponent_labels` array of the degree j - i),
     and that every composite of the cell quiver, taken block by block from
     its rule `quiver.compose`, lies in its hom space and is sent to the
     product of the images.  The bijection holds when the images, sorted
@@ -231,7 +164,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             for rows, cols in block_chunks(fs, gs):
                 chunk, g_chunk = fs[rows], gs[cols]
                 table = quiver.compose(g_chunk, chunk)
-                # Composites outside hom(i, k) end the walk with the ValueError HomElement would raise.
+                # Composites outside hom(i, k) (an entry above 0, or a sum below i - k) end the walk.
                 outside = ((table > 0).any(axis=-1) | (table.sum(axis=-1) < i - k)).ravel()
                 # The image (k - i + sum, -steps) of g∘f is the sum of the images exactly when
                 # its label is f + g: the exponents are the negated labels, and the degrees then add.

@@ -16,8 +16,9 @@ has one-dimensional endomorphism spaces, no morphisms towards lower levels,
 and everything in a single degree.
 
 Multi-index containment arithmetic is exact integer arithmetic throughout.  A
-`Quiver` keeps each hom basis as one int64 array of labels, the levels only in
-its key, and composes whole blocks of basis pairs at once on those arrays.
+morphism is held only as its label: an int tuple from `hom_from_cells`, or a
+row of the int64 label array that a `Quiver` keeps for each hom basis, the
+levels only in its key; a `Quiver` composes whole blocks of pairs at once.
 Since hom(i, j) depends only on the degree d = j - i, `hom_labels` builds each
 degree's labels once, straight into an array, and `tabulate_quiver` shares
 that one read-only array among the n + 1 - d keys of its degree.
@@ -28,7 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,65 +69,6 @@ def offset_window(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-n, 1), repeat=n))
 
 
-@dataclass(frozen=True)
-class HomElement:
-    """Quotient morphism from level `source` to level `target`.
-
-    The multi-index `steps` has nonpositive entries with
-    sum(steps) >= source - target; it records the corner offset of the inner
-    cell relative to the outer cell realizing the morphism on the cover.
-    """
-
-    source: int
-    target: int
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        st = tuple(int(v) for v in self.steps)
-        if not st:
-            raise ValueError("steps must be nonempty")
-        if any(v > 0 for v in st):
-            raise ValueError(f"step entries must be nonpositive: {st}")
-        if sum(st) < self.source - self.target:
-            raise ValueError(
-                f"sum of steps {sum(st)} below source - target = "
-                f"{self.source - self.target}"
-            )
-        object.__setattr__(self, "steps", st)
-
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-
-def _reduce_offset(value: int, modulus: int) -> int:
-    """Reduce an integer to its representative in {-(modulus-1), ..., 0}."""
-    return -((-value) % modulus)
-
-
-def containment_lifts(outer: CellObject, inner: CellObject) -> list[tuple[int, ...]]:
-    """Integer lifts of the inner offset realizing containment in the outer cell.
-
-    A lift b' of the inner offset b (b' = b mod n+1) realizes containment iff
-    b'_l <= a_l componentwise and sum(b' - a) >= outer.level - inner.level,
-    where a is the outer offset.  Only the canonical lift
-    b'_l = a_l - ((a_l - b_l) mod (n+1)), with entries in (a_l - n - 1, a_l],
-    can succeed: any other lift with b' <= a is lower by at least n+1 in some
-    entry, so sum(b' - a) <= -(n+1) < -n <= outer.level - inner.level.  The
-    result is therefore [canonical lift] or [].
-
-    >>> containment_lifts(CellObject(-2, (-1,)), CellObject(-1, (0,)))
-    [(-2,)]
-    """
-    if outer.n != inner.n:
-        raise ValueError("cells must share a dimension")
-    a = outer.offset
-    lift = tuple(al + _reduce_offset(b - al, outer.n + 1) for al, b in zip(a, inner.offset))
-    if sum(lift) - sum(a) >= outer.level - inner.level:
-        return [lift]
-    return []
-
-
 def cell_contains(outer: CellObject, inner: CellObject) -> bool:
     """Whether the inner cell sits inside the outer cell on the covering torus.
 
@@ -135,22 +77,30 @@ def cell_contains(outer: CellObject, inner: CellObject) -> bool:
     >>> cell_contains(CellObject(-2, (-1, 0)), CellObject(-1, (0, 0)))
     False
     """
-    return bool(containment_lifts(outer, inner))
+    return hom_from_cells(outer, inner) is not None
 
 
-def hom_from_cells(outer: CellObject, inner: CellObject) -> Union[HomElement, None]:
-    """The quotient morphism realized by a containment of cells, if any.
+def hom_from_cells(outer: CellObject, inner: CellObject) -> tuple[int, ...] | None:
+    """The label b' - a of the quotient morphism realized by a containment of cells, or None.
+
+    A lift b' of the inner offset b (b' = b mod n+1) realizes containment iff
+    b'_l <= a_l componentwise and sum(b' - a) >= outer.level - inner.level,
+    where a is the outer offset.  Only the canonical lift
+    b'_l = a_l - ((a_l - b_l) mod (n+1)), with entries in (a_l - n - 1, a_l],
+    can succeed: any other lift with b' <= a is lower by at least n+1 in some
+    entry, so sum(b' - a) <= -(n+1) < -n <= outer.level - inner.level.  So
+    the label, if any, is a row of `hom_labels(inner.level - outer.level, n)`.
 
     Translating both cells by a common deck element leaves the result
     unchanged, which is what makes the quotient quiver well defined.
+
+    >>> hom_from_cells(CellObject(-2, (-1,)), CellObject(-1, (0,)))
+    (-1,)
     """
-    lifts = containment_lifts(outer, inner)
-    if not lifts:
-        return None
-    lift = lifts[0]
-    return HomElement(
-        outer.level, inner.level, tuple(b - a for b, a in zip(lift, outer.offset))
-    )
+    if outer.n != inner.n:
+        raise ValueError("cells must share a dimension")
+    label = tuple(-((a - b) % (outer.n + 1)) for a, b in zip(outer.offset, inner.offset))
+    return label if sum(label) >= outer.level - inner.level else None
 
 
 def hom_labels(d: int, n: int) -> np.ndarray:
@@ -173,35 +123,6 @@ def hom_labels(d: int, n: int) -> np.ndarray:
     runs = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d + 1), n + 1))
     runs = np.fromiter(runs, dtype=np.int64, count=count * (n + 1)).reshape(count, n + 1)[::-1]
     return np.subtract(runs[:, :-1], runs[:, 1:])
-
-
-def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
-    """Basis of the quotient hom space from level i to level j: the rows of `hom_labels`.
-
-    Empty for j < i; for j >= i the basis has binomial(j - i + n, n) elements,
-    one per multi-index b <= 0 with sum(b) >= i - j.
-
-    >>> [e.steps for e in hom_basis(-2, -1, 2)]
-    [(-1, 0), (0, -1), (0, 0)]
-    """
-    return [HomElement(i, j, steps) for steps in hom_labels(j - i, n).tolist()]
-
-
-def compose(g: HomElement, f: HomElement) -> HomElement:
-    """Composite of f followed by g; multi-indices add.
-
-    >>> f = HomElement(-3, -2, (0, -1))
-    >>> g = HomElement(-2, -1, (-1, 0))
-    >>> compose(g, f).steps
-    (-1, -1)
-    """
-    if g.source != f.target:
-        raise ValueError(
-            f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
-        )
-    if g.n != f.n:
-        raise ValueError("morphisms must share a dimension")
-    return HomElement(f.source, g.target, tuple(b + c for b, c in zip(f.steps, g.steps)))
 
 
 @dataclass(frozen=True)
@@ -324,7 +245,7 @@ def quotient_quiver(n: int) -> Quiver:
     """The quiver of quotient cells for given n: levels -n-1, ..., -1.
 
     Hom bases come from `hom_labels`; the block rule `compose_block` adds
-    multi-indices, as `compose` does for one pair.
+    multi-indices: labels b of hom(i, j) and c of hom(j, k) compose to b + c.
     """
     return tabulate_quiver(n, hom_labels)
 

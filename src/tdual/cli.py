@@ -285,7 +285,7 @@ def build_parser(name: str) -> argparse.ArgumentParser:
         default = getattr(RunConfig, flag[2:].replace("-", "_"))
         parser.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
     parser.add_argument("--format", dest="fmt", choices=formats, help=f"report format (default {RunConfig.fmt})")
-    out_file = (str, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
+    out_file = (str, lambda p: p != "" and not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
     parser.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
     return parser
 

