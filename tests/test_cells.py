@@ -138,9 +138,10 @@ def test_containment_lift_is_unique(n):
 
     The reference enumerates every lift b + (n+1) m with m in {-2, ..., 2}^n,
     which already holds at most one valid lift; shifted by the outer corner,
-    it must agree with the label of `hom_from_cells` pair by pair.  For n = 3 the outer corner stays at
-    the origin: translating both cells by a deck element shifts every lift
-    by the same amount, so the result only depends on the offset difference.
+    it must agree with the label of `hom_from_cells` pair by pair.  For n = 3
+    the outer corner stays at the origin: translating both cells by a deck
+    element shifts every lift by the same amount, so the result only depends
+    on the offset difference.
     """
     period = n + 1
     outer_cells = (
