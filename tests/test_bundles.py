@@ -47,6 +47,9 @@ def monomial_hom_basis(i: int, j: int, n: int) -> list[Monomial]:
     """All degree j - i monomials in n+1 variables, as morphisms from i to j: the rows of `exponent_labels`.
 
     Empty for j < i.  Ordered lexicographically by exponent vector.
+
+    >>> [m.exponents for m in monomial_hom_basis(-2, -1, 1)]
+    [(0, 1), (1, 0)]
     """
     return [Monomial(i, j, exps) for exps in exponent_labels(j - i, n).tolist()]
 
@@ -69,6 +72,9 @@ def to_monomial(e: HomElement) -> Monomial:
 
     Steps b from level i to level j map to exponents
     (j - i + sum(b), -b_1, ..., -b_n).
+
+    >>> to_monomial(HomElement(-2, -1, (-1, 0))).exponents
+    (0, 1, 0)
     """
     total = e.target - e.source + sum(e.steps)
     return Monomial(e.source, e.target, (total,) + tuple(-b for b in e.steps))

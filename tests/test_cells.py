@@ -50,12 +50,21 @@ def hom_basis(i: int, j: int, n: int) -> list[HomElement]:
 
     Empty for j < i; for j >= i the basis has binomial(j - i + n, n) elements,
     one per multi-index b <= 0 with sum(b) >= i - j.
+
+    >>> [e.steps for e in hom_basis(-2, -1, 2)]
+    [(-1, 0), (0, -1), (0, 0)]
     """
     return [HomElement(i, j, steps) for steps in hom_labels(j - i, n).tolist()]
 
 
 def compose(g: HomElement, f: HomElement) -> HomElement:
-    """Composite of f followed by g; multi-indices add."""
+    """Composite of f followed by g; multi-indices add.
+
+    >>> f = HomElement(-3, -2, (0, -1))
+    >>> g = HomElement(-2, -1, (-1, 0))
+    >>> compose(g, f).steps
+    (-1, -1)
+    """
     if g.source != f.target:
         raise ValueError(
             f"morphisms not composable: f targets {f.target}, g starts at {g.source}"
