@@ -1,4 +1,4 @@
-"""Golden reports: the SHA-256 of every command's stdout under TDUAL_SEED=0 (a few at 7).
+"""Golden reports: the SHA-256 of every command's stdout under TDUAL_SEED=0 (a few at 7) and of its --out files.
 
 The hashes pin the reports byte for byte, so a refactor or speed-up that
 changes any printed digit fails here.  They depend on the platform's floating-
@@ -46,6 +46,10 @@ GOLDEN = {
     "oracle --n 2 --epsilon 1/1000": "0fcc313413c1dd7ad9de3c0cc4c4e38982cad8b845106dcd26402bae162ea18d",
     "quiver --n 6": "8fcc52ada3aa294414bcc85bb6d4ec4ff39c894c028f85e18086fba62df029b0",
     "verify --n 8": "b02374ca756aa4850a8447aa3700f4df8767bf097277701e127dd659086aba7b",
+    "geometry --n 2 --format text": "f41ba6c1b4fb8e1074bf104e573f7a822dc78a3e0663301a35c696f8617bb6bc",
+    "branes --n 1 --format text": "6c73883933027e5c1dd7c973de8268c9495a1e155d297cca9dada0fd7313f228",
+    "verify --n 2 --format text": "c5d4de1844f4202b6cf92c88e959e17a365d5eb71a8e7198287323d9a117e4a4",
+    "oracle --n 1 --format text": "5ceb8864df704e158e8a6f019670c058439b5e08f1635ba8744f97ae8f211998",
 }
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
@@ -58,6 +62,19 @@ GOLDEN_SEED_7 = {
 
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
 GOLDEN_OUT_FILE = "7ff74e95b0fb2351d924dea4e2899749930d514e251e4a2b3536ef4d90a2a0b1"
+
+# SHA-256 of the file and of stdout (the line "pass -> report") when a check
+# command writes its report to --out report, run from the file's directory.
+GOLDEN_REPORT_FILE = {
+    "verify --n 2 --out report": (
+        "dcd34779066f6ee199b186a3fdb1b6346632e8afd96fc17e3b6e2ee2f8a31e97",
+        "542939837e123b68b03f0969d9461e08e7edd3777ce6d99d9a3279e03fbc5767",
+    ),
+    "oracle --n 1 --format text --out report": (
+        "5ceb8864df704e158e8a6f019670c058439b5e08f1635ba8744f97ae8f211998",
+        "542939837e123b68b03f0969d9461e08e7edd3777ce6d99d9a3279e03fbc5767",
+    ),
+}
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
@@ -84,3 +101,13 @@ def test_quiver_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
     assert cli.main(["quiver", "--n", "2", "--out", str(out_file)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_OUT_FILE
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_REPORT_FILE))
+def test_report_out_file_matches_golden_hash(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "0")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    digests = (hashlib.sha256((tmp_path / "report").read_bytes()).hexdigest(), hashlib.sha256(out.encode()).hexdigest())
+    assert digests == GOLDEN_REPORT_FILE[command]
