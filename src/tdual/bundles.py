@@ -106,8 +106,9 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     function of the arrays: it runs in `block_chunks` on the first block of
     each such key, and a later block of a key whose first block passed in
     full counts its composites without composing them.  The witness is the
-    first failure with keys and blocks in `hom_bases` order, f outer and g
-    inner; a composite outside its hom space ends the walk there.  A
+    first failure of the walk: the pairs (i, j) over the levels, then the
+    blocks in `hom_bases` order, f outer and g inner; a composite outside
+    its hom space ends the walk there.  A
     prebuilt (possibly corrupted) cell quiver may be passed in; by default
     the canonical one for `n` is built.
     """
@@ -117,7 +118,6 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     elements_checked = 0
     compositions_checked = 0
     witness = None
-    ok = True
     levels = quiver.levels
     bijective = {}  # (id, degree) of each cell array that passed -> that array, which keeps its id unique
     for i in levels:
@@ -126,8 +126,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             pairs_checked += 1
             if j < i:
                 if len(cell_side):
-                    ok = False
-                    witness = {"kind": "backward_hom", "i": i, "j": j}
+                    witness = witness or {"kind": "backward_hom", "i": i, "j": j}
                 continue
             elements_checked += len(cell_side)
             d = j - i
@@ -144,7 +143,6 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             ):
                 bijective[id(cell_side), d] = cell_side
             else:
-                ok = False
                 witness = witness or {
                     "kind": "bijection",
                     "i": i,
@@ -173,7 +171,7 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
                 compositions_checked += stop
                 failures = np.flatnonzero(wrong[:stop])
                 if failures.size:
-                    ok = clean = False
+                    clean = False
                     r, c = divmod(int(failures[0]), len(g_chunk))
                     witness = witness or {
                         "kind": "composition",
@@ -193,7 +191,6 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
             if clean:
                 passed.add(key)
     except ValueError as exc:  # a composite outside its hom space, or a basis that does not compose
-        ok = False
         witness = witness or {"kind": "composition", "error": str(exc)}
     return CheckReport(
         check="equivalence.quiver",
@@ -205,5 +202,5 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
         },
         max_deviation=None,
         witness=witness,
-        passed=ok,
+        passed=witness is None,
     )

@@ -13,11 +13,14 @@ oracle     exact relative-cohomology dimensions vs the combinatorial count
 
 `COMMANDS` gives each command's largest --n, the options it reads besides
 --n, --format and --out, and its formats; any other option is a usage error,
-and each option checks its own value as it is parsed.  Every run prints a
-JSON report (or writes it to --out) of the fixed shape {command, n,
-parameters, checks, pass}, with every option's value, defaults included, and
-no timestamps, so identical configurations give byte-identical reports.  The
-exit code is 0 when every check passes, 1 when any check fails, and 2 for
+and each option checks its own value as it is parsed.  `main` builds every
+report in one place: {command, n, parameters} with every option's value,
+defaults included, then the fields the command's `run_*` returns (checks and
+pass, plus the oracle's detail; quiver's dims, pass and export or
+export_path).  There are no timestamps, so identical configurations give
+byte-identical reports.  `_emit` prints the report as JSON or text, or writes
+it to --out; quiver's --out receives the export, and its report is printed.
+The exit code is 0 when every check passes, 1 when any check fails, and 2 for
 usage errors, printed under the command's own usage line.  Seeded sweeps read
 the TDUAL_SEED environment variable (default 0).
 """
@@ -50,27 +53,32 @@ class RunConfig:
     samples: int = 10_000
     delta_probe: float = 0.05
     epsilon: Fraction = Fraction(1, 8)
-    fmt: str = "json"
+    format: str = "json"
     out: str | None = None
     seed: int = 0
 
     def parameter_dict(self) -> dict:
-        """Every field but command and out, defaults included, in field order; fmt is named "format"."""
+        """Every field but command and out, defaults included, in field order."""
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("command", "out")}
         values["epsilon"] = str(self.epsilon)
-        return {("format" if name == "fmt" else name): value for name, value in values.items()}
+        return values
 
 
-def run_geometry(cfg: RunConfig) -> list[CheckReport]:
-    return [
+def _fields(checks: list[CheckReport], **rest) -> dict:
+    """The report fields after `parameters`: the checks, whether all passed, then `rest`."""
+    return {"checks": [c.to_dict() for c in checks], "pass": all(c.passed for c in checks), **rest}
+
+
+def run_geometry(cfg: RunConfig) -> dict:
+    return _fields([
         geometry.check_moment_round_trip(cfg.n, cfg.tol),
         geometry.check_mirror_modulus(cfg.n, cfg.tol, cfg.seed),
         geometry.check_two_form_algebra(cfg.n, cfg.tol, cfg.seed),
         geometry.check_critical_points(cfg.n),
-    ]
+    ])
 
 
-def run_branes(cfg: RunConfig) -> list[CheckReport]:
+def run_branes(cfg: RunConfig) -> dict:
     levels = range(-cfg.n - 1, 0)
     checks = branes.check_exactness(cfg.n, levels, density=cfg.grid, tol=cfg.sym_tol)
     graph_density = {1: 100, 2: 12}.get(cfg.n, 6)
@@ -87,16 +95,16 @@ def run_branes(cfg: RunConfig) -> list[CheckReport]:
                     tol=cfg.graph_tol,
                 )
             )
-    return checks + branes.separation_probe(
+    return _fields(checks + branes.separation_probe(
         cfg.n,
         branes.domain_face_midpoints(cfg.n),
         delta_probe=cfg.delta_probe,
         num_samples=cfg.samples,
         seed=cfg.seed,
-    )
+    ))
 
 
-def run_verify(cfg: RunConfig) -> list[CheckReport]:
+def run_verify(cfg: RunConfig) -> dict:
     quiver = cells.quotient_quiver(cfg.n)
     equivalence = bundles.verify_equivalence(cfg.n, quiver)
     exceptional = CheckReport(
@@ -105,10 +113,10 @@ def run_verify(cfg: RunConfig) -> list[CheckReport]:
         max_deviation=None,
         passed=cells.is_strong_exceptional(quiver),
     )
-    return [equivalence, exceptional]
+    return _fields([equivalence, exceptional])
 
 
-def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
+def run_oracle(cfg: RunConfig) -> dict:
     levels = range(-cfg.n - 1, 0)
     margins = (cfg.epsilon, cfg.epsilon / 2)
     detail = []
@@ -128,7 +136,7 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
                 mismatch = mismatch or {"i": i, "j": j, "betti": total, "expected": expected}
             if halved != total:
                 unstable = unstable or {"i": i, "j": j, "epsilon": str(cfg.epsilon)}
-    checks = [
+    return _fields([
         CheckReport(
             check="oracle.match",
             parameters={"n": cfg.n, "epsilon": str(cfg.epsilon)},
@@ -143,15 +151,14 @@ def run_oracle(cfg: RunConfig) -> tuple[list[CheckReport], list[dict]]:
             witness=unstable,
             passed=unstable is None,
         ),
-    ]
-    return checks, detail
+    ], detail=detail)
 
 
 def run_quiver(cfg: RunConfig) -> dict:
     cell_quiver = cells.quotient_quiver(cfg.n)
     bundle_quiver = bundles.line_bundle_quiver(cfg.n)
     dims = {f"{i},{j}": d for (i, j), d in cell_quiver.dims().items()}
-    if cfg.fmt == "dot":
+    if cfg.format == "dot":
         export = cells.quiver_to_dot(cell_quiver, "U", "cells") + cells.quiver_to_dot(
             bundle_quiver, "O", "bundles"
         )
@@ -160,21 +167,10 @@ def run_quiver(cfg: RunConfig) -> dict:
             "cells": functools.partial(cells.quiver_json, cell_quiver, "U"),
             "bundles": functools.partial(cells.quiver_json, bundle_quiver, "O"),
         }
-    body = {
-        "command": "quiver",
-        "n": cfg.n,
-        "parameters": cfg.parameter_dict(),
-        "dims": dims,
-        "pass": True,
-    }
     if cfg.out:
-        pieces = [export] if cfg.fmt == "dot" else _json_pieces(export)
-        with open(cfg.out, "w") as fh:
-            fh.writelines(pieces)
-        body["export_path"] = cfg.out
-    else:
-        body["export"] = export
-    return body
+        _write(cfg.out, [export] if cfg.format == "dot" else _json_pieces(export))
+        return {"dims": dims, "pass": True, "export_path": cfg.out}
+    return {"dims": dims, "pass": True, "export": export}
 
 
 def _json_pieces(value) -> list[str]:
@@ -205,12 +201,18 @@ def _json_pieces(value) -> list[str]:
     return pieces + [text[pos:] + "\n"]
 
 
+def _write(path: str, pieces: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
+
+
 def _emit(body: dict, cfg: RunConfig) -> None:
-    if cfg.command == "quiver" or cfg.fmt == "json":
+    """Print the report, or write it to --out; quiver's --out holds its export instead."""
+    if cfg.format != "text":
         pieces = _json_pieces(body)
     else:
         lines = [f"{body['command']} n={body['n']}"]
-        for check in body.get("checks", []):
+        for check in body["checks"]:
             status = "PASS" if check["pass"] else "FAIL"
             dev = check.get("max_deviation")
             extra = f" max_deviation={dev:.3e}" if isinstance(dev, float) else ""
@@ -218,8 +220,7 @@ def _emit(body: dict, cfg: RunConfig) -> None:
         lines.append("pass" if body["pass"] else "fail")
         pieces = ["\n".join(lines) + "\n"]
     if cfg.out and cfg.command != "quiver":
-        with open(cfg.out, "w") as fh:
-            fh.writelines(pieces)
+        _write(cfg.out, pieces)
         print(("pass" if body["pass"] else "fail") + f" -> {cfg.out}")
     else:
         for piece in pieces:  # write, not writelines: a stream wrapper may override write alone
@@ -284,7 +285,7 @@ def build_parser(name: str) -> argparse.ArgumentParser:
         check, help_text = OPTIONS[flag]
         default = getattr(RunConfig, flag[2:].replace("-", "_"))
         parser.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
-    parser.add_argument("--format", dest="fmt", choices=formats, help=f"report format (default {RunConfig.fmt})")
+    parser.add_argument("--format", choices=formats, help=f"report format (default {RunConfig.format})")
     out_file = (str, lambda p: p != "" and not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
     parser.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
     return parser
@@ -328,23 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         parser.error(f"TDUAL_SEED {exc}")
     cfg = RunConfig(run.command, **vars(args), seed=seed)
-    if cfg.command == "quiver":
-        _emit(run_quiver(cfg), cfg)
-        return 0
-    run = {"geometry": run_geometry, "branes": run_branes, "verify": run_verify}.get(cfg.command)
-    checks, detail = (run(cfg), None) if run else run_oracle(cfg)
-    ok = all(c.passed for c in checks)
-    body = {
-        "command": cfg.command,
-        "n": cfg.n,
-        "parameters": cfg.parameter_dict(),
-        "checks": [c.to_dict() for c in checks],
-        "pass": ok,
-    }
-    if detail is not None:
-        body["detail"] = detail
+    # Looked up at each call, so a run_* replaced on the module is the one run.
+    runner = {"geometry": run_geometry, "branes": run_branes, "quiver": run_quiver, "verify": run_verify, "oracle": run_oracle}
+    body = {"command": cfg.command, "n": cfg.n, "parameters": cfg.parameter_dict(), **runner[cfg.command](cfg)}
     _emit(body, cfg)
-    return 0 if ok else 1
+    return 0 if body["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -23,12 +23,7 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return _jsonable(value.item())
-        except (AttributeError, ValueError):
-            pass
-    if hasattr(value, "tolist"):
+    if hasattr(value, "tolist"):  # a numpy scalar or array
         return _jsonable(value.tolist())
     return value
 

@@ -188,14 +188,12 @@ def _reference_verify_equivalence(n, quiver):
     """
     compositions_checked = 0
     witness = None
-    ok = True
     for i in quiver.levels:
         for j in quiver.levels:
             cell_side = quiver.hom(i, j)
             if j < i:
                 if len(cell_side):
-                    ok = False
-                    witness = {"kind": "backward_hom", "i": i, "j": j}
+                    witness = witness or {"kind": "backward_hom", "i": i, "j": j}
                 continue
             bundle_side = monomial_hom_basis(i, j, n)
             expected = bundles.euler_pairing(i, j, n)
@@ -213,7 +211,6 @@ def _reference_verify_equivalence(n, quiver):
                 or len(images) != len(cell_side)
                 or images != {m.exponents for m in bundle_side}
             ):
-                ok = False
                 witness = witness or {
                     "kind": "bijection",
                     "i": i,
@@ -229,7 +226,6 @@ def _reference_verify_equivalence(n, quiver):
             compositions_checked += 1
             image = monomial_compose(to_monomial(g), to_monomial(f))
             if to_monomial(gf) != image:
-                ok = False
                 witness = witness or {
                     "kind": "composition",
                     "f": {"source": f.source, "target": f.target, "steps": list(f.steps)},
@@ -238,10 +234,9 @@ def _reference_verify_equivalence(n, quiver):
                     "expected_exponents": list(image.exponents),
                 }
     except ValueError as exc:
-        ok = False
         witness = witness or {"kind": "composition", "error": str(exc)}
     elements = sum(len(b) for (i, j), b in quiver.hom_bases.items() if i <= j)
-    return ok, witness, elements, compositions_checked
+    return witness is None, witness, elements, compositions_checked
 
 
 def _assert_matches_reference(n, quiver):
@@ -553,6 +548,19 @@ def test_verify_equivalence_rejects_backward_hom():
     assert rep.witness["kind"] == "backward_hom"
 
 
+def test_verify_equivalence_reports_the_first_failure_of_the_walk():
+    """The walk meets the pairs (i, j) over the levels; a later backward hom keeps the earlier witness."""
+    q = cells.quotient_quiver(2)
+    q.hom_bases[(-1, -3)] = q.hom_bases[(-1, -2)] = np.array([[0, 0]], dtype=np.int64)
+    assert _assert_matches_reference(2, q).witness == {"kind": "backward_hom", "i": -1, "j": -3}
+    q = cells.quotient_quiver(2)
+    q.hom_bases[(-3, -2)] = q.hom_bases[(-3, -2)][1:]
+    q.hom_bases[(-1, -3)] = np.array([[0, 0]], dtype=np.int64)
+    assert _assert_matches_reference(2, q).witness == {
+        "kind": "bijection", "i": -3, "j": -2, "cell_dim": 2, "bundle_dim": 3, "expected": 3,
+    }
+
+
 def test_verify_equivalence_rejects_wide_unit():
     """A unit label one entry wider has no monomial and composes with nothing.
 
@@ -580,23 +588,6 @@ def test_verify_equivalence_rejects_missing_element():
     assert rep.witness["kind"] == "bijection"
     assert rep.witness["cell_dim"] == 1
     assert rep.witness["expected"] == 2
-
-
-def test_verify_equivalence_builds_no_monomial(monkeypatch):
-    """The bijection check compares exponent tuples; it validates no Monomial."""
-    built = []
-    validate = Monomial.__post_init__
-
-    def counting(self):
-        built.append(self.exponents)
-        validate(self)
-
-    monkeypatch.setattr(Monomial, "__post_init__", counting)
-    q = cells.quotient_quiver(3)
-    rep = bundles.verify_equivalence(3, q)
-    assert rep.passed
-    assert built == []
-    assert len(monomial_hom_basis(-3, -1, 3)) == len(built) == 10  # the counter sees constructions
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

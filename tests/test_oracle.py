@@ -701,7 +701,7 @@ def test_oracle_rejects_unsupported_dimension():
 
 
 def test_hom_dim_detail_entries():
-    _, detail = cli.run_oracle(cli.RunConfig(command="oracle", n=1))
+    detail = cli.run_oracle(cli.RunConfig(command="oracle", n=1))["detail"]
     entries = [e for e in detail if (e["i"], e["j"]) == (-2, -1)]
     assert len(entries) == 2
     total = sum(e["betti"][0] for e in entries)
