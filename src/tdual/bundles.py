@@ -108,9 +108,9 @@ def verify_equivalence(n: int, quiver: Quiver | None = None) -> CheckReport:
     full counts its composites without composing them.  The witness is the
     first failure of the walk: the pairs (i, j) over the levels, then the
     blocks in `hom_bases` order, f outer and g inner; a composite outside
-    its hom space ends the walk there.  A
-    prebuilt (possibly corrupted) cell quiver may be passed in; by default
-    the canonical one for `n` is built.
+    its hom space ends the walk there.  A prebuilt (possibly corrupted)
+    cell quiver may be passed in; by default the canonical one for `n` is
+    built.
     """
     if quiver is None:
         quiver = quotient_quiver(n)
