@@ -60,6 +60,12 @@ GOLDEN_SEED_7 = {
     "branes --n 4 --grid 10": "4201bd0e5e43d7d3ed318f22360028cec5fa03a678a1e4a24807c788c0dc29d8",
 }
 
+# Runs that exit 1, a failed check with its whole report: from n = 20 the
+# moment grid is empty, so the round trip fails while the other three checks pass.
+GOLDEN_FAILING = {
+    "geometry --n 20": "97f4d2f24830a553715541ba4c38c612ef40739a7ac2d2949c5568133c8b2270",
+}
+
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
 GOLDEN_OUT_FILE = "7ff74e95b0fb2351d924dea4e2899749930d514e251e4a2b3536ef4d90a2a0b1"
 
@@ -93,6 +99,15 @@ def test_report_matches_golden_hash_at_seed_7(command, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SEED_7[command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_FAILING))
+def test_failing_report_matches_golden_hash(command, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "0")
+    rc = cli.main(command.split())
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FAILING[command]
 
 
 def test_quiver_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
