@@ -48,6 +48,8 @@ CHUNK_POINTS = 1 << 14
 # Per-constraint slack, in unit-cell coordinates, of the graph-check samples.
 GRAPH_MARGIN = 0.05
 
+R_RANGE = (0.2, 3.0)  # the fiber radii that the exactness grid spans, ends included
+
 # The largest n the sweep supports: the graph samples need GRAPH_MARGIN below
 # 1/(n+1), and the two-form arithmetic needs n <= geometry.MAX_N.
 MAX_N = min(math.ceil(1 / GRAPH_MARGIN) - 2, geometry.MAX_N)
@@ -98,18 +100,18 @@ class LiftedCell(CellObject):
             bad = pts.reshape(-1, self.n)[np.argmin(np.ravel(inside))]
             raise ValueError(f"point {tuple(bad)} lies outside the open cell {self}")
 
-    def interior_grid(self, density: int, margin: float = 0.05) -> np.ndarray:
-        """Deterministic sample grid, `margin` being per-constraint slack in u.
+    def interior_grid(self, density: int) -> np.ndarray:
+        """Deterministic sample grid with per-constraint slack GRAPH_MARGIN in u.
 
         Takes the product grid of `density` points per axis on the margin-
         shrunk simplex in u-coordinates and keeps points respecting the sum
         constraint; maps back to cell coordinates g = a + (-k) u.
         """
-        if not 0 < margin < 1.0 / (self.n + 1):
-            raise ValueError("margin must lie in (0, 1/(n+1))")
-        axis = np.linspace(-1.0 + margin, -margin, density)
+        if not GRAPH_MARGIN < 1.0 / (self.n + 1):
+            raise ValueError(f"the graph margin {GRAPH_MARGIN} must lie below 1/(n+1)")
+        axis = np.linspace(-1.0 + GRAPH_MARGIN, -GRAPH_MARGIN, density)
         pts = np.array(list(itertools.product(axis, repeat=self.n))).reshape(-1, self.n)
-        pts = pts[pts.sum(axis=1) > -1.0 + margin]
+        pts = pts[pts.sum(axis=1) > -1.0 + GRAPH_MARGIN]
         return np.asarray(self.offset, dtype=float) + (-self.level) * pts
 
     def brane_log_radii(self, gamma: tuple[float, ...] | np.ndarray) -> np.ndarray:
@@ -151,14 +153,13 @@ def check_graph(
     density: int = 12,
     fd_step: float = 1e-5,
     tol: float = 1e-7,
-    margin: float = GRAPH_MARGIN,
     literal_scaling: bool = False,
 ) -> CheckReport:
     """Check that the potential's gradient reproduces the brane's log radii.
 
     Central finite differences of the potential (step `fd_step`) are compared
     against the parametric values y = log r at a deterministic interior grid;
-    `margin` is the per-constraint slack in u-coordinates, and must keep the
+    its per-constraint slack GRAPH_MARGIN in u-coordinates must keep the
     samples at least 2 * fd_step away from the cell boundary.  The witness is
     the last sample of largest deviation.  An empty grid raises ValueError.
     """
@@ -166,9 +167,9 @@ def check_graph(
     if len(a) != n:
         raise ValueError(f"offset must have length n={n}: {a}")
     cell = LiftedCell(k, a)
-    if (-k) * margin < 2 * fd_step:
+    if (-k) * GRAPH_MARGIN < 2 * fd_step:
         raise ValueError("sample margin too small for the requested fd step")
-    samples = cell.interior_grid(density, margin)
+    samples = cell.interior_grid(density)
     if len(samples) == 0:
         raise ValueError(f"density {density} leaves no interior samples in {cell}")
     # Row 2i (2i+1) of `steps` moves a sample by +fd_step (-fd_step) along axis i.
@@ -197,7 +198,7 @@ def check_graph(
             "density": density,
             "fd_step": fd_step,
             "tol": tol,
-            "margin": margin,
+            "margin": GRAPH_MARGIN,
             "literal_scaling": literal_scaling,
             "samples": len(samples),
         },
@@ -212,16 +213,14 @@ def check_exactness(
     levels: Iterable[int],
     density: int = 20,
     tol: float = 1e-9,
-    r_min: float = 0.2,
-    r_max: float = 3.0,
 ) -> list[CheckReport]:
     """Check that the reference two-form vanishes on the section of each level.
 
     Returns one report per level k in `levels`.  Each evaluates the form on
     all pairs of section tangent vectors over a `density`-per-axis grid of
-    radii.  For n = 1 there are no pairs and the check passes vacuously with
-    deviation 0.  The witness is the last (point, pair) of largest deviation,
-    points in `itertools.product` order.
+    radii spanning R_RANGE.  For n = 1 there are no pairs and the check
+    passes vacuously with deviation 0.  The witness is the last (point, pair)
+    of largest deviation, points in `itertools.product` order.
 
     The section's tangent frame maps d/dr_i to y-part e_i / r_i and angular
     part k * d(gamma^(1))/dr_i.  On that frame the form has the closed value
@@ -235,9 +234,7 @@ def check_exactness(
     """
     if density < 1:
         raise ValueError(f"density must be a positive integer, got {density}")
-    axis = np.linspace(r_min, r_max, density)
-    if np.any(axis <= 0):
-        raise ValueError(f"fiber radii must be positive: r_range [{r_min}, {r_max}]")
+    axis = np.linspace(*R_RANGE, density)
     levels = list(levels)
     pairs = list(itertools.combinations(range(n), 2))
     scale = (2 * math.pi) ** n
@@ -272,7 +269,7 @@ def check_exactness(
                 "k": k,
                 "density": density,
                 "tol": tol,
-                "r_range": [r_min, r_max],
+                "r_range": list(R_RANGE),
             },
             max_deviation=dev,
             witness=witness,
@@ -299,7 +296,7 @@ def separation_probe(
     points: Iterable[tuple[float, ...]],
     delta_probe: float = 0.05,
     num_samples: int = 10_000,
-    seed: int | None = 0,
+    seed: int = 0,
 ) -> list[CheckReport]:
     """Probe that short flows keep the level -1 brane off the fiber over each point s.
 

@@ -370,8 +370,7 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
     labels_of, rank_of = {}, {}  # id of a basis -> its distinct labels in order, and each row's rank among them
     for basis in q.hom_bases.values():
         if id(basis) not in labels_of:
-            labels_of[id(basis)], rank = np.unique(basis, axis=0, return_inverse=True)
-            rank_of[id(basis)] = rank.ravel()
+            labels_of[id(basis)], rank_of[id(basis)] = _group_rows(basis)
 
     def template(entry: dict) -> list[str]:
         """The text of a list item `entry` from json itself, split at each "[]"; "%d" stands for a level."""

@@ -21,8 +21,8 @@ export_path).  There are no timestamps, so identical configurations give
 byte-identical reports.  `_emit` prints the report as JSON or text, or writes
 it to --out; quiver's --out receives the export, and its report is printed.
 The exit code is 0 when every check passes, 1 when any check fails, and 2 for
-usage errors, printed under the command's own usage line.  Seeded sweeps read
-the TDUAL_SEED environment variable (default 0).
+usage errors (printed under the command's own usage line) and failed writes.
+Seeded sweeps read the TDUAL_SEED environment variable (default 0).
 """
 from __future__ import annotations
 
@@ -202,8 +202,11 @@ def _json_pieces(value) -> list[str]:
 
 
 def _write(path: str, pieces: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(pieces)
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:  # an error on write or close names no file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(body: dict, cfg: RunConfig) -> None:
@@ -221,10 +224,10 @@ def _emit(body: dict, cfg: RunConfig) -> None:
         pieces = ["\n".join(lines) + "\n"]
     if cfg.out and cfg.command != "quiver":
         _write(cfg.out, pieces)
-        print(("pass" if body["pass"] else "fail") + f" -> {cfg.out}")
-    else:
-        for piece in pieces:  # write, not writelines: a stream wrapper may override write alone
-            sys.stdout.write(piece)
+        pieces = [("pass" if body["pass"] else "fail") + f" -> {cfg.out}\n"]
+    for piece in pieces:  # write, not writelines: a stream wrapper may override write alone
+        sys.stdout.write(piece)
+    sys.stdout.flush()  # a closed pipe or a full device fails here, not at the interpreter's exit
 
 
 def _checked(parse, accept, expected: str):
@@ -331,8 +334,13 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(run.command, **vars(args), seed=seed)
     # Looked up at each call, so a run_* replaced on the module is the one run.
     runner = {"geometry": run_geometry, "branes": run_branes, "quiver": run_quiver, "verify": run_verify, "oracle": run_oracle}
-    body = {"command": cfg.command, "n": cfg.n, "parameters": cfg.parameter_dict(), **runner[cfg.command](cfg)}
-    _emit(body, cfg)
+    try:
+        body = {"command": cfg.command, "n": cfg.n, "parameters": cfg.parameter_dict(), **runner[cfg.command](cfg)}
+        _emit(body, cfg)
+    except OSError as exc:  # a report or export that cannot be written is not a failed check
+        if exc.filename is None:  # stdout: point it at /dev/null, so the interpreter's last flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        parser.exit(2, f"{parser.prog}: error: cannot write {exc.filename or 'stdout'}: {exc.strerror}\n")
     return 0 if body["pass"] else 1
 
 

@@ -166,7 +166,7 @@ def test_criterion_7_mirror_coordinates_to_1e12():
 def test_criterion_8_critical_points_n1_to_n4():
     """n+1 critical points, gradient residual < 1e-10, the expected values."""
     for n in range(1, 5):
-        pts = geometry.superpotential_critical_points(n, residual_tol=1e-10)
+        pts = geometry.superpotential_critical_points(n)
         assert len(pts) == n + 1
         scale = (n + 1) * math.exp(-2 * math.pi / (n + 1))
         expected = {

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tdual import cells
+
 ROOT = Path(__file__).resolve().parents[1]
 MARKER = "BENCH-CHILD "
 
@@ -66,3 +68,18 @@ def test_bench_child_trace_runs_branes():
     counts = info["counts"]
     assert counts["branes.check_exactness.points"] == 20**2
     assert counts["branes.check_graph.samples"] == 1782
+
+
+def test_bench_child_trace_runs_geometry():
+    """One traced `geometry --n 2`: no error, and no target missing but the known stale one."""
+    info = _trace("geometry", "--n", "2")
+    assert info["error"] is None
+    assert info["missing"] == ["oracle.hom_dim_detail"]
+
+
+def test_bench_child_trace_runs_quiver():
+    """One traced `quiver --n 2`: the bench reads `len(composition)` of the cell quiver."""
+    info = _trace("quiver", "--n", "2")
+    assert info["error"] is None
+    assert info["missing"] == ["oracle.hom_dim_detail"]
+    assert info["counts"]["cells.composition_entries"] == len(cells.quotient_quiver(2).composition) == 36

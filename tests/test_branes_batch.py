@@ -71,7 +71,7 @@ def exactness_per_point(n, k, density, r_min=0.2, r_max=3.0):
 def graph_per_point(n, k, a, density, fd_step, literal_scaling):
     cell = LiftedCell(k, a)
     max_dev, worst = 0.0, None
-    for g in cell.interior_grid(density, branes.GRAPH_MARGIN):
+    for g in cell.interior_grid(density):
         expected = cell.brane_log_radii(g)
         fd = np.empty(n)
         for i in range(n):

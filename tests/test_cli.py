@@ -1,11 +1,14 @@
 """Tests for the command-line interface and its report format."""
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import math
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 import time
 import types
@@ -288,6 +291,39 @@ def test_report_to_file(tmp_path, capsys):
     assert str(target) in out
     body = json.loads(target.read_text())
     assert body["pass"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["verify", "quiver"])
+def test_a_failed_write_exits_2_with_one_line(command, capsys):
+    """A report (verify) or an export (quiver) that cannot be written is not a failed check."""
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--n", "1", "--out", "/dev/full"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tdual {command}: error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_closed_pipe_exits_2_with_one_line():
+    """The reader of quiver's export, larger than a pipe buffer, stops after 10 bytes.
+
+    The interpreter's last flush of stdout adds no second message and keeps the status.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tdual.cli", "quiver", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert head == b'{\n  "comma'
+    assert err == f"tdual quiver: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_seed_env_variable(monkeypatch, capsys):

@@ -241,7 +241,7 @@ def test_critical_values_are_checked_against_w(n, monkeypatch):
     pts = geometry.superpotential_critical_points(n)
     root = cmath.exp(2j * math.pi / (n + 1))
     rotated = [(point, value * root) for point, value in pts]
-    monkeypatch.setattr(geometry, "superpotential_critical_points", lambda n, residual_tol: rotated)
+    monkeypatch.setattr(geometry, "superpotential_critical_points", lambda n: rotated)
     rep = geometry.check_critical_points(n)
     assert rep.witness["min_value_gap"] > 1e-6
     assert not rep.passed
@@ -249,9 +249,17 @@ def test_critical_values_are_checked_against_w(n, monkeypatch):
     assert geometry.check_critical_points(n).passed
 
 
-def test_critical_point_residual_gate():
-    with pytest.raises(ArithmeticError):
-        geometry.superpotential_critical_points(2, residual_tol=1e-300)
+def test_critical_point_residual_gate(monkeypatch):
+    """A residual over RESIDUAL_TOL fails the check and is reported, not raised."""
+    residuals = [
+        math.sqrt(sum(abs(g) ** 2 for g in geometry.superpotential_gradient(point)))
+        for point, _ in geometry.superpotential_critical_points(2)
+    ]
+    monkeypatch.setattr(geometry, "RESIDUAL_TOL", 1e-300)
+    rep = geometry.check_critical_points(2)
+    assert not rep.passed
+    assert rep.max_deviation == max(residuals) > 1e-300
+    assert rep.parameters["residual_tol"] == 1e-300
 
 
 def test_symplectic_form_value():
@@ -452,14 +460,6 @@ def test_seeded_checks_fail_on_zero_samples():
     assert not geometry.check_two_form_algebra(2, 1e-12, 0, num=0).passed
 
 
-@pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.7)])
-def test_moment_round_trip_rejects_a_boundary_point(point, monkeypatch):
-    """The array form keeps the interior test of fiber_radii_from_moment above."""
-    monkeypatch.setattr(geometry, "_moment_grid", lambda n: [(0.2, 0.3), point])
-    with pytest.raises(ValueError, match="interior to the simplex"):
-        geometry.check_moment_round_trip(2, 1e-12)
-
-
 def test_moment_of_radii_equals_scalar_moment_map():
     """Squares go through libm `pow`, as in moment_map.  On glibc each of these
     radii has r**2 != r*r, so a product in place of the power changes digits."""
@@ -467,8 +467,3 @@ def test_moment_of_radii_equals_scalar_moment_map():
     rows = [(a, b) for a in radii for b in (0.5, 1.0, 1.7)] + [(b, a) for a in radii for b in (0.5, 1.0, 1.7)]
     expected = [list(moment_map(ProjectivePoint((1 + 0j,) + tuple(complex(v) for v in row))).x) for row in rows]
     assert geometry._moment_of_radii(np.array(rows)).tolist() == expected
-
-
-def test_nonpositive_radii_rejected():
-    with pytest.raises(ValueError, match=r"fiber radii must be positive: \(1\.0, 0\.0\)"):
-        geometry._require_positive_radii(np.array([[1.0, 2.0], [1.0, 0.0]]))
