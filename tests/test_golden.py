@@ -69,6 +69,10 @@ GOLDEN_FAILING = {
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
 GOLDEN_OUT_FILE = "7ff74e95b0fb2351d924dea4e2899749930d514e251e4a2b3536ef4d90a2a0b1"
 
+# The same for `quiver --n 4 --out FILE`, whose (2, 2) blocks hold 225 pairs,
+# more than one piece of cells.PIECE_ITEMS compositions.
+GOLDEN_OUT_FILE_N4 = "37cc0265035aabcb887d1f46f2bba4db359699880870d1f55cf681ec9369b788"
+
 # SHA-256 of the file and of stdout (the line "pass -> report") when a check
 # command writes its report to --out report, run from the file's directory.
 GOLDEN_REPORT_FILE = {
@@ -116,6 +120,14 @@ def test_quiver_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
     assert cli.main(["quiver", "--n", "2", "--out", str(out_file)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_OUT_FILE
+
+
+def test_quiver_n4_out_file_matches_golden_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TDUAL_SEED", "0")
+    out_file = tmp_path / "quiver.json"
+    assert cli.main(["quiver", "--n", "4", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == GOLDEN_OUT_FILE_N4
 
 
 @pytest.mark.parametrize("command", list(GOLDEN_REPORT_FILE))
