@@ -125,16 +125,6 @@ def hom_labels(d: int, n: int) -> np.ndarray:
     return np.subtract(runs[:, :-1], runs[:, 1:])
 
 
-@dataclass(frozen=True)
-class _CompositionCount:
-    """Its `len` is the number of composable basis pairs of `q`; nothing is stored."""
-
-    q: "Quiver"
-
-    def __len__(self) -> int:
-        return sum(len(fs) * len(gs) for *_, fs, gs in self.q.blocks())
-
-
 def compose_block(gs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Labels of g∘f for the rows f of `fs` (hom(i, j)) and g of `gs` (hom(j, k)); labels add.
 
@@ -191,9 +181,9 @@ class Quiver:
         return tuple(range(-self.n - 1, 0))
 
     @property
-    def composition(self) -> _CompositionCount:
-        """Sized stand-in for the old composition table; bench/child.py reads its `len`."""
-        return _CompositionCount(self)
+    def composition(self) -> range:
+        """One item per composable basis pair, a sized stand-in for the old table; bench/child.py reads its `len`."""
+        return range(sum(len(fs) * len(gs) for *_, fs, gs in self.blocks()))
 
     def hom(self, i: int, j: int) -> np.ndarray:
         """The stored label array of hom(i, j), or an empty one as wide as the stored labels."""
@@ -282,7 +272,8 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
     """JSON-ready description: objects, hom bases, and every composition.
 
     The same schema is used for the cell quiver and the line-bundle quiver, so
-    the two exports can be diffed directly.
+    the two exports can be diffed directly.  Compositions come block by block
+    in (i, j, k) order, each block's pairs in stored row order, f outer.
     """
     homs = [
         {"i": i, "j": j, "basis": basis.tolist()}
@@ -292,7 +283,7 @@ def quiver_to_dict(q: Quiver, prefix: str = "U") -> dict:
         {"i": i, "j": j, "k": k, "f": f, "g": g, "gf": gf}
         for i, j, k, f, g, gf in q.compositions()
     ]
-    comps.sort(key=lambda e: (e["i"], e["j"], e["k"], e["f"], e["g"]))
+    comps.sort(key=lambda e: (e["i"], e["j"], e["k"]))
     return {
         "n": q.n,
         "objects": [f"{prefix}({level})" for level in q.levels],
@@ -323,24 +314,26 @@ def _json_list(pieces: list[str], pad: str) -> list[str]:
     return ["[", *items, pad + "]"] if items else ["[]"]
 
 
-def _pair_order(f_rank: np.ndarray, g_rank: np.ndarray) -> np.ndarray:
-    """Indices f * len(g_rank) + g of a block's pairs, sorted by (f label, g label), ties in pair order.
+def _row_positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index in `labels` of each row of `rows`; ValueError for a row not in `labels`.
 
-    The ranks number each basis's labels in lexicographic order.
+    A row's int64 key reads its entries as mixed-radix digits above the least
+    entry of each column of `labels`, whose spans must multiply to below 2**63.
+    The rows found are checked, since a row outside those ranges can share a key.
     """
-    return np.lexsort((np.tile(g_rank, len(f_rank)), np.repeat(f_rank, len(g_rank))))
-
-
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array in lexicographic order, and the index of each row among them."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1]).any(axis=1, out=starts[1:])
-    groups = np.empty(len(rows), dtype=np.intp)
-    groups[order] = np.cumsum(starts) - 1
-    return ordered[starts], groups
+    if not len(labels):
+        raise ValueError("no labels to find rows in")
+    low, high = labels.min(axis=0), labels.max(axis=0)
+    spans = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
+    if math.prod(spans) >= 1 << 63:
+        raise ValueError(f"label spans {spans} do not fit one int64 key")
+    weights = np.array([math.prod(spans[c + 1 :]) for c in range(len(spans))], dtype=np.int64)
+    keys = (labels - low) @ weights
+    order = np.argsort(keys)
+    positions = order[np.minimum(np.searchsorted(keys, (rows - low) @ weights, sorter=order), len(order) - 1)]
+    if not np.array_equal(labels[positions], rows):
+        raise ValueError("a row is not among the labels")
+    return positions
 
 
 def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
@@ -352,25 +345,18 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
-    Each distinct label of a basis array is rendered once as its JSON list
-    text (`_label_texts`).  A basis is written by gathering its rows' texts;
-    the compositions are written block by block, in (i, j, k) order, with
-    each block's pairs sorted by (f, g), which is `quiver_to_dict`'s order,
-    as constant key strings around the gathered texts of f, g and g∘f.  The
-    composites come from `q.compose` and are grouped by a sort; when they
-    are the labels of hom(i, k) their texts are gathered too, and otherwise
-    each distinct composite is rendered once for its block.  A compose rule
-    that raises ValueError raises here too.
+    Each label of a basis array is rendered once as its JSON list text
+    (`_label_texts`).  A basis is written by gathering its rows' texts, and
+    a block of compositions by gathering those of f, g and g∘f between
+    constant key strings, each g∘f found among the rows of hom(i, k) by
+    `_row_positions`; one outside hom(i, k) raises ValueError naming the block.
     """
     key_pad, item_pad = pad + "  ", pad + "    "
     row_pad = item_pad + "    "
     head = {"n": q.n, "objects": [f"{prefix}({level})" for level in q.levels], "homs": [], "compositions": []}
     start, middle, end = json.dumps(head, indent=2).replace("\n", pad).rsplit("[]", 2)
-    # Keys of one degree share their array, so each distinct array is sorted and rendered once.
-    labels_of, rank_of = {}, {}  # id of a basis -> its distinct labels in order, and each row's rank among them
-    for basis in q.hom_bases.values():
-        if id(basis) not in labels_of:
-            labels_of[id(basis)], rank_of[id(basis)] = _group_rows(basis)
+    # Keys of one degree share their array, so each distinct array is rendered once.
+    distinct = {id(basis): basis for basis in q.hom_bases.values()}
 
     def template(entry: dict) -> list[str]:
         """The text of a list item `entry` from json itself, split at each "[]"; "%d" stands for a level."""
@@ -378,32 +364,28 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
 
     entry_head, entry_tail = template({"i": "%d", "j": "%d", "basis": []})
     item_head, middle_f, middle_g, item_tail = template({"i": "%d", "j": "%d", "k": "%d", "f": [], "g": [], "gf": []})
-    homs = []
-    rows_of = {key: row_pad + _label_texts(labels, row_pad) for key, labels in labels_of.items()}
-    for (i, j), basis in sorted(q.hom_bases.items()):
-        rows = ",".join(rows_of[id(basis)][rank_of[id(basis)]].tolist())
-        homs.append("".join([entry_head % (i, j), *_json_list([rows], item_pad + "  "), entry_tail]))
-    del rows_of
-    texts = {key: _label_texts(labels, item_pad + "  ") for key, labels in labels_of.items()}
+    rows_of = {key: ",".join((row_pad + _label_texts(basis, row_pad)).tolist()) for key, basis in distinct.items()}
+    homs = [
+        "".join([entry_head % (i, j), *_json_list([rows_of[id(basis)]], item_pad + "  "), entry_tail])
+        for (i, j), basis in sorted(q.hom_bases.items())
+    ]
+    texts = {key: _label_texts(basis, item_pad + "  ") for key, basis in distinct.items()}
     comps = []
     for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
         table = q.compose(gs, fs)
-        f_rank, g_rank = rank_of[id(fs)], rank_of[id(gs)]
-        order = _pair_order(f_rank, g_rank)
-        composites, groups = _group_rows(table.reshape(len(order), table.shape[-1]))
-        target = q.hom_bases.get((i, k))
-        if target is not None and np.array_equal(composites, labels_of[id(target)]):
-            gf_texts = texts[id(target)]
-        else:
-            gf_texts = _label_texts(composites, item_pad + "  ")
+        target = q.hom(i, k)
+        try:
+            positions = _row_positions(target, table.reshape(-1, table.shape[-1]))
+        except ValueError as error:
+            raise ValueError(f"block ({i}, {j}, {k}): composites outside hom({i}, {k}): {error}") from None
         opening = item_head % (i, j, k)
-        for first in range(0, len(order), PIECE_ITEMS):
-            pairs = order[first : first + PIECE_ITEMS]
+        for first in range(0, len(positions), PIECE_ITEMS):
+            pairs = np.arange(first, min(first + PIECE_ITEMS, len(positions)))  # f * len(gs) + g, f outer
             parts = ["," + opening, "", middle_f, "", middle_g, "", item_tail] * len(pairs)
             parts[0] = opening
-            parts[1::7] = texts[id(fs)][f_rank[pairs // len(gs)]].tolist()
-            parts[3::7] = texts[id(gs)][g_rank[pairs % len(gs)]].tolist()
-            parts[5::7] = gf_texts[groups[pairs]].tolist()
+            parts[1::7] = texts[id(fs)][pairs // len(gs)].tolist()
+            parts[3::7] = texts[id(gs)][pairs % len(gs)].tolist()
+            parts[5::7] = texts[id(target)][positions[pairs]].tolist()
             comps.append("".join(parts))
     return [start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end]
 

@@ -548,22 +548,42 @@ def _scrambled(gs, fs):
     return table
 
 
-def test_quiver_json_writes_planted_composites_as_the_rule_returns_them():
-    q = cells.Quiver(n=3, hom_bases=cells.quotient_quiver(3).hom_bases, compose=_scrambled)
-    tables = [_scrambled(gs, fs).reshape(-1, 3) for *_, fs, gs in q.blocks()]
+def _one_label(label):
+    """A compose rule under which every pair of a block composes to `label`."""
+    return lambda gs, fs: np.broadcast_to(np.array(label), (len(fs), len(gs), len(label))).copy()
+
+
+def test_quiver_json_refuses_composites_outside_their_hom_space():
+    """A composite that is not a row of hom(i, k) raises, naming its block; quiver_to_dict still writes it."""
+    scrambled = cells.Quiver(n=3, hom_bases=cells.quotient_quiver(3).hom_bases, compose=_scrambled)
+    tables = [_scrambled(gs, fs).reshape(-1, 3) for *_, fs, gs in scrambled.blocks()]
     assert any(len(np.unique(table, axis=0)) < len(table) for table in tables)
     assert all((table[:, -1] > 0).all() and (table[:, 0] < -9).all() for table in tables)
-    text = "".join(cells.quiver_json(q, "U"))
-    assert "-2017," in text and "4343\n" in text
-    _assert_json_matches(q, "U")
+    missing = cells.quotient_quiver(3)
+    del missing.hom_bases[(-4, -2)]
+    one_label = cells.quotient_quiver(2)
+    one_label.compose = _one_label([-5, 12])
+    for q, block in [(scrambled, (-4, -4, -4)), (missing, (-4, -3, -2)), (one_label, (-3, -3, -3))]:
+        written = cells.quiver_to_dict(q, "U")["compositions"]
+        assert len(written) == len(q.composition)
+        assert [e["gf"] for e in written] == [
+            gf.tolist() for *_, fs, gs in sorted(q.blocks(), key=lambda b: b[:3]) for gf in q.compose(gs, fs).reshape(-1, q.n)
+        ]
+        with pytest.raises(ValueError, match=r"^block \(%d, %d, %d\): composites outside hom\(%d, %d\)" % (*block, block[0], block[2])):
+            cells.quiver_json(q, "U")
 
 
 @pytest.mark.parametrize("label", [[-5, 12], [0, 0]])
 def test_quiver_json_with_one_composite_per_block(label):
-    """Every pair of a block composes to one label, inside hom(i, k) or not."""
+    """Every pair of a block composes to one label: written when it is a row of every hom(i, k), refused otherwise."""
     q = cells.quotient_quiver(2)
-    q.compose = lambda gs, fs: np.broadcast_to(np.array(label), (len(fs), len(gs), 2)).copy()
-    _assert_json_matches(q, "U")
+    q.compose = _one_label(label)
+    assert {tuple(e["gf"]) for e in cells.quiver_to_dict(q, "U")["compositions"]} == {tuple(label)}
+    if label == [0, 0]:
+        _assert_json_matches(q, "U")
+    else:
+        with pytest.raises(ValueError, match=r"^block \(-3, -3, -3\)"):
+            cells.quiver_json(q, "U")
 
 
 def test_quiver_json_with_empty_bases_among_composable_ones():
@@ -578,8 +598,8 @@ def test_quiver_json_with_empty_bases_among_composable_ones():
     _assert_json_matches(q, "U")
 
 
-def test_quiver_json_sorts_shuffled_bases():
-    """Rows and keys out of order (and a repeated row) come out in quiver_to_dict's sorted order."""
+def test_quiver_json_writes_shuffled_bases_in_stored_order():
+    """Rows and keys out of order (and a repeated row): homs in sorted key order, each block's pairs in stored row order."""
     rng = np.random.default_rng(7)
     q = cells.quotient_quiver(3)
     shuffled = {key: rng.permutation(basis) for key, basis in reversed(list(q.hom_bases.items()))}
@@ -587,6 +607,30 @@ def test_quiver_json_sorts_shuffled_bases():
     q = cells.Quiver(n=3, hom_bases=shuffled, compose=cells.compose_block)
     assert [key for key, _ in q.hom_bases.items()] != sorted(q.hom_bases)
     _assert_json_matches(q, "U")
+    fs, gs = shuffled[(-4, -3)], shuffled[(-3, -2)]
+    assert fs[0].tolist() != min(fs.tolist())  # the sorted order would start elsewhere
+    written = json.loads("".join(cells.quiver_json(q, "U")))["compositions"]
+    first = next(e for e in written if (e["i"], e["j"], e["k"]) == (-4, -3, -2))
+    assert (first["f"], first["g"]) == (fs[0].tolist(), gs[0].tolist())
+
+
+def test_row_positions_finds_each_row_and_refuses_the_rest():
+    """Shuffled labels with repeated rows: each row found equals its query; a non-member or too wide a span raises."""
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.concatenate([cells.hom_labels(3, 3), cells.hom_labels(2, 3)[:5]]))
+    rows = labels[rng.integers(len(labels), size=200)]
+    positions = cells._row_positions(labels, rows)
+    assert np.array_equal(labels[positions], rows)
+    with pytest.raises(ValueError, match="not among the labels"):
+        cells._row_positions(labels, np.concatenate([rows, [[1, 0, 0]]]))
+    with pytest.raises(ValueError, match="not among the labels"):
+        cells._row_positions(labels, np.array([[-2, 2, 0]]))  # the key of [-1, -2, 0], outside the column's range
+    with pytest.raises(ValueError, match="no labels"):
+        cells._row_positions(labels[:0], rows)
+    wide = np.array([[0, 0, 0], [1 << 21, 1 << 21, 1 << 21]])
+    assert np.array_equal(cells._row_positions(wide[:, 1:], wide[::-1, 1:]), [1, 0])
+    with pytest.raises(ValueError, match="do not fit one int64 key"):
+        cells._row_positions(wide, wide)
 
 
 @pytest.mark.parametrize("bases", [{}, {(-1, -2): np.array([[0]])}, {(-2, -1): np.empty((0, 1), dtype=np.int64)}])

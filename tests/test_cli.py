@@ -462,7 +462,6 @@ UNREACHED_ALLOWED = {
     "cells.quiver_to_dict",
     "cells.Quiver.compositions",
     "cells.Quiver.composition",
-    "cells._CompositionCount",
     "oracle.oracle_hom_dim",
     # ROADMAP item 1's per-pair check puts them on the oracle's path.
     "cells.cell_contains",
