@@ -566,10 +566,10 @@ def test_quiver_json_refuses_composites_outside_their_hom_space():
     for q, block in [(scrambled, (-4, -4, -4)), (missing, (-4, -3, -2)), (one_label, (-3, -3, -3))]:
         written = cells.quiver_to_dict(q, "U")["compositions"]
         assert len(written) == len(q.composition)
-        assert [e["gf"] for e in written] == [
-            gf.tolist() for *_, fs, gs in sorted(q.blocks(), key=lambda b: b[:3]) for gf in q.compose(gs, fs).reshape(-1, q.n)
-        ]
-        with pytest.raises(ValueError, match=r"^block \(%d, %d, %d\): composites outside hom\(%d, %d\)" % (*block, block[0], block[2])):
+        blocks = sorted(q.blocks(), key=lambda b: b[:3])
+        assert [e["gf"] for e in written] == [gf.tolist() for *_, fs, gs in blocks for gf in q.compose(gs, fs).reshape(-1, q.n)]
+        i, j, k = block
+        with pytest.raises(ValueError, match=rf"^block \({i}, {j}, {k}\): composites outside hom\({i}, {k}\)"):
             cells.quiver_json(q, "U")
 
 
