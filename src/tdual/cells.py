@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -303,15 +303,19 @@ def _label_texts(labels: np.ndarray, pad: str) -> np.ndarray:
     return texts
 
 
-def _json_list(pieces: list[str], pad: str) -> list[str]:
-    """An indent=2 JSON list from runs of its item texts, as parts to join.
+def _json_list(pieces: Iterable[str], pad: str) -> Iterator[str]:
+    """An indent=2 JSON list from runs of its item texts, as parts to write in turn.
 
     Each item starts with its newline and indentation, and the items of one
-    run are joined by commas.  `pad` is a newline and the indentation of the
-    list's own line.
+    run are joined by commas; an empty run is skipped.  `pad` is a newline
+    and the indentation of the list's own line.
     """
-    items = [part for piece in pieces if piece for part in (",", piece)][1:]
-    return ["[", *items, pad + "]"] if items else ["[]"]
+    opening = "["
+    for piece in pieces:
+        if piece:
+            yield opening + piece
+            opening = ","
+    yield "[]" if opening == "[" else pad + "]"
 
 
 def _row_positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -336,20 +340,25 @@ def _row_positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return positions
 
 
-def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
+def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
 
-    The text comes as a list of pieces to join or write in turn, so no
-    joined copy of the whole export is made, and a piece holds at most
-    PIECE_ITEMS compositions, so writing one piece copies little of it.
+    Two phases.  At call time every block is composed, in `block_chunks` so
+    no temporary array holds more than about CHUNK_ENTRIES label entries,
+    and each g∘f is found among the rows of hom(i, k) by `_row_positions`;
+    only those int64 positions are kept, with the rendered homs and label
+    texts.  Every ValueError is raised here: the compose rule's, and one
+    naming the block of a composite outside hom(i, k).  The call then
+    returns an iterator that renders the text piece by piece, each piece
+    holding at most PIECE_ITEMS compositions, so no more than one piece of
+    the compositions is held as text at a time.
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
     Each label of a basis array is rendered once as its JSON list text
     (`_label_texts`).  A basis is written by gathering its rows' texts, and
     a block of compositions by gathering those of f, g and g∘f between
-    constant key strings, each g∘f found among the rows of hom(i, k) by
-    `_row_positions`; one outside hom(i, k) raises ValueError naming the block.
+    constant key strings.
     """
     key_pad, item_pad = pad + "  ", pad + "    "
     row_pad = item_pad + "    "
@@ -370,24 +379,30 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> list[str]:
         for (i, j), basis in sorted(q.hom_bases.items())
     ]
     texts = {key: _label_texts(basis, item_pad + "  ") for key, basis in distinct.items()}
-    comps = []
+    blocks = []
     for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
-        table = q.compose(gs, fs)
         target = q.hom(i, k)
-        try:
-            positions = _row_positions(target, table.reshape(-1, table.shape[-1]))
-        except ValueError as error:
-            raise ValueError(f"block ({i}, {j}, {k}): composites outside hom({i}, {k}): {error}") from None
-        opening = item_head % (i, j, k)
-        for first in range(0, len(positions), PIECE_ITEMS):
-            pairs = np.arange(first, min(first + PIECE_ITEMS, len(positions)))  # f * len(gs) + g, f outer
-            parts = ["," + opening, "", middle_f, "", middle_g, "", item_tail] * len(pairs)
-            parts[0] = opening
-            parts[1::7] = texts[id(fs)][pairs // len(gs)].tolist()
-            parts[3::7] = texts[id(gs)][pairs % len(gs)].tolist()
-            parts[5::7] = texts[id(target)][positions[pairs]].tolist()
-            comps.append("".join(parts))
-    return [start, *_json_list(homs, key_pad), middle, *_json_list(comps, key_pad), end]
+        positions = np.empty((len(fs), len(gs)), dtype=np.int64)
+        for rows, cols in block_chunks(fs, gs):
+            table = q.compose(gs[cols], fs[rows])
+            try:
+                positions[rows, cols] = _row_positions(target, table.reshape(-1, table.shape[-1])).reshape(table.shape[:2])
+            except ValueError as error:
+                raise ValueError(f"block ({i}, {j}, {k}): composites outside hom({i}, {k}): {error}") from None
+        blocks.append((item_head % (i, j, k), texts[id(fs)], texts[id(gs)], texts[id(target)], positions.ravel()))
+
+    def compositions() -> Iterator[str]:
+        for opening, f_texts, g_texts, gf_texts, positions in blocks:
+            for first in range(0, len(positions), PIECE_ITEMS):
+                pairs = np.arange(first, min(first + PIECE_ITEMS, len(positions)))  # f * len(gs) + g, f outer
+                parts = ["," + opening, "", middle_f, "", middle_g, "", item_tail] * len(pairs)
+                parts[0] = opening
+                parts[1::7] = f_texts[pairs // len(g_texts)].tolist()
+                parts[3::7] = g_texts[pairs % len(g_texts)].tolist()
+                parts[5::7] = gf_texts[positions[pairs]].tolist()
+                yield "".join(parts)
+
+    return itertools.chain([start], _json_list(homs, key_pad), [middle], _json_list(compositions(), key_pad), [end])
 
 
 def quiver_to_dot(q: Quiver, prefix: str = "U", name: str = "cells") -> str:

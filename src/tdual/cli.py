@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import branes, bundles, cells, geometry, oracle
 from .report import CheckReport
@@ -173,14 +175,16 @@ def run_quiver(cfg: RunConfig) -> dict:
     return {"dims": dims, "pass": True, "export": export}
 
 
-def _json_pieces(value) -> list[str]:
+def _json_pieces(value) -> Iterator[str]:
     """The text of `json.dumps(value, indent=2)` and a newline, in pieces.
 
     A quiver export in `value` is a partial of `cells.quiver_json` that still
     takes its `pad`.  json writes a placeholder string for it, and the
     export's own pieces go in its place at that depth, so no composition
-    passes through json's pure-Python indent encoder.  The whole text is
-    built before anything is written.
+    passes through json's pure-Python indent encoder.  json runs and every
+    export is called before this returns, so a TypeError or an export's
+    ValueError comes before anything is written; the exports' compositions
+    are rendered only as the returned iterator is read.
     """
     exports = []
 
@@ -191,17 +195,17 @@ def _json_pieces(value) -> list[str]:
         return f"\0{len(exports) - 1}"
 
     text = json.dumps(value, indent=2, default=placeholder)
-    pieces, pos = [], 0
+    parts, pos = [], 0
     for number, export in enumerate(exports):
         token = json.dumps(f"\0{number}")
         at = text.index(token, pos)
         line = text[text.rfind("\n", 0, at) + 1 : at]
-        pieces += [text[pos:at], *export("\n" + " " * (len(line) - len(line.lstrip(" "))))]
+        parts += [[text[pos:at]], export("\n" + " " * (len(line) - len(line.lstrip(" "))))]
         pos = at + len(token)
-    return pieces + [text[pos:] + "\n"]
+    return itertools.chain.from_iterable([*parts, [text[pos:] + "\n"]])
 
 
-def _write(path: str, pieces: list[str]) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
     try:
         with open(path, "w") as fh:
             fh.writelines(pieces)

@@ -540,6 +540,28 @@ def test_quiver_json_splits_blocks_into_pieces(items, monkeypatch):
     _assert_json_matches(q, "U")
 
 
+@pytest.mark.parametrize("entries", [1, 10])
+def test_quiver_json_composes_blocks_in_chunks(entries, monkeypatch):
+    """With a cap of `entries` label entries, every compose call stays under it and the text is unchanged.
+
+    At n = 3 a cap of 1 entry composes every pair alone, and a cap of 10
+    composes three f rows against the unit and one f row against three g rows
+    of every larger basis.
+    """
+    monkeypatch.setattr(cells, "CHUNK_ENTRIES", entries)
+    calls = []
+    q = cells.quotient_quiver(3)
+
+    def compose(gs, fs):
+        calls.append((len(fs), gs.shape))
+        return cells.compose_block(gs, fs)
+
+    q.compose = compose
+    _assert_json_matches(q, "U")
+    assert calls and all(f_rows * g_rows * width <= max(entries, width) for f_rows, (g_rows, width) in calls)
+    assert any(g_rows < len(q.hom(-4, -1)) for _, (g_rows, _) in calls)
+
+
 def _scrambled(gs, fs):
     """Composites outside every basis, with multi-digit entries of both signs, repeated within a block."""
     table = cells.compose_block(gs, fs) // 2

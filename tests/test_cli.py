@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -182,6 +183,79 @@ def test_quiver_export_raises_before_writing(extra, tmp_path, monkeypatch, capsy
         cli.main(["quiver", "--n", "1", *extra])
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "quiver.json"]])
+@pytest.mark.parametrize(
+    "wide_unit, rule, match",
+    [
+        (True, cells.compose_block, r"^morphisms must share a dimension$"),
+        (False, lambda gs, fs: cells.compose_block(gs, fs) + 1, r"^block \(-3, -3, -3\): composites outside hom\(-3, -3\)"),
+    ],
+    ids=["unit_that_does_not_compose", "composites_outside_their_hom_space"],
+)
+def test_quiver_export_raises_in_the_second_export_before_writing(extra, wide_unit, rule, match, tmp_path, monkeypatch, capsys):
+    """The line-bundle export, which comes after the cell export, raising still stops the run before any byte is written."""
+    line_bundle_quiver = bundles.line_bundle_quiver
+
+    def broken(n):
+        q = line_bundle_quiver(n)
+        if wide_unit:
+            q.hom_bases[(-1, -1)] = np.zeros((1, n + 2), dtype=np.int64)  # a unit that does not compose
+        q.compose = rule
+        return q
+
+    monkeypatch.setattr(bundles, "line_bundle_quiver", broken)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=match):
+        cli.main(["quiver", "--n", "2", *extra])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quiver_stdout_and_out_file_hold_the_same_export(tmp_path, capsys):
+    """At n = 4, where blocks span several export pieces, both sinks write the same export."""
+    _, embedded = run_cli(["quiver", "--n", "4"], capsys)
+    out_file = tmp_path / "quiver.json"
+    rc, out = run_cli(["quiver", "--n", "4", "--out", str(out_file)], capsys)
+    assert rc == 0 and json.loads(out)["export_path"] == str(out_file)
+    assert json.loads(out_file.read_text()) == json.loads(embedded)["export"]
+
+
+class _CountingStream:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_quiver_export_memory_stays_below_its_size(to_file, tmp_path, monkeypatch):
+    """`quiver --n 5` allocates at its peak less than a quarter of the bytes it writes, to stdout or to --out.
+
+    The export is written piece by piece, so the text of the compositions is
+    never held whole; the file is about 6 MB.
+    """
+    stdout = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out_file = tmp_path / "quiver.json"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["quiver", "--n", "5", *(["--out", str(out_file)] if to_file else [])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    written = out_file.stat().st_size if to_file else stdout.chars
+    assert written > 5_000_000
+    assert peak < written / 4
 
 
 # The one-element morphism forms that tests keep as references; no module of the package has them.
