@@ -245,9 +245,11 @@ def is_strong_exceptional(q: Quiver) -> bool:
 
     Requires: every endomorphism space is one-dimensional and its one label
     row acts as a two-sided unit under `q.compose`, applied to the blocks
-    (unit, basis) and (basis, unit) of label arrays; no nonzero homs from a
+    (basis, unit) and (unit, basis) of label arrays; no nonzero homs from a
     higher to a lower level; all morphisms in degree 0 (structural here,
-    since nonzero degrees are empty by construction).
+    since nonzero degrees are empty by construction).  Each distinct block
+    of arrays is composed once, in `block_chunks`, and the unit's composite
+    with each row must equal that row.
     """
     if any(j < i and len(basis) for (i, j), basis in q.hom_bases.items()):
         return False
@@ -256,15 +258,22 @@ def is_strong_exceptional(q: Quiver) -> bool:
         units[level] = q.hom(level, level)
         if len(units[level]) != 1:
             return False
+    passed = {}  # (id(fs), id(gs), unit first) of each block that passed -> its arrays, which keep the ids unique
     for (i, j), basis in q.hom_bases.items():
-        try:
-            broken = (
-                j in units and not np.array_equal(q.compose(units[j], basis)[:, 0], basis)
-            ) or (i in units and not np.array_equal(q.compose(basis, units[i])[0], basis))
-        except ValueError:  # the unit's labels do not fit the basis, so it is no unit
-            return False
-        if broken:
-            return False
+        for fs, gs, unit_first in ((basis, units.get(j), False), (units.get(i), basis, True)):
+            key = id(fs), id(gs), unit_first
+            if fs is None or gs is None or key in passed:
+                continue
+            # An empty basis holds no composite; it is composed whole, so that one as wide as no unit still fails.
+            chunks = block_chunks(fs, gs) if len(basis) else [(slice(None), slice(None))]
+            try:
+                for rows, cols in chunks:
+                    table = q.compose(gs[cols], fs[rows])
+                    if not (np.array_equal(table[0], gs[cols]) if unit_first else np.array_equal(table[:, 0], fs[rows])):
+                        return False
+            except ValueError:  # the unit's labels do not fit the basis, so it is no unit
+                return False
+            passed[key] = fs, gs
     return True
 
 
@@ -343,11 +352,12 @@ def _row_positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(quiver_to_dict(q, prefix), indent=2)`, written from the label arrays.
 
-    Two phases.  At call time every block is composed, in `block_chunks` so
-    no temporary array holds more than about CHUNK_ENTRIES label entries,
+    Two phases.  At call time each distinct block, known by its arrays
+    hom(i, j), hom(j, k) and hom(i, k), is composed once, in `block_chunks`
+    so no temporary array holds more than about CHUNK_ENTRIES label entries,
     and each g∘f is found among the rows of hom(i, k) by `_row_positions`;
-    only those int64 positions are kept, with the rendered homs and label
-    texts.  Every ValueError is raised here: the compose rule's, and one
+    only those int64 positions are kept, shared by the blocks of one
+    distinct block, with the rendered homs and label texts.  Every ValueError is raised here: the compose rule's, and one
     naming the block of a composite outside hom(i, k).  The call then
     returns an iterator that renders the text piece by piece, each piece
     holding at most PIECE_ITEMS compositions, so no more than one piece of
@@ -380,16 +390,20 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
     ]
     texts = {key: _label_texts(basis, item_pad + "  ") for key, basis in distinct.items()}
     blocks = []
+    located = {}  # (id(fs), id(gs), id(target)) of each block located -> its positions; the quiver keeps the ids unique
     for i, j, k, fs, gs in sorted(q.blocks(), key=lambda block: block[:3]):
         target = q.hom(i, k)
-        positions = np.empty((len(fs), len(gs)), dtype=np.int64)
-        for rows, cols in block_chunks(fs, gs):
-            table = q.compose(gs[cols], fs[rows])
-            try:
-                positions[rows, cols] = _row_positions(target, table.reshape(-1, table.shape[-1])).reshape(table.shape[:2])
-            except ValueError as error:
-                raise ValueError(f"block ({i}, {j}, {k}): composites outside hom({i}, {k}): {error}") from None
-        blocks.append((item_head % (i, j, k), texts[id(fs)], texts[id(gs)], texts[id(target)], positions.ravel()))
+        key = id(fs), id(gs), id(target)
+        if key not in located:
+            positions = np.empty((len(fs), len(gs)), dtype=np.int64)
+            for rows, cols in block_chunks(fs, gs):
+                table = q.compose(gs[cols], fs[rows])
+                try:
+                    positions[rows, cols] = _row_positions(target, table.reshape(-1, table.shape[-1])).reshape(table.shape[:2])
+                except ValueError as error:
+                    raise ValueError(f"block ({i}, {j}, {k}): composites outside hom({i}, {k}): {error}") from None
+            located[key] = positions.ravel()
+        blocks.append((item_head % (i, j, k), texts[id(fs)], texts[id(gs)], texts[id(target)], located[key]))
 
     def compositions() -> Iterator[str]:
         for opening, f_texts, g_texts, gf_texts, positions in blocks:

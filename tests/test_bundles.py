@@ -449,10 +449,39 @@ def test_one_array_at_two_degrees_is_checked_at_each():
     assert rep.parameters["compositions_checked"] < sum(len(fs) * len(gs) for *_, fs, gs in q.blocks())
 
 
-@pytest.mark.parametrize("corruption", ["backward", "missing", "wide", "foreign"])
-def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
-    """Bijection failures and bases that do not compose give the reference's report."""
+@pytest.mark.parametrize("corruption", ["backward", "missing", "wide", "foreign", "outside_row", "late_rule"])
+def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption, monkeypatch):
+    """Bijection failures and bases that do not compose give the reference's report.
+
+    The last two cases run with a cap of 4 entries, so the block (-3, -2, -1)
+    spans six chunks of one f row against two g rows, and each leaves the
+    whole-chunk comparison on a later chunk of it.  "outside_row" puts
+    [-1, 1] at row 2 of hom(-2, -1): the honest table equals f + g, but
+    [-1, 0] + [-1, 1] lies outside hom(-3, -1) and ends the walk, though
+    [0, -1] + [-1, 1] lies in it.  "late_rule" makes the rule wrong only in
+    the last composite of the third chunk.
+    """
     q = cells.quotient_quiver(2)
+    if corruption in ("outside_row", "late_rule"):
+        monkeypatch.setattr(cells, "CHUNK_ENTRIES", 4)
+    if corruption == "outside_row":
+        fs, gs = _own(q, (-3, -2), (-2, -1))
+        gs[2] = [-1, 1]
+        assert 2 >= list(cells.block_chunks(fs, gs))[0][1].stop  # the row lies beyond the first chunk
+        assert [-1, 0] in q.hom_bases[(-3, -1)].tolist()  # [0, -1] + [-1, 1]
+        rep = _assert_matches_reference(2, q)
+        assert rep.witness["kind"] == "bijection"
+        assert rep.parameters["compositions_checked"] < sum(len(fs) * len(gs) for *_, fs, gs in q.blocks())
+        return
+    if corruption == "late_rule":
+        fs, gs = _own(q, (-3, -2), (-2, -1))
+        rows, cols = list(cells.block_chunks(fs, gs))[2]
+        f, g = fs[rows][-1], gs[cols][-1]
+        label = next(e for e in q.hom_bases[(-3, -1)].tolist() if e != (f + g).tolist())
+        q.compose = _planted(q.compose, fs, gs, f, g, label)
+        rep = _assert_matches_reference(2, q)
+        assert (rep.witness["f"]["steps"], rep.witness["g"]["steps"], rep.witness["table_result"]) == (f.tolist(), g.tolist(), label)
+        return
     if corruption == "backward":
         q.hom_bases[(-1, -2)] = np.array([[0, 0]], dtype=np.int64)
     elif corruption == "missing":
@@ -467,6 +496,46 @@ def test_verify_equivalence_matches_reference_on_corrupt_bases(corruption):
     if corruption == "wide":  # the walk stopped where the block rule refused the unit
         with pytest.raises(ValueError, match="^morphisms must share a dimension$"):
             list(q.compositions())
+
+
+@pytest.mark.parametrize("entries", [1 << 18, 5])
+def test_exponent_labels_rank_in_order(entries, monkeypatch):
+    """Read as images, the rows of `exponent_labels(d, n)` rank to 0, ..., binomial(d + n, n) - 1 in order.
+
+    The image of a label b is (d + sum(b), -b_1, ..., -b_n), so the label of
+    an exponent row e is -e[1:]; a cap of 5 entries ranks a few rows at a time.
+    """
+    monkeypatch.setattr(cells, "CHUNK_ENTRIES", entries)
+    for n in range(1, 7):
+        for d in range(7):
+            images = exponent_labels(d, n)
+            assert bundles._image_ranks(-images[:, 1:], d).tolist() == list(range(math.comb(d + n, n)))
+
+
+@pytest.mark.parametrize("mutation", ["duplicate", "positive", "below", "wide"])
+def test_rank_check_matches_reference_on_mutated_labels(mutation):
+    """A duplicated row, a positive entry, a row summing below -d or a wide label fails the rank check as the reference does.
+
+    Each mutates its own copy of hom(-4, -2) at n = 3 (degree 2, 10 rows).
+    The walk first meets that copy in the block (-4, -4, -2), whose
+    composites are its rows: a row outside hom(-4, -2) ends the walk there,
+    a wide label ends it where the rule refuses the unit, and a duplicated
+    row composes like the row it copies.
+    """
+    q = cells.quotient_quiver(3)
+    (labels,) = _own(q, (-4, -2))
+    if mutation == "duplicate":
+        labels[1] = labels[0]
+    elif mutation == "positive":
+        labels[3] = [0, -1, 1]
+    elif mutation == "below":
+        labels[3] = [-3, 0, 0]
+    else:
+        q.hom_bases[(-4, -2)] = np.pad(labels, ((0, 0), (0, 1)))
+    rep = _assert_matches_reference(3, q)
+    assert rep.witness == {"kind": "bijection", "i": -4, "j": -2, "cell_dim": 10, "bundle_dim": 10, "expected": 10}
+    closed_form = sum(len(fs) * len(gs) for *_, fs, gs in cells.quotient_quiver(3).blocks())
+    assert (rep.parameters["compositions_checked"] == closed_form) == (mutation == "duplicate")
 
 
 def test_verify_equivalence_matches_reference_in_one_row_chunks(monkeypatch):

@@ -457,6 +457,14 @@ def test_strong_exceptionality_rejects_wide_unit():
         q.compose(q.hom(-1, -1), q.hom(-2, -1))
 
 
+@pytest.mark.parametrize("width, passed", [(1, True), (2, False)])
+def test_strong_exceptionality_with_an_empty_basis(width, passed):
+    """An empty basis holds no composite: as wide as the units it passes, wider it does not compose with them."""
+    q = cells.quotient_quiver(1)
+    q.hom_bases[(-2, -1)] = np.empty((0, width), dtype=np.int64)
+    assert cells.is_strong_exceptional(q) == passed
+
+
 def test_strong_exceptionality_rejects_broken_unit():
     q = cells.quotient_quiver(1)
     e = q.hom_bases[(-1, -1)]
@@ -465,14 +473,93 @@ def test_strong_exceptionality_rejects_broken_unit():
     honest = q.compose
 
     def broken(gs, fs):
+        """The honest rule, except on the block (basis, unit) or a chunk of it, known by the chunks' base arrays."""
         table = honest(gs, fs)
-        if gs is e and fs is basis:
+        if (gs is e or gs.base is e) and (fs is basis or fs.base is basis):
             table[(fs == f).all(axis=1), 0] = other
         return table
 
     # the unit no longer acts as identity on f
     q.compose = broken
     assert not cells.is_strong_exceptional(q)
+
+
+def _base(a):
+    """The array that `a` is a chunk of, or `a` itself."""
+    return a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("entries", [1 << 18, 2])
+def test_strong_exceptionality_composes_each_distinct_block_once_in_chunks(entries, monkeypatch):
+    """At n = 3 the keys share four arrays, one per degree: the check composes eight distinct blocks.
+
+    They are (basis, unit) and (unit, basis) for each array, the unit's with
+    itself counted on both sides.  Every compose call stays under the cap of
+    `entries` label entries, and together the calls cover each block once.
+    """
+    monkeypatch.setattr(cells, "CHUNK_ENTRIES", entries)
+    q = cells.quotient_quiver(3)
+    calls = []
+
+    def compose(gs, fs):
+        calls.append((_base(fs), _base(gs), len(fs) * len(gs)))
+        return cells.compose_block(gs, fs)
+
+    q.compose = compose
+    assert cells.is_strong_exceptional(q)
+    assert all(size * 3 <= max(entries, 3) for *_, size in calls)
+    covered = {}
+    for fs, gs, size in calls:
+        covered[id(fs), id(gs)] = covered.get((id(fs), id(gs)), 0) + size
+    arrays = {id(basis): basis for basis in q.hom_bases.values()}
+    unit = id(q.hom(-1, -1))
+    assert covered == {
+        **{(key, unit): len(basis) for key, basis in arrays.items()},
+        **{(unit, key): len(basis) for key, basis in arrays.items() if key != unit},
+        (unit, unit): 2,
+    }
+
+
+@pytest.mark.parametrize("planted", [(-2, -2), (-3, -1)])
+def test_strong_exceptionality_checks_an_array_planted_at_one_key(planted):
+    """A unit or a basis given its own array at a single key is checked on its own, and a rule broken on it fails.
+
+    The copy holds the same labels, so with the honest rule it passes.  The
+    rule then breaks the blocks whose f is the copy: (unit, basis) for the
+    unit of level -2, (basis, unit) for hom(-3, -1).  Blocks of the same
+    shapes on the shared arrays, at (-4, -4), (-4, -3) and (-4, -2), come
+    first in `hom_bases` order and pass.
+    """
+    q = cells.quotient_quiver(3)
+    copy = q.hom_bases[planted] = q.hom_bases[planted].copy()
+    assert cells.is_strong_exceptional(q)
+
+    def broken(gs, fs):
+        table = cells.compose_block(gs, fs)
+        if _base(fs) is copy:
+            table[-1, -1, -1] -= 1
+        return table
+
+    q.compose = broken
+    assert not cells.is_strong_exceptional(q)
+
+
+def test_quiver_json_locates_each_distinct_block_once():
+    """At n = 3 every block fits one chunk, and one compose call serves each distinct (f array, g array, hom(i, k) array)."""
+    q = cells.quotient_quiver(3)
+    expected = json.dumps(cells.quiver_to_dict(q, "U"), indent=2)
+    calls = []
+
+    def compose(gs, fs):
+        calls.append((id(_base(fs)), id(_base(gs))))
+        return cells.compose_block(gs, fs)
+
+    q.compose = compose
+    assert "".join(cells.quiver_json(q, "U")) == expected
+    blocks = list(q.blocks())
+    distinct = {(id(fs), id(gs), id(q.hom(i, k))) for i, j, k, fs, gs in blocks}
+    assert len(calls) == len(distinct) < len(blocks)
+    assert sorted(calls) == sorted(key[:2] for key in distinct)
 
 
 def test_quiver_to_dict_schema():
