@@ -63,15 +63,15 @@ def exponent_labels(d: int, n: int) -> np.ndarray:
     return np.bincount(slots.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
 
-def _inside(labels: np.ndarray, d: int) -> bool:
-    """Whether every row b of `labels` lies in a hom space of degree d: b <= 0 and sum(b) >= -d."""
-    return all((rows <= 0).all() and (rows.sum(axis=-1) >= -d).all() for rows in _row_chunks(labels))
-
-
 def _row_chunks(labels: np.ndarray) -> Iterator[np.ndarray]:
     """Row slices of `labels` holding at most about CHUNK_ENTRIES entries each."""
     step = max(1, cells.CHUNK_ENTRIES // max(1, labels.shape[1]))
     return (labels[start : start + step] for start in range(0, len(labels), step))
+
+
+def _inside(labels: np.ndarray, d: int) -> bool:
+    """Whether every row b of `labels` lies in a hom space of degree d: b <= 0 and sum(b) >= -d."""
+    return all((rows <= 0).all() and (rows.sum(axis=-1) >= -d).all() for rows in _row_chunks(labels))
 
 
 def _image_ranks(labels: np.ndarray, d: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def _image_ranks(labels: np.ndarray, d: int) -> np.ndarray:
     """
     n = labels.shape[1]
     count = math.comb(d + n, n)
-    weights = np.array([[math.comb(t + n - l, n - l + 1) for t in range(d + 1)] for l in range(1, n + 1)])
+    weights = np.array([[math.comb(t + n - l, n - l + 1) for t in range(d + 1)] for l in range(1, n + 1)], dtype=np.int64)
     ranks = np.empty(len(labels), dtype=np.int64)
     start = 0
     for rows in _row_chunks(labels):

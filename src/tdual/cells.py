@@ -166,10 +166,10 @@ class Quiver:
     array of shape (dim, label length), one label per row; the levels live
     only in the key.  `compose(gs, fs)` returns the labels of g after f
     (f first) for whole bases at once, as `compose_block` does; it must be a
-    pure function of its two arrays, since `bundles.verify_equivalence`
-    checks the blocks that share both arrays and both degrees once.  No
-    composite is stored: `compositions()` computes them block by block.  All
-    stored morphisms sit in degree 0.
+    pure function of its two arrays, since `bundles.verify_equivalence`,
+    `is_strong_exceptional` and `quiver_json` compose the blocks that share
+    their arrays once.  No composite is stored: `compositions()` computes
+    them block by block.  All stored morphisms sit in degree 0.
     """
 
     n: int
@@ -245,7 +245,7 @@ def is_strong_exceptional(q: Quiver) -> bool:
 
     Requires: every endomorphism space is one-dimensional and its one label
     row acts as a two-sided unit under `q.compose`, applied to the blocks
-    (basis, unit) and (unit, basis) of label arrays; no nonzero homs from a
+    (unit, basis) and (basis, unit) of label arrays; no nonzero homs from a
     higher to a lower level; all morphisms in degree 0 (structural here,
     since nonzero degrees are empty by construction).  Each distinct block
     of arrays is composed once, in `block_chunks`, and the unit's composite
@@ -269,7 +269,8 @@ def is_strong_exceptional(q: Quiver) -> bool:
             try:
                 for rows, cols in chunks:
                     table = q.compose(gs[cols], fs[rows])
-                    if not (np.array_equal(table[0], gs[cols]) if unit_first else np.array_equal(table[:, 0], fs[rows])):
+                    composites, factors = (table[0], gs[cols]) if unit_first else (table[:, 0], fs[rows])
+                    if not np.array_equal(composites, factors):
                         return False
             except ValueError:  # the unit's labels do not fit the basis, so it is no unit
                 return False
@@ -357,11 +358,12 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
     so no temporary array holds more than about CHUNK_ENTRIES label entries,
     and each g∘f is found among the rows of hom(i, k) by `_row_positions`;
     only those int64 positions are kept, shared by the blocks of one
-    distinct block, with the rendered homs and label texts.  Every ValueError is raised here: the compose rule's, and one
-    naming the block of a composite outside hom(i, k).  The call then
-    returns an iterator that renders the text piece by piece, each piece
-    holding at most PIECE_ITEMS compositions, so no more than one piece of
-    the compositions is held as text at a time.
+    distinct block, with the rendered homs and label texts.  Every
+    ValueError is raised here: the compose rule's, and one naming the first
+    block, in (i, j, k) order, with a composite outside hom(i, k).  The call
+    then returns an iterator that renders the text piece by piece, each
+    piece holding at most PIECE_ITEMS compositions, so no more than one
+    piece of the compositions is held as text at a time.
 
     `pad` is a newline and the indentation of the line the text starts on,
     so the text can stand at any depth of an enclosing indent=2 document.
