@@ -39,7 +39,7 @@ import numpy as np
 
 from . import geometry
 from .cells import CellObject
-from .geometry import _last_argmax
+from .geometry import _last_argmax, _row_sums
 from .report import CheckReport
 
 # Grid points evaluated at once by the batch kernels; bounds their memory.
@@ -319,14 +319,18 @@ def separation_probe(
     svs = [np.asarray(s, dtype=float) for s in points]
     if any(sv.shape != (n,) for sv in svs):
         raise ValueError(f"probe point must have length n={n}")
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(n + 1), size=num_samples)
-    gammas = -w[:, :n]  # uniform on {g_i < 0, sum g > -1}
-    y = 0.5 * np.log(-gammas / (1.0 + gammas.sum(axis=1, keepdims=True)))
+    # A flat Dirichlet weight per sample from n + 1 draws of stream `seed`; the times from stream seed + 1.
+    w = geometry.uniform_draws(seed, (num_samples, n + 1))
+    np.log1p(np.negative(w, out=w), out=w)  # minus exponential variates
+    w /= -_row_sums(w)[:, None]  # minus the weights, whose first n are uniform on {g_i < 0, sum g > -1}
+    y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
     norms = np.linalg.norm(y, axis=1)
     ok = norms > 0
-    gammas, y, norms = gammas[ok], y[ok], norms[ok]
-    times = np.sort(rng.uniform(0.0, delta_probe, size=(len(gammas), 2)), axis=1)
+    w, y, norms = w[ok], y[ok], norms[ok]
+    gammas = w[:, :n]
+    times = geometry.uniform_draws(seed + 1, (len(gammas), 2))
+    times *= delta_probe
+    times.sort(axis=1)
     t1s, dts = times[:, 0], times[:, 1] - times[:, 0]
     flowed = gammas + dts[:, None] * y / norms[:, None]
     reports = []

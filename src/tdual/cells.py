@@ -111,8 +111,9 @@ def hom_labels(d: int, n: int) -> np.ndarray:
     sequence 0 = c_0 <= c_1 <= ... <= c_n <= d.  Those sequences are the
     first binomial(d + n, n) multisets of size n + 1 from range(d + 1), the
     ones that contain 0, and they come in lexicographic order, which is the
-    reverse of their labels' order.  Only the sequences and the labels are
-    held as arrays.
+    reverse of their labels' order.  The sequences are read in row chunks of
+    about CHUNK_ENTRIES entries, each filling its labels from the end, so
+    only the labels are held whole.
 
     >>> hom_labels(1, 2).tolist()
     [[-1, 0], [0, -1], [0, 0]]
@@ -120,9 +121,15 @@ def hom_labels(d: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     count = math.comb(max(d + n, 0), n)
-    runs = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d + 1), n + 1))
-    runs = np.fromiter(runs, dtype=np.int64, count=count * (n + 1)).reshape(count, n + 1)[::-1]
-    return np.subtract(runs[:, :-1], runs[:, 1:])
+    labels = np.empty((count, n), dtype=np.int64)
+    runs = itertools.combinations_with_replacement(range(d + 1), n + 1)
+    step = max(1, CHUNK_ENTRIES // (n + 1))
+    for stop in range(count, 0, -step):
+        rows = min(step, stop)
+        chunk = itertools.chain.from_iterable(itertools.islice(runs, rows))
+        chunk = np.fromiter(chunk, dtype=np.int64, count=rows * (n + 1)).reshape(rows, n + 1)[::-1]
+        np.subtract(chunk[:, :-1], chunk[:, 1:], out=labels[stop - rows : stop])
+    return labels
 
 
 def compose_block(gs: np.ndarray, fs: np.ndarray) -> np.ndarray:
@@ -357,7 +364,7 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
     hom(i, j), hom(j, k) and hom(i, k), is composed once, in `block_chunks`
     so no temporary array holds more than about CHUNK_ENTRIES label entries,
     and each g∘f is found among the rows of hom(i, k) by `_row_positions`;
-    only those int64 positions are kept, shared by the blocks of one
+    only those int32 positions are kept, shared by the blocks of one
     distinct block, with the rendered homs and label texts.  Every
     ValueError is raised here: the compose rule's, and one naming the first
     block, in (i, j, k) order, with a composite outside hom(i, k).  The call
@@ -397,7 +404,7 @@ def quiver_json(q: Quiver, prefix: str = "U", pad: str = "\n") -> Iterator[str]:
         target = q.hom(i, k)
         key = id(fs), id(gs), id(target)
         if key not in located:
-            positions = np.empty((len(fs), len(gs)), dtype=np.int64)
+            positions = np.empty((len(fs), len(gs)), dtype=np.int32)  # hom(i, k) has at most C(2n, n) < 2**31 rows while n <= 16; n = 17 needs 317 GB of labels
             for rows, cols in block_chunks(fs, gs):
                 table = q.compose(gs[cols], fs[rows])
                 try:

@@ -23,8 +23,8 @@ two-form is (2 pi)^n sum_i dy_i ^ dgamma_i.
 Everything here is plain floating-point numerics; exact-arithmetic work lives
 in :mod:`tdual.oracle`.  The ``check_*`` functions at the end are the checks of
 the ``geometry`` command; each reports through :class:`tdual.report.CheckReport`.
-The seeded ones draw all their samples in one numpy call, row by row, which
-gives the numbers of one call per sample.
+The seeded ones draw all their samples at once from `uniform_draws`, a
+counter-based SplitMix64 stream, row by row.
 
 The checks work on whole (samples x n) float64 arrays, and their reports are
 the ones a loop over samples with per-sample scalar functions would give, bit
@@ -54,12 +54,15 @@ from .report import CheckReport
 
 # The largest n whose two-form arithmetic stays finite.  Every value of the
 # form carries the factor (2 pi)^n.  check_two_form_algebra evaluates it on
-# sums of at most 2n products of up to three normal samples, each far below
-# 2^8 in size, and scales by 10 (2 pi)^n; for n < 2^9 all of that stays below
-# (2 pi)^n * 2^38, which must not overflow a float.
+# sums of at most 2n products of up to three normal samples, each below
+# sqrt(106 log 2) < 2^4 in size (Box-Muller on 53-bit uniforms), and scales
+# by 10 (2 pi)^n; for n < 2^9 all of that stays below (2 pi)^n * 2^38, which
+# must not overflow a float.
 MAX_N = int((sys.float_info.max_exp - 38) / math.log2(2 * math.pi))
 
 RESIDUAL_TOL = 1e-10  # the largest gradient norm `check_critical_points` accepts
+
+DRAW_CHUNK = 1 << 15  # draws that `uniform_draws` mixes at once: 256 KiB, so its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,39 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
     return (2 * math.pi) ** n * total
 
 
+def uniform_draws(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Floats in [0, 1) of the given shape, filled in C order from SplitMix64.
+
+    Draw i is output i + 1 of SplitMix64 (Steele, Lea and Flood, 2014) from
+    the state `seed mod 2**64`: the standard mixer applied to
+    state + (i + 1) * 0x9E3779B97F4A7C15, all mod 2**64.  Each draw keeps the
+    output's top 53 bits times 2**-53, so it is exact and lies on that grid.
+    Since draw i depends only on i, a shape's draws are the first ones of
+    any larger call.  The bits are mixed in the result's own memory, DRAW_CHUNK
+    draws at a time, so every temporary stays that small.
+
+    >>> hex(int(uniform_draws(0, (1,))[0] * 2**53) << 11)
+    '0xe220a8397b1dc800'
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        u = flat[start : start + DRAW_CHUNK]
+        x = u.view(np.uint64)
+        x[:] = np.arange(start + 1, start + 1 + len(x), dtype=np.uint64)
+        x *= 0x9E3779B97F4A7C15
+        x += seed % 2**64
+        x ^= x >> 30
+        x *= 0xBF58476D1CE4E5B9
+        x ^= x >> 27
+        x *= 0x94D049BB133111EB
+        x ^= x >> 31
+        x >>= 11
+        u[:] = x
+        u *= 2.0**-53
+    return out
+
+
 def _last_argmax(values: np.ndarray) -> int:
     """Index of the last maximum of a 1-D array: a running-maximum loop's `>=` rule."""
     return values.size - 1 - int(np.argmax(values[::-1]))
@@ -248,9 +284,9 @@ def check_moment_round_trip(n: int, tol: float) -> CheckReport:
 
 def check_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> CheckReport:
     """-log|z_j| / 2 pi must equal the moment coordinate of the fiber."""
-    rng = np.random.default_rng(seed)
-    # One row per sample, r then gamma; gamma is already in [0, 1), as MirrorPoint keeps it.
-    sample = rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n))
+    # One row per sample, r in [0.2, 3) then gamma in [0, 1), as MirrorPoint keeps it.
+    low, high = np.array([0.2] * n + [0.0] * n), np.array([3.0] * n + [1.0] * n)
+    sample = low + (high - low) * uniform_draws(seed, (num, 2 * n))
     r, gamma = sample[:, :n], sample[:, n:]
     re = -2 * math.pi * r * r / (1 + _row_sums(r * r))[:, None]
     im = 2 * math.pi * gamma
@@ -271,9 +307,10 @@ def check_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> Chec
 
 def check_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> CheckReport:
     """Antisymmetry and bilinearity of the reference two-form on random vectors."""
-    rng = np.random.default_rng(seed + 1)
-    # Per sample row: u, v and w (y part, then gamma part), then the scalar c.
-    rows = rng.normal(size=(num, 6 * n + 1))
+    # Per sample row: u, v and w (y part, then gamma part), then the scalar c,
+    # each a Box-Muller normal from a pair of draws.
+    pairs = uniform_draws(seed + 1, (num, 6 * n + 1, 2))
+    rows = np.sqrt(-2 * np.log1p(-pairs[..., 0])) * np.cos(2 * math.pi * pairs[..., 1])
     uy, ug, vy, vg, wy, wg = (rows[:, a : a + n] for a in range(0, 6 * n, n))
     c = rows[:, 6 * n :]
     factor = (2 * math.pi) ** n

@@ -400,6 +400,21 @@ def test_quotient_quiver_bases_match_recursive_reference(n):
         assert basis.tolist() == [list(steps) for steps in _step_vectors(n, i - j)]
 
 
+@pytest.mark.parametrize("entries", [1 << 18, 1, 5, 12])
+def test_hom_labels_in_row_chunks_equal_the_one_shot_build(entries, monkeypatch):
+    """Labels filled from row chunks of the sequences are those of one array of all of them, byte for byte."""
+    monkeypatch.setattr(cells, "CHUNK_ENTRIES", entries)
+    for n in range(1, 6):
+        for d in range(-2, n + 3):
+            count = math.comb(max(d + n, 0), n)
+            runs = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(d + 1), n + 1))
+            runs = np.fromiter(runs, dtype=np.int64, count=count * (n + 1)).reshape(count, n + 1)[::-1]
+            expected = np.subtract(runs[:, :-1], runs[:, 1:])
+            got = cells.hom_labels(d, n)
+            assert got.shape == expected.shape and got.dtype == expected.dtype and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hom_labels_of_negative_degree_are_empty(n):
     from test_bundles import monomial_hom_basis  # test_bundles imports this module

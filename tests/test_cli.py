@@ -276,6 +276,26 @@ def test_package_root_holds_only_its_modules():
     assert [(module.__name__, name) for module in [tdual, *modules] for name in MOVED_TO_TESTS if hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_imports_numpy_random(command):
+    """A run loads no numpy.random module (its C extensions and OpenSSL): every sample comes from geometry.uniform_draws."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from tdual import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--n", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.stderr.splitlines()[-1] == "0 []"
+
+
 def test_largest_n_follows_from_the_arithmetic():
     """geometry.MAX_N keeps (2 pi)^n * 2^38 finite; branes.MAX_N keeps GRAPH_MARGIN below 1/(n+1)."""
     assert (geometry.MAX_N, branes.MAX_N) == (371, 18)

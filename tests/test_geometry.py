@@ -290,23 +290,71 @@ def test_symplectic_form_bilinear_antisymmetric():
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_batched_draws_equal_per_sample_draws(n):
-    """The geometry checks draw all samples at once; numpy's stream gives the
-    same numbers as the per-sample calls, which keeps the reports unchanged."""
-    num = 50
-    for seed in (0, 7):
-        rng = np.random.default_rng(seed)
-        sequential = [list(rng.uniform(0.2, 3.0, n)) + list(rng.uniform(0.0, 1.0, n)) for _ in range(num)]
-        rng = np.random.default_rng(seed)
-        assert rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist() == sequential
+MASK64 = 2**64 - 1
 
-        rng = np.random.default_rng(seed)
-        sequential = [
-            [v for _ in range(6) for v in rng.normal(size=n)] + [float(rng.normal())] for _ in range(num)
-        ]
-        rng = np.random.default_rng(seed)
-        assert rng.normal(size=(num, 6 * n + 1)).tolist() == sequential
+
+def splitmix64(state: int):
+    """The raw outputs of SplitMix64 from `state`, one Python int at a time (Steele, Lea and Flood 2014)."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def normal_rows(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Box-Muller normals of `shape`, each from a pair of consecutive draws of stream `seed`."""
+    pairs = geometry.uniform_draws(seed, (*shape, 2))
+    return np.sqrt(-2 * np.log1p(-pairs[..., 0])) * np.cos(2 * math.pi * pairs[..., 1])
+
+
+def dirichlet_rows(draws: np.ndarray) -> np.ndarray:
+    """Flat Dirichlet rows: the exponential variates -log1p(-u) of each row of draws over their sum."""
+    e = -np.log1p(-draws)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("chunk", [geometry.DRAW_CHUNK, 7])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
+def test_uniform_draws_equal_scalar_splitmix64(seed, chunk, monkeypatch):
+    """Draw i is the top 53 bits of output i + 1 from the state seed mod 2**64, times 2**-53, in chunks of any size."""
+    monkeypatch.setattr(geometry, "DRAW_CHUNK", chunk)
+    num = 300
+    expected = [(z >> 11) * 2**-53 for z, _ in zip(splitmix64(seed), range(num))]
+    assert geometry.uniform_draws(seed, (num,)).tolist() == expected
+    assert geometry.uniform_draws(seed + 2**64, (num,)).tolist() == expected
+
+
+def test_uniform_draws_start_at_the_first_output_of_seed_0():
+    assert next(splitmix64(0)) == 0xE220A8397B1DCDAF
+    assert geometry.uniform_draws(0, (1,)).tolist() == [(0xE220A8397B1DCDAF >> 11) * 2**-53]
+
+
+@pytest.mark.parametrize("chunk", [geometry.DRAW_CHUNK, 7])
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (7, 2), (0, 4), (250, 9)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_uniform_draws_of_a_shape_are_a_prefix_on_the_53_bit_grid(seed, a, b, chunk, monkeypatch):
+    monkeypatch.setattr(geometry, "DRAW_CHUNK", chunk)
+    draws = geometry.uniform_draws(seed, (a, b))
+    longer = geometry.uniform_draws(seed, (a * b + 17,))
+    assert draws.shape == (a, b) and draws.dtype == np.float64
+    assert draws.tolist() == longer[: a * b].reshape(a, b).tolist()
+    assert ((0 <= longer) & (longer < 1)).all()
+    assert (longer * 2**53 == np.floor(longer * 2**53)).all()
+    assert len(set(longer.tolist())) == len(longer)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_distributions(seed):
+    """Smoke test: flat Dirichlet rows sum to 1 with means 1/(n+1); Box-Muller normals are standard."""
+    for n in (1, 2, 3, 5):
+        w = dirichlet_rows(geometry.uniform_draws(seed, (20_000, n + 1)))
+        assert np.abs(w.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(w.mean(axis=0) - 1 / (n + 1)).max() < 0.01
+    z = normal_rows(seed + 1, (1000, 200))
+    assert abs(z.mean()) < 0.02
+    assert abs(z.var() - 1) < 0.03
 
 
 def test_symplectic_form_dimension_mismatch():
@@ -327,7 +375,8 @@ def test_mirror_point_stores_angles_mod_one():
 
 # The geometry checks run on whole sample arrays.  These references are the
 # per-sample loops they replaced, kept verbatim (with the product-and-filter
-# grid), so the array forms must give the same reports bit for bit.
+# grid) but for the draws, which they take from the same stream, so the array
+# forms must give the same reports bit for bit.
 
 
 def _reference_moment_grid(n: int, density: int = 10) -> list[tuple[float, ...]]:
@@ -362,11 +411,12 @@ def _reference_moment_round_trip(n: int, tol: float) -> CheckReport:
 
 
 def _reference_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) -> CheckReport:
-    rng = np.random.default_rng(seed)
+    low, high = [0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n
     max_dev = 0.0
     witness = None
     # One row per sample, r then gamma.
-    for row in rng.uniform([0.2] * n + [0.0] * n, [3.0] * n + [1.0] * n, size=(num, 2 * n)).tolist():
+    for draws in geometry.uniform_draws(seed, (num, 2 * n)).tolist():
+        row = [a + (b - a) * u for a, b, u in zip(low, high, draws)]
         r, gamma = tuple(row[:n]), tuple(row[n:])
         point = MirrorPoint(r, gamma)
         z = mirror_coordinates(point)
@@ -388,11 +438,10 @@ def _reference_mirror_modulus(n: int, tol: float, seed: int, num: int = 1000) ->
 
 
 def _reference_two_form_algebra(n: int, tol: float, seed: int, num: int = 200) -> CheckReport:
-    rng = np.random.default_rng(seed + 1)
     base = MirrorPoint((1.0,) * n, (0.0,) * n)
     max_dev = 0.0
     # Per sample row: u, v and w (y part, then gamma part), then the scalar c.
-    for row in rng.normal(size=(num, 6 * n + 1)).tolist():
+    for row in normal_rows(seed + 1, (num, 6 * n + 1)).tolist():
         u, v, w = (TangentVector(tuple(row[a : a + n]), tuple(row[a + n : a + 2 * n])) for a in range(0, 6 * n, 2 * n))
         c = row[6 * n]
         ev = symplectic_form_eval

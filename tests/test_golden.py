@@ -3,8 +3,11 @@
 The hashes pin the reports byte for byte, so a refactor or speed-up that
 changes any printed digit fails here.  They depend on the platform's floating-
 point library (libm and numpy's kernels): on another machine a hash may differ
-in the last digit of some float while every check still passes.  Regenerate
-them only for an intended report change, from the commit before that change.
+in the last digit of some float while every check still passes.  The hashes
+of the seeded reports (geometry and branes) also depend on the stream of
+`geometry.uniform_draws`, output i + 1 of SplitMix64 from the state TDUAL_SEED
+mod 2**64, which every sampled float comes from.  Regenerate them only for an
+intended report change, from the commit before that change.
 """
 from __future__ import annotations
 
@@ -15,12 +18,12 @@ import pytest
 from tdual import cli
 
 GOLDEN = {
-    "geometry --n 1": "87ebf1b28e20cf4fb15786cb35cc6a9db919e7162e05856c2d66e626677022c8",
-    "geometry --n 2": "098c2f44a4f505fc7feb2a507a35e5d50ab9a5d6639a687acb3602f002acb874",
-    "geometry --n 3": "10f297a73485953217bf063515a813d78daf0f657a113d769024a056aa002fca",
-    "branes --n 1": "46096fcbdbdeec0d471e89dc6056a1fa9f36d95e35a7486a047631e26e04a473",
-    "branes --n 2": "b784d137277f056bf50a8183f129a09980cbecea8b6e4da134c8a90a54b03681",
-    "branes --n 3": "8de2320fa3d9c60054a58f214db2eba3f65c6c4eb086893d5e0fbd0f9dd68dc6",
+    "geometry --n 1": "b67d8111fe2aab8307e6714e9bf282da60092867074b289b9ba91c92dc347910",
+    "geometry --n 2": "5cf46927ea2586f2e27234aa20d04e2b74e2b1313447848182a1dbe6259196b2",
+    "geometry --n 3": "d439e6173cf08d57a02589f8fe4d299a8e5add6f4c64dee9731a19ecee76dc76",
+    "branes --n 1": "8c5efacd42a080760721ffcd321c5da23b4b301b9431e54580bb69058753b2d8",
+    "branes --n 2": "694644dcd020e501a7556f1a032ca227477ca4d1a770e3f40863cf5d14b9d18c",
+    "branes --n 3": "458cdfc30cf0f479c24144181056915a9221c802dda2b9a68f34c76a28e00ffb",
     "quiver --n 1": "88a824cd6eac10ba7436241876d72b239d3e3df204dea9d6e065b17c4cdeedca",
     "quiver --n 2": "371967ad33ae4772d306c66ccf94e0c5f1dfd4dddeebee60283b1cdefffc95aa",
     "quiver --n 3": "1c0927f4fc14cc9c9f6ddac5bbd3f13a7651c909c8dbdca1343be093a14b2ac1",
@@ -30,16 +33,16 @@ GOLDEN = {
     "oracle --n 1": "18b5ade3bf0cc9d2c515d9e12e7f0de3300487fec6af418b786daeca9c8382d3",
     "oracle --n 2": "2ee5bd420fc3de6161e101492628c6a822b7d2aa2d00a7b736a05789d2c35cdf",
     "oracle --n 1 --epsilon 1/16": "2dcd00dca66b20e13d6389a9b64ee08be5e7cbf324e1bb8e9250c868a691450a",
-    "branes --n 4 --grid 10": "d6e5a0748c17a6ea2f1a8cc406d6591ea5417afd325221c77a4e746fabe8cc67",
+    "branes --n 4 --grid 10": "d7542d76312fe5000d3f4e990a9d3b6b514546e4ef588f6e2a5f4544d707fd04",
     "verify --n 5": "f8e5c977a1dcb915ba2366023bfc18278d4937d007767aba01af7b9bbb9aee28",
     "quiver --n 4": "f032056c6e7011bb613fa1ad76a31d6b5e47f6c2262928257ae508f3c54f1684",
     "verify --n 6": "3b248789b6345e917b652500a422c4531051ab65b0f9722c85741b4fc89b783c",
     "quiver --n 5": "ba014508c9992c467229c55f03b08e90183e898c809d8da5932564ec9b7377f8",
     "quiver --n 3 --format dot": "b09d0ed1d465fb15687c14f8908e27f3d96542185602d39fb941c291248789fb",
-    "geometry --n 4": "64b2e699bf5e03bfcb9044cb74cb78ed5978633427d534b1214d2a7b3e38b5f1",
-    "branes --n 5 --grid 6": "72798627ea803078bed4c2b17df06bc0b44d6482343a880c94a8d6d56b9e3526",
-    "geometry --n 5": "698614f2b74aea4f8d206c80db9f4aba04f05264af9dc1b618c624726a6ef988",
-    "geometry --n 6": "914456eedb56880b55999f96bb016da0afcb4e926c6d213849af6c95aee05046",
+    "geometry --n 4": "f28a56dbce5cb9578033f90a129a9be6dd67fdeef37a00489bdd4331b532bf9f",
+    "branes --n 5 --grid 6": "01bbe0f2f46a1fc0cbcb97fababf25cdaeee0a6499f58bfd7b436a7c0a6ab980",
+    "geometry --n 5": "a9b3c16d9ff73ececa4f34fc83c555de1be9bbeaaa9bd00342e91525196ee16a",
+    "geometry --n 6": "b9499790d4c7a2f5888cc014310419582e1defaff237d093a81657dc57de1a5d",
     "verify --n 7": "737a1c08bdbd200520249c460b346abacf25a5d243881b549e55c32109330506",
     "quiver --n 5 --format dot": "0d58910af3b7a2293594c533756d34104054b932683808bbbb66ad200d7a3197",
     "oracle --n 2 --epsilon 3/13": "447b847ec041132d7d8543d9ac7c31b513161d6073fa36a423beb0728220524b",
@@ -54,16 +57,16 @@ GOLDEN = {
 
 # The same hashes under TDUAL_SEED=7: the seeded samples at a seed other than 0.
 GOLDEN_SEED_7 = {
-    "branes --n 2": "5a605d4bc90c6e267a400c67142bdd1dc43ecf3beef37c22c8803a26229d3fd1",
-    "geometry --n 2": "a528be039ce9d734b7cf598f2ccd6adccc8cd99cdb70ef9bcab255cd8a1ee1f7",
-    "geometry --n 3": "c8cb79c450649fb21475e41908028edd012c58a528204cdebc116fd3938a3bc5",
-    "branes --n 4 --grid 10": "4201bd0e5e43d7d3ed318f22360028cec5fa03a678a1e4a24807c788c0dc29d8",
+    "branes --n 2": "ddbd8f78c2f871ffa3bec45d3cdc047b272f04fabda4f9bd02093503384d51db",
+    "geometry --n 2": "5973393a3c4b141dc72f673cf6492d3118fb1579b55dcc571516da57ecdabdf8",
+    "geometry --n 3": "b8fae884198aeb38ba2e10b4a35ff4716a098e81e47168e41580fe7d65cccfbe",
+    "branes --n 4 --grid 10": "c152b5fd1479a44cdd5a536ff48ac1100fe13f3674b5d6f122ffb0f9d0ab66e7",
 }
 
 # Runs that exit 1, a failed check with its whole report: from n = 20 the
 # moment grid is empty, so the round trip fails while the other three checks pass.
 GOLDEN_FAILING = {
-    "geometry --n 20": "97f4d2f24830a553715541ba4c38c612ef40739a7ac2d2949c5568133c8b2270",
+    "geometry --n 20": "5905808452e29679e9451983df8bb435c592b1737cea22797e08cf6ae7a57f54",
 }
 
 # SHA-256 of the file that `quiver --n 2 --out FILE` writes (the export alone).
