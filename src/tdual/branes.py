@@ -322,7 +322,7 @@ def separation_probe(
     # A flat Dirichlet weight per sample from n + 1 draws of stream `seed`; the times from stream seed + 1.
     w = geometry.uniform_draws(seed, (num_samples, n + 1))
     np.log1p(np.negative(w, out=w), out=w)  # minus exponential variates
-    w /= -_row_sums(w)[:, None]  # minus the weights, whose first n are uniform on {g_i < 0, sum g > -1}
+    w /= -_row_sums(w)[:, None]  # minus a flat Dirichlet weight: its first n entries are uniform on {g_i < 0, sum g > -1}
     y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
     norms = np.linalg.norm(y, axis=1)
     ok = norms > 0
