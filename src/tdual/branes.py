@@ -42,7 +42,7 @@ from .cells import CellObject
 from .geometry import _last_argmax, _row_sums
 from .report import CheckReport
 
-# Grid points evaluated at once by the batch kernels; bounds their memory.
+# Grid points, or probe samples, evaluated at once by the batch kernels; bounds their memory.
 CHUNK_POINTS = 1 << 14
 
 # Per-constraint slack, in unit-cell coordinates, of the graph-check samples.
@@ -335,9 +335,13 @@ def separation_probe(
     flowed = gammas + dts[:, None] * y / norms[:, None]
     reports = []
     for sv in svs:
-        defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed), axis=1)
-        idx = int(np.argmin(defects))
-        min_defect = float(defects[idx])
+        # The defects of CHUNK_POINTS samples at a time; the first least one wins, as one argmin would pick it.
+        idx, min_defect = 0, math.inf
+        for start in range(0, len(flowed), CHUNK_POINTS):
+            defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed[start:start + CHUNK_POINTS]), axis=1)
+            k = int(np.argmin(defects))
+            if defects[k] < min_defect:
+                idx, min_defect = start + k, float(defects[k])
         reports.append(
             CheckReport(
                 check="branes.separation",

@@ -107,6 +107,17 @@ class TangentVector:
         return len(self.y)
 
 
+def _coordinates_and_product(z: tuple[complex, ...] | np.ndarray) -> tuple[list[complex], complex]:
+    """z's coordinates as complex numbers and their product; ValueError where one vanishes."""
+    zs = [complex(c) for c in z]
+    if any(c == 0 for c in zs):
+        raise ValueError("superpotential undefined where a coordinate vanishes")
+    prod = 1.0 + 0j
+    for c in zs:
+        prod *= c
+    return zs, prod
+
+
 def superpotential(z: tuple[complex, ...] | np.ndarray) -> complex:
     """W(z) = z_1 + ... + z_n + e^{-2 pi} / (z_1 ... z_n).
 
@@ -115,23 +126,13 @@ def superpotential(z: tuple[complex, ...] | np.ndarray) -> complex:
     >>> abs(superpotential((1.0, 1.0)) - (2 + math.exp(-2 * math.pi))) < 1e-15
     True
     """
-    zs = [complex(c) for c in z]
-    if any(c == 0 for c in zs):
-        raise ValueError("superpotential undefined where a coordinate vanishes")
-    prod = 1.0 + 0j
-    for c in zs:
-        prod *= c
+    zs, prod = _coordinates_and_product(z)
     return sum(zs) + math.exp(-2 * math.pi) / prod
 
 
 def superpotential_gradient(z: tuple[complex, ...] | np.ndarray) -> tuple[complex, ...]:
     """Holomorphic gradient (dW/dz_1, ..., dW/dz_n); dW/dz_j = 1 - e^{-2 pi}/(z_j prod z)."""
-    zs = [complex(c) for c in z]
-    if any(c == 0 for c in zs):
-        raise ValueError("superpotential undefined where a coordinate vanishes")
-    prod = 1.0 + 0j
-    for c in zs:
-        prod *= c
+    zs, prod = _coordinates_and_product(z)
     return tuple(1.0 - math.exp(-2 * math.pi) / (c * prod) for c in zs)
 
 

@@ -33,8 +33,8 @@ by purely combinatorial means, independent of the quiver calculus in
     smallest vertex; the A-faces form a subcomplex.  Clipping and fanning
     commute with integer translations, X -> X + t W, so each face is clipped
     relative to the inner corner, against halfspaces that depend only on the
-    level and the margin; the pieces are memoised on exactly that and
-    translated back by the corner.
+    level and the margin; each face's face-closed set of simplices is
+    memoised on exactly that, and its points stay relative to the corner.
 
 3.  Ranks of the relative simplicial cochain complex over Q are computed by
     fraction-free elimination on the nonzero entries of the integer
@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .cells import CellObject, offset_window
@@ -213,17 +213,15 @@ def region_pair(outer: CellObject, inner: CellObject) -> RegionPair:
 
 @dataclass(frozen=True)
 class SimplicialPair:
-    """A finite simplicial complex with a subcomplex, over exact coordinates.
+    """A finite simplicial complex with a subcomplex, purely combinatorial.
 
-    Simplices are tuples of vertex indices, sorted increasingly; that fixed
-    vertex order also orients every simplex.  `simplices` is closed under
-    taking faces, and `sub` is a face-closed subset of it.
+    Simplices are sorted tuples of vertex keys (the shrink model's are `Point`s);
+    that order orients them.  `simplices` is face-closed, and so is its subset `sub`.
     """
 
     n: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-    simplices: frozenset[tuple[int, ...]]
-    sub: frozenset[tuple[int, ...]]
+    simplices: frozenset[tuple]
+    sub: frozenset[tuple]
 
 
 # A clipped point in homogeneous integers: (X_1, ..., X_n, W) is X / W, with
@@ -278,14 +276,22 @@ def _piece_simplices(face: Face, shrink: Sequence[Constraint]) -> list[tuple[Poi
 
 
 @functools.lru_cache(maxsize=4096)
-def _relative_pieces(face: Face, shrink: tuple[Constraint, ...]) -> tuple[tuple[Point, ...], ...]:
-    """`_piece_simplices` of a face taken relative to the inner corner, memoised.
+def _relative_closure(face: Face, shrink: tuple[Constraint, ...]) -> frozenset[tuple[Point, ...]]:
+    """Every simplex of a face's `_piece_simplices`, closed under faces.
 
-    The key fixes the face's shape, the inner level and the margin, so each
-    relative face is clipped once per level and margin however many pairs hold
-    a translate of it.
+    A simplex is the sorted tuple of its points.  Memoised: the face is taken
+    relative to the inner corner, so the key fixes its shape, the inner level
+    and the margin.  At level -2, margin 1/8, the segment [-1, 0] keeps [-1, -1/8]:
+
+    >>> sorted(_relative_closure(((-1,), (0,)), (((8,), -1), ((-8,), 15))))
+    [((-1, 1),), ((-1, 1), (-1, 8)), ((-1, 8),)]
     """
-    return tuple(_piece_simplices(face, shrink))
+    return frozenset(
+        simplex
+        for piece in _piece_simplices(face, shrink)
+        for k in range(1, len(piece) + 1)
+        for simplex in itertools.combinations(sorted(piece), k)
+    )
 
 
 def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> SimplicialPair:
@@ -303,43 +309,19 @@ def shrink_and_triangulate(pair: RegionPair, epsilon: Fraction | int | str) -> S
     if not 0 < eps < MAX_EPSILON:
         raise ValueError(f"epsilon must lie strictly between 0 and {MAX_EPSILON}")
     p, q = eps.numerator, eps.denominator
-    # Faces are clipped relative to the inner corner t (any integer t would do,
-    # since the clip and the fan commute with X -> X + t W); relative to t the
-    # inner halfspaces are those of the cell at offset 0, so they depend on the
-    # level alone.
-    corner = pair.inner.offset
+    # Relative to the inner corner the halfspaces are those of the cell at offset 0,
+    # and the points stay relative to it (point 2 of the module docstring).
     shrink = tuple((tuple(q * c for c in coeffs), q * rhs - p)
                    for coeffs, rhs in _simplex_constraints(pair.inner.level, (0,) * n))
-    vertex_index: dict[Point, int] = {}
-    vertices: list[tuple[Fraction, ...]] = []
-    simplices: set[tuple[int, ...]] = set()
-    sub: set[tuple[int, ...]] = set()
-
-    def register(simplex_pts: tuple[Point, ...]) -> list[tuple[int, ...]]:
-        idx = []
-        for pt in simplex_pts:
-            if pt not in vertex_index:
-                vertex_index[pt] = len(vertices)
-                vertices.append(tuple(Fraction(x + t * pt[-1], pt[-1]) for x, t in zip(pt, corner)))
-            idx.append(vertex_index[pt])
-        idx = tuple(sorted(set(idx)))
-        return [face for k in range(1, len(idx) + 1) for face in itertools.combinations(idx, k)]
-
-    # A is a subset of X, so each face is clipped once and the pieces of an
-    # A face go into both complexes.  Translation keeps the order of faces and
-    # of points, so vertices are numbered as for the untranslated pieces.
-    for face in sorted(pair.X):
-        relative = tuple(tuple(x - t for x, t in zip(v, corner)) for v in face)
-        for piece in _relative_pieces(relative, shrink):
-            pieces = register(piece)
-            simplices.update(pieces)
-            if face in pair.A:
-                sub.update(pieces)
+    # A is a subset of X, so each face is clipped once and an A face's closure also goes into `sub`.
+    closures = {
+        face: _relative_closure(tuple(tuple(map(sub, v, pair.inner.offset)) for v in face), shrink)
+        for face in pair.X
+    }
     return SimplicialPair(
         n=n,
-        vertices=tuple(vertices),
-        simplices=frozenset(simplices),
-        sub=frozenset(sub),
+        simplices=frozenset().union(*closures.values()),
+        sub=frozenset().union(*map(closures.get, pair.A)),
     )
 
 

@@ -221,23 +221,26 @@ def test_separation_probe_shares_one_sample(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_separation_probe_draws_from_the_seeded_stream(n, seed):
+def test_separation_probe_draws_from_the_seeded_stream(n, seed, monkeypatch):
     """Row i of stream `seed` gives sample i's flat Dirichlet weight, and row i
     of stream seed + 1 its flow times, scaled and sorted.  Each witness is the
-    sample of least defect among those rows."""
+    sample of least defect among those rows, at the default `CHUNK_POINTS`
+    and when the probe takes the defects 7 samples at a time."""
     num, delta = 800, 0.05
     gammas = -dirichlet_rows(geometry.uniform_draws(seed, (num, n + 1)))[:, :n]
     times = np.sort(geometry.uniform_draws(seed + 1, (num, 2)) * delta, axis=1)
     y = 0.5 * np.log(-gammas / (1.0 + gammas.sum(axis=1, keepdims=True)))
     flowed = gammas + (times[:, 1] - times[:, 0])[:, None] * y / np.linalg.norm(y, axis=1)[:, None]
     points = branes.domain_face_midpoints(n) + [(-0.25,) * n]
-    for s, rep in zip(points, branes.separation_probe(n, points, delta, num, seed), strict=True):
-        defects = np.linalg.norm(branes.wrap_to_half(np.array(s) - flowed), axis=1)
-        row = int(np.argmin(defects))
-        assert rep.witness["gamma"] == gammas[row].tolist()
-        assert rep.witness["t1"] == times[row, 0]
-        assert rep.witness["t2"] == times[row, 0] + (times[row, 1] - times[row, 0])
-        assert rep.witness["min_defect"] == pytest.approx(defects[row], rel=1e-12)
+    for chunk in (branes.CHUNK_POINTS, 7):
+        monkeypatch.setattr(branes, "CHUNK_POINTS", chunk)
+        for s, rep in zip(points, branes.separation_probe(n, points, delta, num, seed), strict=True):
+            defects = np.linalg.norm(branes.wrap_to_half(np.array(s) - flowed), axis=1)
+            row = int(np.argmin(defects))
+            assert rep.witness["gamma"] == gammas[row].tolist(), chunk
+            assert rep.witness["t1"] == times[row, 0], chunk
+            assert rep.witness["t2"] == times[row, 0] + (times[row, 1] - times[row, 0]), chunk
+            assert rep.witness["min_defect"] == pytest.approx(defects[row], rel=1e-12), chunk
 
 
 def test_separation_probe_rejects_a_short_point():

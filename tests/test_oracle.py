@@ -305,7 +305,7 @@ def _reference_shrink(pair, eps):
     """The ε-shrink in `Fraction`s, fanned from the smallest vertex by 2D cross
     products: every X face clipped and fanned, then every A face again.
 
-    Returns (vertices, simplices, sub) as `shrink_and_triangulate` builds them.
+    Returns (simplices, sub), each simplex as the set of its points.
     """
     inner_constraints = oracle._simplex_constraints(pair.inner.level, pair.inner.offset)
     shrink = [(coeffs, rhs - Fraction(eps)) for coeffs, rhs in inner_constraints]
@@ -319,14 +319,23 @@ def _reference_shrink(pair, eps):
         return [(a, b, c) for b, c in zip(rest, rest[1:])
                 if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])]
 
-    vertex_index, simplices, sub = {}, set(), set()
+    simplices, sub = set(), set()
     for faces, into in ((pair.X, simplices), (pair.A, sub)):
-        for face in sorted(faces):
+        for face in faces:
             for piece in pieces(face):
-                idx = sorted({vertex_index.setdefault(pt, len(vertex_index)) for pt in piece})
-                for k in range(1, len(idx) + 1):
-                    into.update(itertools.combinations(idx, k))
-    return tuple(vertex_index), frozenset(simplices | sub), frozenset(sub)
+                for k in range(1, len(piece) + 1):
+                    into.update(map(frozenset, itertools.combinations(piece, k)))
+    return frozenset(simplices | sub), frozenset(sub)
+
+
+def _geometric(sp, corner):
+    """(simplices, sub) of a shrunk pair as `_reference_shrink` gives them: each
+    simplex as the set of its `Fraction` points, with the inner corner added back."""
+
+    def points(simplex):
+        return frozenset(tuple(Fraction(x, pt[-1]) + t for x, t in zip(pt[:-1], corner)) for pt in simplex)
+
+    return frozenset(map(points, sp.simplices)), frozenset(map(points, sp.sub))
 
 
 def test_clip_polygon_points_and_segments():
@@ -392,7 +401,7 @@ def test_shrink_matches_fraction_reference(eps):
     for outer, inner in pairs:
         pair = region_pair(outer, inner)
         got = shrink_and_triangulate(pair, eps)
-        assert (got.vertices, got.simplices, got.sub) == _reference_shrink(pair, eps), (outer, inner)
+        assert _geometric(got, inner.offset) == _reference_shrink(pair, eps), (outer, inner)
 
 
 def test_shrink_clips_each_x_cell_once(monkeypatch):
@@ -410,7 +419,7 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
     monkeypatch.setattr(
         oracle, "_piece_simplices", lambda face, shrink: calls.append((face, shrink)) or piece_simplices(face, shrink)
     )
-    oracle._relative_pieces.cache_clear()
+    oracle._relative_closure.cache_clear()
     relative_faces = set()
     nonempty_a = 0
     for outer, inner in pairs:
@@ -418,7 +427,7 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
         nonempty_a += bool(pair.A)
         for eps in (Fraction(1, 8), Fraction(1, 16)):
             got = shrink_and_triangulate(pair, eps)
-            assert (got.vertices, got.simplices, got.sub) == _reference_shrink(pair, eps), (outer, inner)
+            assert _geometric(got, inner.offset) == _reference_shrink(pair, eps), (outer, inner)
             relative_faces.update(
                 (inner.level, eps, tuple(tuple(x - b for x, b in zip(v, inner.offset)) for v in face))
                 for face in pair.X
@@ -426,6 +435,23 @@ def test_shrink_clips_each_x_cell_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(relative_faces)
     assert {face for face, _ in calls} == {face for _, _, face in relative_faces}
     assert nonempty_a > 10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shrink_depends_on_levels_and_offset_difference_only(n):
+    """Pairs with equal levels and equal (a - b) mod (n + 1), for outer offset a
+    and inner offset b, give equal shrunk pairs at every pair of offsets of
+    `_every_cell`: the invariant that lets `_relative_closure` be memoised on
+    each face taken relative to the inner corner."""
+    classes = {}
+    for outer in _every_cell(n):
+        for inner in _every_cell(n):
+            rel = tuple((a - b) % (n + 1) for a, b in zip(outer.offset, inner.offset))
+            got = shrink_and_triangulate(region_pair(outer, inner), Fraction(1, 8))
+            classes.setdefault((outer.level, inner.level, rel), []).append(got)
+    assert len(classes) == (n + 1) ** (n + 2)
+    assert {len(results) for results in classes.values()} == {(n + 1) ** n}
+    assert [key for key, results in classes.items() if len(set(results)) > 1] == []
 
 
 def test_profile_is_one_iff_cells_contain():
@@ -487,7 +513,7 @@ def test_shrink_vertices_are_exact_rationals():
         (-eps, -1 + 2 * eps),
         (-1 + 2 * eps, -eps),
     }
-    assert set(sp.vertices) == expected
+    assert {pt for simplex in _geometric(sp, (0, 0))[0] if len(simplex) == 1 for pt in simplex} == expected
 
 
 def test_shrink_epsilon_bounds():
@@ -515,7 +541,6 @@ def test_shrink_deterministic():
 def test_simplicial_pair_validate_catches_missing_face():
     broken = SimplicialPair(
         n=1,
-        vertices=((Fraction(0),), (Fraction(1),)),
         simplices=frozenset({(0, 1)}),
         sub=frozenset(),
     )
@@ -526,7 +551,6 @@ def test_simplicial_pair_validate_catches_missing_face():
 def test_simplicial_pair_validate_catches_stray_sub():
     broken = SimplicialPair(
         n=1,
-        vertices=((Fraction(0),),),
         simplices=frozenset({(0,)}),
         sub=frozenset({(1,)}),
     )
@@ -623,12 +647,11 @@ def test_matrix_rank_exact_matches_reference_on_random_integers():
 
 def test_relative_cohomology_point_and_interval():
     point = SimplicialPair(
-        n=1, vertices=((Fraction(0),),), simplices=frozenset({(0,)}), sub=frozenset()
+        n=1, simplices=frozenset({(0,)}), sub=frozenset()
     )
     assert relative_cohomology(point) == (1, 0)
     interval = SimplicialPair(
         n=1,
-        vertices=((Fraction(0),), (Fraction(1),)),
         simplices=frozenset({(0,), (1,), (0, 1)}),
         sub=frozenset({(0,), (1,)}),
     )
@@ -639,7 +662,6 @@ def test_relative_cohomology_point_and_interval():
 def test_relative_cohomology_mod_full_sub_is_zero():
     full = SimplicialPair(
         n=1,
-        vertices=((Fraction(0),), (Fraction(1),)),
         simplices=frozenset({(0,), (1,), (0, 1)}),
         sub=frozenset({(0,), (1,), (0, 1)}),
     )
