@@ -316,6 +316,8 @@ def separation_probe(
     """
     if not 0 < delta_probe < 0.5:
         raise ValueError("delta_probe must lie in (0, 1/2)")
+    if num_samples < 1:
+        raise ValueError("num_samples must be a positive integer")
     svs = [np.asarray(s, dtype=float) for s in points]
     if any(sv.shape != (n,) for sv in svs):
         raise ValueError(f"probe point must have length n={n}")

@@ -248,6 +248,11 @@ def test_separation_probe_rejects_a_short_point():
         branes.separation_probe(2, [(0.0, -0.5), (0.0,)])
 
 
+def test_separation_probe_rejects_zero_samples():
+    with pytest.raises(ValueError, match="num_samples"):
+        branes.separation_probe(2, [(0.0, -0.5)], num_samples=0)
+
+
 def test_domain_face_midpoints():
     assert branes.domain_face_midpoints(1) == [(0.0,)]
     mids = branes.domain_face_midpoints(2)
