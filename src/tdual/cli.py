@@ -11,9 +11,9 @@ verify     exhaustive cell-vs-monomial comparison and strong exceptionality
 oracle     exact relative-cohomology dimensions vs the combinatorial count
            (n = 1 or 2), with an epsilon-stability check
 
-`COMMANDS` gives each command's largest --n, the options it reads besides
---n, --format and --out, and its formats; any other option is a usage error,
-and each option checks its own value as it is parsed.  `main` builds every
+`parse_argv` reads argv from `COMMANDS`, each command's largest --n, the
+`OPTIONS` it reads besides --n, --format and --out, and its formats; any other
+flag is a usage error, and each option checks its own value.  `main` builds every
 report in one place: {command, n, parameters} with every option's value,
 defaults included, then the fields the command's `run_*` returns (checks and
 pass, plus the oracle's detail; quiver's dims, pass and export or
@@ -26,7 +26,6 @@ Seeded sweeps read the TDUAL_SEED environment variable (default 0).
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -234,26 +233,19 @@ def _emit(body: dict, cfg: RunConfig) -> None:
     sys.stdout.flush()  # a closed pipe or a full device fails here, not at the interpreter's exit
 
 
-def _checked(parse, accept, expected: str):
-    """An argparse `type=` that parses a value and refuses it unless `accept(value)`."""
-    def convert(text: str):
-        try:
-            value = parse(text)
-        except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
-        return value
-
-    return convert
-
-
-def _at_most(top: int, why: str) -> tuple:
-    return (int, lambda v: 1 <= v <= top, f"an integer from 1 to {top} ({why})")
+def _checked(check: tuple, text: str):
+    """The value `text` parses to under check (parse, accept, expected), or None unless `accept` takes it."""
+    parse, accept, _ = check
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if accept(value) else None
 
 
 _TOLERANCE = (float, lambda v: 0 <= v < math.inf, "a finite non-negative number")  # NaN fails both comparisons
 _COUNT = (int, lambda v: v >= 1, "a positive integer")
+_OUT_FILE = (str, lambda p: p != "" and not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
 # Each option that some command reads, as (parse, accept, expected value) for `_checked`, and its help.
 # The option fills the RunConfig field of its name.
 OPTIONS = {
@@ -282,60 +274,65 @@ COMMANDS = {
 }
 
 
-def build_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command `name`; an option not given takes RunConfig's default."""
-    largest, why, reads, formats = COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"tdual {name}", argument_default=argparse.SUPPRESS)
-    n_check = _COUNT if largest is None else _at_most(largest, why)
-    parser.add_argument("--n", type=_checked(*n_check), required=True, help=f"ambient dimension, {n_check[2]}")
-    for flag in reads:
-        check, help_text = OPTIONS[flag]
-        default = getattr(RunConfig, flag[2:].replace("-", "_"))
-        parser.add_argument(flag, type=_checked(*check), help=f"{help_text} (default {default})")
-    parser.add_argument("--format", choices=formats, help=f"report format (default {RunConfig.format})")
-    out_file = (str, lambda p: p != "" and not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."), "a file in an existing directory")
-    parser.add_argument("--out", type=_checked(*out_file), help="write the report/export here")
-    return parser
+def parse_argv(argv: list[str]) -> RunConfig:
+    """The RunConfig of a command line; -h prints the command's flags and exits 0, a usage error exits 2.
 
-
-def _is_negative_number(token: str) -> bool:
-    try:
-        (Fraction if "/" in token else float)(token)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return token.startswith("-")
-
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join `--flag -1e-5` into `--flag=-1e-5`.
-
-    argparse reads only -N and -N.N as negative numbers.  It takes -1e-5, -inf
-    or -1/8 for an option, so the flag before it would fail with "expected
-    one argument" instead of reaching the range checks.  Every long option
-    but --help takes a value.
+    The first token names the command.  Each flag is exact and takes one value,
+    `--flag value` or `--flag=value`, which may be negative but cannot start
+    with "--" or be -h; the last one wins.  A usage error names the first bad
+    value in argv order, else a missing --n, else every token no flag read,
+    else a bad TDUAL_SEED.
     """
-    out: list[str] = []
-    for token in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev and _is_negative_number(token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        usage = f"usage: tdual [-h] {{{','.join(COMMANDS)}}} ..."
+        if name in ("-h", "--help"):
+            sys.stdout.write(f"{usage}\n\nChecks and exports for the dual torus fibration toolkit; tdual COMMAND -h lists the flags of COMMAND.\n")
+            raise SystemExit(0)
+        sys.stderr.write(f"{usage}\ntdual: error: " + (f"argument command: invalid choice: {name!r} (choose from {str(tuple(COMMANDS))[1:-1]})" if argv else "the following arguments are required: command, options") + "\n")
+        raise SystemExit(2)
+    largest, why, reads, formats = COMMANDS[name]
+    n_check = _COUNT if largest is None else (int, lambda v: 1 <= v <= largest, f"an integer from 1 to {largest} ({why})")
+    flags = {  # flag: (check, metavar, help); --format names its choices instead of an expected value
+        "--n": (n_check, "N", f"ambient dimension, {n_check[2]}"),
+        **{flag: (OPTIONS[flag][0], flag[2:].upper().replace("-", "_"), f"{OPTIONS[flag][1]} (default {getattr(RunConfig, flag[2:].replace('-', '_'))})") for flag in reads},
+        "--format": ((str, formats.__contains__, None), "{" + ",".join(formats) + "}", f"report format (default {RunConfig.format})"),
+        "--out": (_OUT_FILE, "OUT", "write the report/export here"),
+    }
+    usage = f"usage: tdual {name} [-h] " + " ".join(f"{flag} {meta}" if flag == "--n" else f"[{flag} {meta}]" for flag, (_, meta, _) in flags.items())
+    values, unread, error = {}, [], None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(f"{usage}\n\noptions:\n  -h, --help  show this help message and exit\n" + "".join(f"  {flag} {meta}  {text}\n" for flag, (_, meta, text) in flags.items()))
+            raise SystemExit(0)
+        flag, joined, text = token.partition("=")
+        if flag not in flags:
+            unread.append(token)
+            continue
+        if not joined:
+            text = next(tokens, "--")  # the end of argv reads as a flag
+            if text.startswith("--") or text == "-h":
+                error = f"argument {flag}: expected one argument"
+                break
+        check = flags[flag][0]
+        value = _checked(check, text)
+        if value is None:
+            error = f"argument {flag}: " + (f"invalid choice: {text!r} (choose from {str(formats)[1:-1]})" if flag == "--format" else f"must be {check[2]}, got {text!r}")
+            break
+        values[flag[2:].replace("-", "_")] = value
+    seed_text = os.environ.get("TDUAL_SEED", "0")
+    seed = _checked((int, lambda v: v >= 0, "a non-negative integer"), seed_text)
+    error = error or ("the following arguments are required: --n" if "n" not in values else "unrecognized arguments: " + " ".join(unread) if unread
+                      else f"TDUAL_SEED must be a non-negative integer, got {seed_text!r}" if seed is None else None)
+    if error:
+        sys.stderr.write(f"{usage}\ntdual {name}: error: {error}\n")
+        raise SystemExit(2)
+    return RunConfig(name, **values, seed=seed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    top = argparse.ArgumentParser(prog="tdual", description="Checks and exports for the dual torus fibration toolkit.")
-    top.add_argument("command", choices=COMMANDS, help="the check or export to run")
-    top.add_argument("options", nargs=argparse.REMAINDER, help="--n N and the options the command reads (tdual COMMAND -h)")
-    run = top.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    parser = build_parser(run.command)  # only this command's parser is built, and it reports every usage error
-    args = parser.parse_args(run.options)
-    try:
-        seed = _checked(int, lambda v: v >= 0, "a non-negative integer")(os.environ.get("TDUAL_SEED", "0"))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"TDUAL_SEED {exc}")
-    cfg = RunConfig(run.command, **vars(args), seed=seed)
+    cfg = parse_argv(sys.argv[1:] if argv is None else argv)
     # Looked up at each call, so a run_* replaced on the module is the one run.
     runner = {"geometry": run_geometry, "branes": run_branes, "quiver": run_quiver, "verify": run_verify, "oracle": run_oracle}
     try:
@@ -344,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a report or export that cannot be written is not a failed check
         if exc.filename is None:  # stdout: point it at /dev/null, so the interpreter's last flush stays quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        parser.exit(2, f"{parser.prog}: error: cannot write {exc.filename or 'stdout'}: {exc.strerror}\n")
+        sys.stderr.write(f"tdual {cfg.command}: error: cannot write {exc.filename or 'stdout'}: {exc.strerror}\n")
+        raise SystemExit(2)
     return 0 if body["pass"] else 1
 
 

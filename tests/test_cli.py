@@ -278,13 +278,17 @@ def test_package_root_holds_only_its_modules():
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_no_command_imports_numpy_random(command):
-    """A run loads no numpy.random module (its C extensions and OpenSSL): every sample comes from geometry.uniform_draws."""
+    """A run loads no numpy.random module (its C extensions and OpenSSL): every sample comes from geometry.uniform_draws.
+
+    Nor does it load argparse, or the gettext and locale modules that argparse
+    pulls in: `cli.parse_argv` reads the command line from the CLI's own tables.
+    """
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         "from tdual import cli\n"
         "rc = cli.main(sys.argv[1:])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']), file=sys.stderr)\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'] or m in ('argparse', 'gettext', 'locale')), file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, command, "--n", "1"],
@@ -505,11 +509,10 @@ def test_commands_read_23_of_55_command_option_pairs():
     values = {**VALUES, "--format": "json", "--out": "report.json"}
     accepted = []
     for command, reads in READS.items():
-        parser = cli.build_parser(command)
-        parser.parse_args(["--n", "1"])
+        cli.parse_argv([command, "--n", "1"])
         accepted.append((command, "--n"))
         for flag in ["--format", "--out", *reads]:
-            parser.parse_args(["--n", "1", flag, values[flag]])
+            cli.parse_argv([command, "--n", "1", flag, values[flag]])
             accepted.append((command, flag))
     assert (len(accepted), len(UNREAD)) == (23, 32)
 
@@ -534,6 +537,53 @@ def test_usage_error_on_an_option_the_command_does_not_read(command, flag, capsy
     assert captured.out == ""
     assert captured.err.startswith(f"usage: tdual {command} ")
     assert captured.err.splitlines()[-1] == f"tdual {command}: error: unrecognized arguments: {flag} {VALUES[flag]}"
+
+
+CHOICES = "'geometry', 'branes', 'quiver', 'verify', 'oracle'"
+
+
+# argv that no other test covers, its exit code and, on exit 2, its last stderr line.
+ARGV_CASES = [
+    ([], 2, "tdual: error: the following arguments are required: command, options"),
+    (["nope"], 2, f"tdual: error: argument command: invalid choice: 'nope' (choose from {CHOICES})"),
+    (["verify"], 2, "tdual verify: error: the following arguments are required: --n"),
+    (["verify", "--format", "json"], 2, "tdual verify: error: the following arguments are required: --n"),
+    (["verify", "--n"], 2, "tdual verify: error: argument --n: expected one argument"),
+    (["verify", "--n", "--format", "json"], 2, "tdual verify: error: argument --n: expected one argument"),
+    (["verify", "--n", "-h"], 2, "tdual verify: error: argument --n: expected one argument"),
+    (["verify", "--n", "1", "extra"], 2, "tdual verify: error: unrecognized arguments: extra"),
+    (["verify", "--n", "1", "-x"], 2, "tdual verify: error: unrecognized arguments: -x"),
+    (["verify", "--n", "1", "--"], 2, "tdual verify: error: unrecognized arguments: --"),
+    (["verify", "zz", "--n", "bad"], 2, "tdual verify: error: argument --n: must be a positive integer, got 'bad'"),
+    (["verify", "--n", "0", "-h"], 2, "tdual verify: error: argument --n: must be a positive integer, got '0'"),
+    (["verify", "--n=", "1"], 2, "tdual verify: error: argument --n: must be a positive integer, got ''"),
+    (["verify", "--n", "1", "--format", "dot"], 2, "tdual verify: error: argument --format: invalid choice: 'dot' (choose from 'json', 'text')"),
+    (["branes", "--n", "2", "--gri", "5"], 2, "tdual branes: error: unrecognized arguments: --gri 5"),  # flag names are exact
+    (["branes", "--n", "2", "--grid=1", "--gr=5"], 2, "tdual branes: error: unrecognized arguments: --gr=5"),
+    (["verify", "--n=2", "--n", "1"], 0, None),
+    (["verify", "-h", "--n", "0"], 0, None),
+    (["verify", "--n", "1", "extra", "-h"], 0, None),
+    (["-h"], 0, None),
+]
+
+
+@pytest.mark.parametrize("argv,code,last", ARGV_CASES, ids=[" ".join(argv) or "(none)" for argv, _, _ in ARGV_CASES])
+def test_usage_of_each_argv(argv, code, last, capsys):
+    """Exit code and last stderr line of argv that no other test covers; all but the abbreviations as argparse gave them."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == code
+    if code == 2:
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("usage: tdual")
+        assert captured.err.splitlines()[-1] == last
+    elif argv == ["verify", "--n=2", "--n", "1"]:
+        assert json.loads(captured.out)["n"] == 1
+    else:
+        assert captured.out.startswith("usage: tdual") and captured.err == ""
 
 
 def test_readme_flag_table_matches_the_parser_table():
