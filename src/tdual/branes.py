@@ -27,10 +27,15 @@ factor -k whenever k <= -2; `check_graph` exposes both behaviours.
 All checks report through :class:`tdual.report.CheckReport`.  `check_exactness`
 takes every level at once and `separation_probe` every probe point, and each
 shares its radii grid or flowed sample among them; each of their reports is
-the one a call with a single level or point would give.
+the one a call with a single level or point would give.  `check_graph` runs
+once per cell, and every cell takes its samples from one grid per
+(n, density) in unit-cell coordinates: `_unit_grid` builds it by a pruned
+walk over the product grid, which never lists the rows outside the shrunk
+simplex, and caches it read-only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -53,6 +58,36 @@ R_RANGE = (0.2, 3.0)  # the fiber radii that the exactness grid spans, ends incl
 # The largest n the sweep supports: the graph samples need GRAPH_MARGIN below
 # 1/(n+1), and the two-form arithmetic needs n <= geometry.MAX_N.
 MAX_N = min(math.ceil(1 / GRAPH_MARGIN) - 2, geometry.MAX_N)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_grid(n: int, density: int) -> np.ndarray:
+    """The rows of `itertools.product(axis, repeat=n)` whose sum exceeds -1 + GRAPH_MARGIN, in that order.
+
+    `axis` holds `density` points from -1 + GRAPH_MARGIN to -GRAPH_MARGIN.
+    The walk appends one coordinate at a time, in product order, and drops
+    every prefix that cannot meet the sum bound: its sum, with each coordinate
+    still to come at the axis's largest value, does not pass the bound less
+    1e-9.  Rounding moves a sum of n such floats by far less than that,
+    so no row the filter keeps is dropped, and only the survivors are ever
+    built (165 of the 1,679,616 product rows at n = 8, density 6).  They pass
+    the product grid's own float filter, so the rows are exactly its rows.
+    The array is cached and shared by every caller, so it is read-only.
+    """
+    if density < 0:
+        raise ValueError(f"density must be a non-negative integer, got {density}")
+    bound = -1.0 + GRAPH_MARGIN
+    axis = np.linspace(bound, -GRAPH_MARGIN, density)
+    top = axis[-1] if density else 0.0
+    rows, sums = np.empty((1, 0)), np.zeros(1)
+    for j in range(n):
+        sums = (sums[:, None] + axis).ravel()
+        keep = sums + (n - 1 - j) * top > bound - 1e-9
+        rows = np.concatenate([np.repeat(rows, density, axis=0), np.tile(axis, len(rows))[:, None]], axis=1)[keep]
+        sums = sums[keep]
+    rows = rows[rows.sum(axis=1) > bound]
+    rows.flags.writeable = False
+    return rows
 
 
 def base_potential(u: np.ndarray) -> float | np.ndarray:
@@ -103,16 +138,16 @@ class LiftedCell(CellObject):
     def interior_grid(self, density: int) -> np.ndarray:
         """Deterministic sample grid with per-constraint slack GRAPH_MARGIN in u.
 
-        Takes the product grid of `density` points per axis on the margin-
-        shrunk simplex in u-coordinates and keeps points respecting the sum
-        constraint; maps back to cell coordinates g = a + (-k) u.
+        The points of the product grid of `density` points per axis on the
+        margin-shrunk simplex in u-coordinates that respect the sum
+        constraint, in product order (`_unit_grid`), mapped back to cell
+        coordinates g = a + (-k) u.  The u-grid depends only on n and
+        `density`, so every cell shares one cached copy; the result is a new
+        array for each call.
         """
         if not GRAPH_MARGIN < 1.0 / (self.n + 1):
             raise ValueError(f"the graph margin {GRAPH_MARGIN} must lie below 1/(n+1)")
-        axis = np.linspace(-1.0 + GRAPH_MARGIN, -GRAPH_MARGIN, density)
-        pts = np.array(list(itertools.product(axis, repeat=self.n))).reshape(-1, self.n)
-        pts = pts[pts.sum(axis=1) > -1.0 + GRAPH_MARGIN]
-        return np.asarray(self.offset, dtype=float) + (-self.level) * pts
+        return np.asarray(self.offset, dtype=float) + (-self.level) * _unit_grid(self.n, density)
 
     def brane_log_radii(self, gamma: tuple[float, ...] | np.ndarray) -> np.ndarray:
         """Parametric route to y = log r at the section point over `gamma`.
@@ -328,12 +363,13 @@ def separation_probe(
     y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
     norms = np.linalg.norm(y, axis=1)
     ok = norms > 0
-    w, y, norms = w[ok], y[ok], norms[ok]
+    if not ok.all():  # a sample at the barycentre has no flow direction
+        w, y, norms = w[ok], y[ok], norms[ok]
     gammas = w[:, :n]
     times = geometry.uniform_draws(seed + 1, (len(gammas), 2))
     times *= delta_probe
-    times.sort(axis=1)
-    t1s, dts = times[:, 0], times[:, 1] - times[:, 0]
+    t1s = np.minimum(times[:, 0], times[:, 1])
+    dts = np.maximum(times[:, 0], times[:, 1]) - t1s
     flowed = gammas + dts[:, None] * y / norms[:, None]
     reports = []
     for sv in svs:

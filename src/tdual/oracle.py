@@ -48,6 +48,38 @@ One loop, `cell_pair_profiles`, serves every margin: it builds each pair
 (X, A) once, since the pair does not depend on epsilon, and shrinks it by
 each margin it is given.  The command-line report passes epsilon and
 epsilon/2 to get the match and the stability check from a single pass.
+
+Why each pair's profile is (1, 0, ..., 0) or zero, for every n (the facet
+split).  Take the outer cell (i, a) and the inner cell (j, b).  Lift the
+outer closure to C = {g <= a, sum(g - a) >= i} and the inner cell to
+D = {g < b', sum(g - b') > j}, with the canonical lift
+b'_l = a_l - ((a_l - b_l) mod (n+1)), so b' <= a.  On the torus X is the union
+of the pieces Q_s = D ∩ (C + (n+1)s), s in Z^n, and A meets each piece in
+its points on the boundary of C + (n+1)s.  Translates of C share only
+boundary points, so two pieces meet only inside A.  Each nonempty piece is a
+simplex of the cells' shape, {g <= v, sum g >= c} with vertex
+v = min(b', a + (n+1)s), and each of its facets is either the inner cell's,
+open, or the outer cell's, closed, in A (the inner cell's where both agree).
+
+- For s = 0 every coordinate facet is the inner cell's, since b' <= a, and
+  the sum facet is too iff sum(b' - a) >= i - j.  Then the piece is all of
+  D, inside the open outer cell, so X = D, A is empty and H*(X, A) is
+  (1, 0, ..., 0).  This is `cells.hom_from_cells`'s containment condition.
+- Otherwise every nonempty piece has a closed facet: the sum facet for s = 0,
+  a coordinate facet l with s_l < 0 for s != 0 (pieces with some s_l > 0 are
+  empty).  It also keeps an open facet: a piece with every facet closed
+  would need every s_l <= -1, and then
+  sum(a + (n+1)s - b') + i - j <= n^2 - n(n+1) + i - j <= 0 leaves its sum
+  facet to the inner cell.  Push each point x away from the barycentre p of
+  the vertices opposite the closed facets, along x + t(x - p): the
+  barycentric coordinates of the open facets grow, those of the closed
+  facets sum to less than 1, so their sum falls, and the first of them to
+  reach 0 stops x in A.
+  The stopping time is continuous and 0 on A, so the piece retracts onto its
+  part of A, the retractions agree where pieces meet, and H*(X, A) = 0.
+
+`tests/test_oracle.py` checks this prediction, and that A is empty exactly
+in the first case, on every pair the command builds.
 """
 from __future__ import annotations
 

@@ -243,6 +243,29 @@ def test_separation_probe_draws_from_the_seeded_stream(n, seed, monkeypatch):
             assert rep.witness["min_defect"] == pytest.approx(defects[row], rel=1e-12), chunk
 
 
+@pytest.mark.parametrize("row", [0, 137, 399])
+def test_separation_probe_drops_a_sample_without_flow_direction(row, monkeypatch):
+    """Equal draws put the n = 1 weight at the barycentre (-1/2, -1/2) exactly,
+    where the log radii vanish, so the sample has no flow direction.  It is
+    dropped, and the flow times are drawn for the samples left: each report
+    equals the one whose weight stream lacks that row."""
+    seed, num = 3, 400
+    draws = geometry.uniform_draws
+
+    def with_equal_row(s, shape):
+        out = draws(s, (shape[0] - 1, 2) if s == seed else shape)
+        return np.insert(out, row, [0.3, 0.3], axis=0) if s == seed else out
+
+    points = branes.domain_face_midpoints(1) + [(-0.25,)]
+    want = branes.separation_probe(1, points, num_samples=num - 1, seed=seed)
+    monkeypatch.setattr(geometry, "uniform_draws", with_equal_row)
+    got = branes.separation_probe(1, points, num_samples=num, seed=seed)
+    for g, w in zip(got, want, strict=True):
+        assert g.parameters["num_samples"] == num
+        assert (g.witness, g.passed) == (w.witness, w.passed)
+        assert g.witness["min_defect"] > 0
+
+
 def test_separation_probe_rejects_a_short_point():
     with pytest.raises(ValueError, match="length n=2"):
         branes.separation_probe(2, [(0.0, -0.5), (0.0,)])

@@ -6,7 +6,8 @@ every level's report must still equal its own per-point loop.
 The loops below evaluate one grid point at a time through the single-point
 API (section_tangent_frame, defined here, and symplectic_form_eval,
 brane_log_radii and potential_value), exactly as the checks did before they
-were batched.  section_gamma_unreduced, the level-k section itself, is the
+were batched.  The graph loop takes its samples from product_grid, the whole
+product grid filtered as `interior_grid` did before its pruned walk.  section_gamma_unreduced, the level-k section itself, is the
 reference of test_branes.py.  The
 batch kernels promise the same arithmetic in the same order, so maximum
 deviations and witnesses must agree with `==`, not within a tolerance.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,10 +70,30 @@ def exactness_per_point(n, k, density, r_min=0.2, r_max=3.0):
     return max_dev, worst
 
 
+def product_grid(n, density, tail=4):
+    """The u-coordinate samples of `interior_grid` as it was before its pruned walk.
+
+    Every row of `itertools.product(axis, repeat=n)` is built and kept iff its
+    float sum passes -1 + GRAPH_MARGIN.  The product is listed one prefix of
+    its first n - tail axes at a time, each followed by the product of the
+    last `tail` axes, so that n = 7 at density 12 fits in memory; the rows,
+    their order and their float sums are those of the whole product.
+    """
+    margin = branes.GRAPH_MARGIN
+    axis = np.linspace(-1.0 + margin, -margin, density)
+    tail = min(tail, n)
+    block = np.array(list(itertools.product(axis, repeat=tail))).reshape(-1, tail)
+    kept = [np.empty((0, n))]
+    for prefix in itertools.product(axis, repeat=n - tail):
+        pts = np.concatenate([np.broadcast_to(prefix, (len(block), n - tail)), block], axis=1)
+        kept.append(pts[pts.sum(axis=1) > -1.0 + margin])
+    return np.concatenate(kept)
+
+
 def graph_per_point(n, k, a, density, fd_step, literal_scaling):
     cell = LiftedCell(k, a)
     max_dev, worst = 0.0, None
-    for g in cell.interior_grid(density):
+    for g in np.asarray(a, dtype=float) + (-k) * product_grid(n, density):
         expected = cell.brane_log_radii(g)
         fd = np.empty(n)
         for i in range(n):
@@ -177,10 +199,92 @@ def test_exactness_vacuous_at_n1():
 def test_graph_rejects_empty_grid():
     # one point per axis sits on the sum constraint and is dropped
     for n in (1, 2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leaves no interior samples"):
             branes.check_graph(n, -1, density=1)
+    for n in (1, 2, 8):
+        with pytest.raises(ValueError, match="leaves no interior samples"):
+            branes.check_graph(n, -1, density=0)
+
+
+def test_graph_rejects_a_negative_density():
+    for n in (1, 2, 8):
+        with pytest.raises(ValueError, match="non-negative"):
+            branes.check_graph(n, -1, density=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            LiftedCell(-2, (0,) * n).interior_grid(-6)
+
+
+# Every (n, density) that `cli.run_branes` asks for, where the product grid fits.
+CLI_GRAPH_DENSITY = {1: 100, 2: 12, **{n: 6 for n in range(3, 8)}}
+# Pairs where some rows sum to the bound -1 + GRAPH_MARGIN in exact arithmetic
+# (18 divides (n - 1)(density - 1)), so rounding decides them; pruning a
+# prefix that reaches the bound within 1e-12 would drop rows at (4, 7) and (4, 13).
+ON_THE_BOUND = [(2, 19), (3, 10), (4, 7), (4, 13), (7, 4)]
+
+
+@pytest.mark.parametrize(
+    "n,density",
+    sorted({(n, d) for n in range(1, 8) for d in (1, 2, 6, 12)} | set(CLI_GRAPH_DENSITY.items()) | set(ON_THE_BOUND)),
+)
+def test_walk_equals_product_grid(n, density):
+    """The pruned walk gives the product grid's rows, in its order, byte for byte."""
+    want = product_grid(n, density)
+    got = branes._unit_grid(n, density)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for k, a in [(-1, (0,) * n), (-n - 1, (-n,) + (0,) * (n - 1))]:
+        cell = LiftedCell(k, a)
+        assert cell.interior_grid(density).tobytes() == (np.asarray(a, dtype=float) + (-k) * want).tobytes()
+
+
+@pytest.mark.parametrize("n", range(8, branes.MAX_N + 1))
+def test_walk_past_the_product_grid(n):
+    """At density 6, where `run_branes` samples n >= 3, the walk's rows are the
+    axis points m with sum(m) >= K, in product order.  Axis point m is
+    -0.95 + 0.18 m, so a row's sum passes -0.95 iff sum(m) > 95 (n - 1) / 18;
+    for n <= 18 that bound is at least 1/18 from every integer, far beyond
+    rounding, so the count of such m, a coefficient sum of (1 + x + ... + x^5)^n,
+    is the number of product rows the float filter keeps."""
+    axis = np.linspace(-1.0 + branes.GRAPH_MARGIN, -branes.GRAPH_MARGIN, 6)
+    rows = branes._unit_grid(n, 6)
+    m = np.searchsorted(axis, rows)
+    assert np.array_equal(axis[m], rows)
+    assert np.all(rows.sum(axis=1) > -1.0 + branes.GRAPH_MARGIN)
+    keys = m @ 6 ** np.arange(n - 1, -1, -1)
+    assert np.all(np.diff(keys) > 0)  # product order, each row once
+    counts = [1]
+    for _ in range(n):
+        counts = [sum(counts[max(0, s - 5):s + 1]) for s in range(len(counts) + 5)]
+    assert len(rows) == sum(counts[95 * (n - 1) // 18 + 1:])
+    assert len(rows) == {8: 165, 10: 66, 12: 13, 16: 1, 18: 1}.get(n, len(rows))
+
+
+def test_interior_grid_is_a_new_array_over_a_read_only_cache():
+    cell = LiftedCell(-1, (0, 0))
+    first = cell.interior_grid(12)
+    want = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(cell.interior_grid(12), want)
+    assert cell.interior_grid(12) is not cell.interior_grid(12)
+    cached = branes._unit_grid(2, 12)
+    assert not cached.flags.writeable
     with pytest.raises(ValueError):
-        branes.check_graph(2, -1, density=0)
+        cached[0, 0] = 0.0
+    assert np.array_equal(cached, want)
+
+
+def test_check_graph_at_n8_keeps_165_samples_per_level():
+    reps = [branes.check_graph(8, k, density=6) for k in range(-9, 0)]
+    assert [rep.parameters["samples"] for rep in reps] == [165] * 9
+    assert all(rep.passed for rep in reps)
+    branes._unit_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        LiftedCell(-1, (0,) * 8).interior_grid(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the whole product grid held 1,679,616 rows, 107 MB
 
 
 def test_potential_value_rows_name_first_outside_point():

@@ -472,6 +472,37 @@ def test_profile_is_one_iff_cells_contain():
     assert contained == 19
 
 
+def _sum_facet_is_inner(outer, inner):
+    """Whether the sum facet of X = closure(outer) ∩ inner is the inner cell's.
+
+    The prediction of the facet split in `oracle`'s module docstring: with the
+    inner offset lifted to b' <= a, b'_l in (a_l - n - 1, a_l], the inner
+    cell's sum bound sum(b') + j is at least the outer's, sum(a) + i.
+    """
+    n = outer.n
+    lift = [a - (a - b) % (n + 1) for a, b in zip(outer.offset, inner.offset)]
+    return sum(lift) + inner.level >= sum(outer.offset) + outer.level
+
+
+def test_profile_follows_the_facet_split():
+    """Per pair: the profile is (1, 0, ..., 0), with X the whole inner cell
+    and A empty, when the sum facet is the inner cell's; otherwise it is zero,
+    and X is empty or A is not."""
+    inner_facet = 0
+    for outer, inner in _cli_pairs():
+        n = outer.n
+        pair = region_pair(outer, inner)
+        betti = _pair_profile(outer, inner)
+        if _sum_facet_is_inner(outer, inner):
+            inner_facet += 1
+            assert betti == (1,) + (0,) * n, (outer, inner)
+            assert not pair.A and len(pair.X) == len(oracle._open_faces(n, inner.level)), (outer, inner)
+        else:
+            assert betti == (0,) * (n + 1), (outer, inner)
+            assert not pair.X or pair.A, (outer, inner)
+    assert inner_facet == 19
+
+
 def _validate(sp):
     """Check that `sp` is a simplicial pair: sorted simplices, both parts closed
     under faces, and the subcomplex inside the complex."""
