@@ -74,8 +74,6 @@ def _unit_grid(n: int, density: int) -> np.ndarray:
     the product grid's own float filter, so the rows are exactly its rows.
     The array is cached and shared by every caller, so it is read-only.
     """
-    if density < 0:
-        raise ValueError(f"density must be a non-negative integer, got {density}")
     bound = -1.0 + GRAPH_MARGIN
     axis = np.linspace(bound, -GRAPH_MARGIN, density)
     top = axis[-1] if density else 0.0
@@ -362,9 +360,8 @@ def separation_probe(
     w /= -_row_sums(w)[:, None]  # minus a flat Dirichlet weight: its first n entries are uniform on {g_i < 0, sum g > -1}
     y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
     norms = np.linalg.norm(y, axis=1)
-    ok = norms > 0
-    if not ok.all():  # a sample at the barycentre has no flow direction
-        w, y, norms = w[ok], y[ok], norms[ok]
+    ok = norms > 0  # a sample at the barycentre has no flow direction
+    w, y, norms = w[ok], y[ok], norms[ok]
     gammas = w[:, :n]
     times = geometry.uniform_draws(seed + 1, (len(gammas), 2))
     times *= delta_probe

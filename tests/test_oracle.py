@@ -457,50 +457,26 @@ def test_shrink_depends_on_levels_and_offset_difference_only(n):
 def test_profile_is_one_iff_cells_contain():
     """Per pair: the Betti profile is (1, 0, ..., 0) iff the outer cell contains
     the inner one, and zero otherwise; a containment's morphism lies in the
-    hom basis.  Ties the cohomology to `cells.cell_contains`, pair by pair."""
+    hom basis.  Ties the cohomology to `cells.cell_contains`, pair by pair.
+
+    It also checks the facet split of `oracle`'s module docstring: a
+    containment has X the whole inner cell and A empty; otherwise X is empty
+    or A is not."""
     contained = 0
-    for outer, inner in _cli_pairs():
-        n = outer.n
-        betti = _pair_profile(outer, inner)
-        if cell_contains(outer, inner):
-            contained += 1
-            assert betti == (1,) + (0,) * n, (outer, inner)
-            label = hom_from_cells(outer, inner)
-            assert list(label) in hom_labels(inner.level - outer.level, n).tolist(), (outer, inner)
-        else:
-            assert betti == (0,) * (n + 1), (outer, inner)
-    assert contained == 19
-
-
-def _sum_facet_is_inner(outer, inner):
-    """Whether the sum facet of X = closure(outer) ∩ inner is the inner cell's.
-
-    The prediction of the facet split in `oracle`'s module docstring: with the
-    inner offset lifted to b' <= a, b'_l in (a_l - n - 1, a_l], the inner
-    cell's sum bound sum(b') + j is at least the outer's, sum(a) + i.
-    """
-    n = outer.n
-    lift = [a - (a - b) % (n + 1) for a, b in zip(outer.offset, inner.offset)]
-    return sum(lift) + inner.level >= sum(outer.offset) + outer.level
-
-
-def test_profile_follows_the_facet_split():
-    """Per pair: the profile is (1, 0, ..., 0), with X the whole inner cell
-    and A empty, when the sum facet is the inner cell's; otherwise it is zero,
-    and X is empty or A is not."""
-    inner_facet = 0
     for outer, inner in _cli_pairs():
         n = outer.n
         pair = region_pair(outer, inner)
         betti = _pair_profile(outer, inner)
-        if _sum_facet_is_inner(outer, inner):
-            inner_facet += 1
+        if cell_contains(outer, inner):
+            contained += 1
             assert betti == (1,) + (0,) * n, (outer, inner)
             assert not pair.A and len(pair.X) == len(oracle._open_faces(n, inner.level)), (outer, inner)
+            label = hom_from_cells(outer, inner)
+            assert list(label) in hom_labels(inner.level - outer.level, n).tolist(), (outer, inner)
         else:
             assert betti == (0,) * (n + 1), (outer, inner)
             assert not pair.X or pair.A, (outer, inner)
-    assert inner_facet == 19
+    assert contained == 19
 
 
 def _validate(sp):
