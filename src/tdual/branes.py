@@ -27,11 +27,13 @@ factor -k whenever k <= -2; `check_graph` exposes both behaviours.
 All checks report through :class:`tdual.report.CheckReport`.  `check_exactness`
 takes every level at once and `separation_probe` every probe point, and each
 shares its radii grid or flowed sample among them; each of their reports is
-the one a call with a single level or point would give.  `check_graph` runs
-once per cell, and every cell takes its samples from one grid per
-(n, density) in unit-cell coordinates: `_unit_grid` builds it by a pruned
-walk over the product grid, which never lists the rows outside the shrunk
-simplex, and caches it read-only.
+the one a call with a single level or point would give.  Both walk their grid
+or sample CHUNK_POINTS rows at a time, so their memory does not grow with the
+grid's density or the sample count.  `check_graph` runs once per cell, and
+every cell takes its samples from one grid per (n, density) in unit-cell
+coordinates: `_unit_grid` builds it by a pruned walk over the product grid,
+which never lists the rows outside the shrunk simplex, and caches it
+read-only.
 """
 from __future__ import annotations
 
@@ -47,8 +49,9 @@ from .cells import CellObject
 from .geometry import _last_argmax, _row_sums
 from .report import CheckReport
 
-# Grid points, or probe samples, evaluated at once by the batch kernels; bounds their memory.
-CHUNK_POINTS = 1 << 14
+# Grid points, or probe samples, evaluated at once by the batch kernels: their
+# arrays hold this many rows, whatever the grid's size or the sample count.
+CHUNK_POINTS = 1 << 12
 
 # Per-constraint slack, in unit-cell coordinates, of the graph-check samples.
 GRAPH_MARGIN = 0.05
@@ -343,9 +346,15 @@ def separation_probe(
     the samples.
 
     Each s should lie on the domain's boundary (the fibers over interior
-    points are met at time 0).  Sampling is seeded for reproducibility; one
-    sample, drawn and flowed once, serves every point, so each report is the
-    one a single-point call would give.
+    points are met at time 0).  Sampling is seeded for reproducibility: sample
+    i's weight is draws (n + 1) i to (n + 1) i + n of stream `seed`, a sample
+    whose log radii vanish (the barycentre) is dropped, and kept sample j's
+    times are draws 2j and 2j + 1 of stream seed + 1.  The sample is drawn and
+    flowed CHUNK_POINTS samples at a time, once for every point, so memory is
+    O(CHUNK_POINTS * (n + len(points))) whatever `num_samples` is, and each
+    report is the one a single-point call would give.  The witness is the
+    first sample of least defect.  A probe that keeps no sample fails, with no
+    witness.
     """
     if not 0 < delta_probe < 0.5:
         raise ValueError("delta_probe must lie in (0, 1/2)")
@@ -354,50 +363,55 @@ def separation_probe(
     svs = [np.asarray(s, dtype=float) for s in points]
     if any(sv.shape != (n,) for sv in svs):
         raise ValueError(f"probe point must have length n={n}")
-    # A flat Dirichlet weight per sample from n + 1 draws of stream `seed`; the times from stream seed + 1.
-    w = geometry.uniform_draws(seed, (num_samples, n + 1))
-    np.log1p(np.negative(w, out=w), out=w)  # minus exponential variates
-    w /= -_row_sums(w)[:, None]  # minus a flat Dirichlet weight: its first n entries are uniform on {g_i < 0, sum g > -1}
-    y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
-    norms = np.linalg.norm(y, axis=1)
-    ok = norms > 0  # a sample at the barycentre has no flow direction
-    w, y, norms = w[ok], y[ok], norms[ok]
-    gammas = w[:, :n]
-    times = geometry.uniform_draws(seed + 1, (len(gammas), 2))
-    times *= delta_probe
-    t1s = np.minimum(times[:, 0], times[:, 1])
-    dts = np.maximum(times[:, 0], times[:, 1]) - t1s
-    flowed = gammas + dts[:, None] * y / norms[:, None]
-    reports = []
-    for sv in svs:
-        # The defects of CHUNK_POINTS samples at a time; the first least one wins, as one argmin would pick it.
-        idx, min_defect = 0, math.inf
-        for start in range(0, len(flowed), CHUNK_POINTS):
-            defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed[start:start + CHUNK_POINTS]), axis=1)
+    min_defects = [math.inf] * len(svs)
+    witnesses: list[dict | None] = [None] * len(svs)
+    kept = 0  # samples kept in earlier chunks: kept sample i takes draws 2i and 2i + 1 of stream seed + 1
+    for start in range(0, num_samples, CHUNK_POINTS):
+        # A flat Dirichlet weight per sample from n + 1 draws of stream `seed`.
+        rows = min(CHUNK_POINTS, num_samples - start)
+        w = geometry.uniform_draws(seed, (rows, n + 1), start * (n + 1))
+        np.log1p(np.negative(w, out=w), out=w)  # minus exponential variates
+        w /= -_row_sums(w)[:, None]  # minus a flat Dirichlet weight: its first n entries are uniform on {g_i < 0, sum g > -1}
+        y = 0.5 * np.log(-w[:, :n] / (1.0 + w[:, :n].sum(axis=1, keepdims=True)))
+        norms = np.linalg.norm(y, axis=1)
+        ok = norms > 0  # a sample at the barycentre has no flow direction
+        w, y, norms = w[ok], y[ok], norms[ok]
+        if len(w) == 0:
+            continue
+        gammas = w[:, :n]
+        times = geometry.uniform_draws(seed + 1, (len(gammas), 2), 2 * kept)
+        kept += len(gammas)
+        times *= delta_probe
+        t1s = np.minimum(times[:, 0], times[:, 1])
+        dts = np.maximum(times[:, 0], times[:, 1]) - t1s
+        flowed = gammas + dts[:, None] * y / norms[:, None]
+        for p, sv in enumerate(svs):
+            defects = np.linalg.norm(wrap_to_half(sv[None, :] - flowed), axis=1)
             k = int(np.argmin(defects))
-            if defects[k] < min_defect:
-                idx, min_defect = start + k, float(defects[k])
-        reports.append(
-            CheckReport(
-                check="branes.separation",
-                parameters={
-                    "n": n,
-                    "s": list(sv),
-                    "delta_probe": delta_probe,
-                    "num_samples": num_samples,
-                    "seed": seed,
-                },
-                max_deviation=None,
-                witness={
-                    "min_defect": min_defect,
-                    "gamma": list(gammas[idx]),
-                    "t1": float(t1s[idx]),
-                    "t2": float(t1s[idx] + dts[idx]),
-                },
-                passed=min_defect > 0.0,
-            )
+            if defects[k] < min_defects[p]:  # strict: the first least sample wins, as one argmin would pick it
+                min_defects[p] = float(defects[k])
+                witnesses[p] = {
+                    "min_defect": min_defects[p],
+                    "gamma": list(gammas[k]),
+                    "t1": float(t1s[k]),
+                    "t2": float(t1s[k] + dts[k]),
+                }
+    return [
+        CheckReport(
+            check="branes.separation",
+            parameters={
+                "n": n,
+                "s": list(sv),
+                "delta_probe": delta_probe,
+                "num_samples": num_samples,
+                "seed": seed,
+            },
+            max_deviation=None,
+            witness=witness,
+            passed=witness is not None and witness["min_defect"] > 0.0,
         )
-    return reports
+        for sv, witness in zip(svs, witnesses)
+    ]
 
 
 def domain_face_midpoints(n: int) -> list[tuple[float, ...]]:

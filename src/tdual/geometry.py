@@ -174,26 +174,27 @@ def symplectic_form_eval(base: MirrorPoint, u: TangentVector, v: TangentVector) 
     return (2 * math.pi) ** n * total
 
 
-def uniform_draws(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Floats in [0, 1) of the given shape, filled in C order from SplitMix64.
+def uniform_draws(seed: int, shape: tuple[int, ...], start: int = 0) -> np.ndarray:
+    """Draws start, start + 1, ... of stream `seed`, as floats in [0, 1) of the given shape, in C order.
 
     Draw i is output i + 1 of SplitMix64 (Steele, Lea and Flood, 2014) from
     the state `seed mod 2**64`: the standard mixer applied to
     state + (i + 1) * 0x9E3779B97F4A7C15, all mod 2**64.  Each draw keeps the
     output's top 53 bits times 2**-53, so it is exact and lies on that grid.
-    Since draw i depends only on i, a shape's draws are the first ones of
-    any larger call.  The bits are mixed in the result's own memory, DRAW_CHUNK
-    draws at a time, so every temporary stays that small.
+    Since draw i depends only on i, a call's draws are the matching slice of
+    any longer call, so a caller can take a long stream piece by piece.  The
+    bits are mixed in the result's own memory, DRAW_CHUNK draws at a time, so
+    every temporary stays that small.
 
     >>> hex(int(uniform_draws(0, (1,))[0] * 2**53) << 11)
     '0xe220a8397b1dc800'
     """
     out = np.empty(shape)
     flat = out.reshape(-1)
-    for start in range(0, flat.size, DRAW_CHUNK):
-        u = flat[start : start + DRAW_CHUNK]
+    for i in range(0, flat.size, DRAW_CHUNK):
+        u = flat[i : i + DRAW_CHUNK]
         x = u.view(np.uint64)
-        x[:] = np.arange(start + 1, start + 1 + len(x), dtype=np.uint64)
+        x[:] = np.arange(start + i + 1, start + i + 1 + len(x), dtype=np.uint64)
         x *= 0x9E3779B97F4A7C15
         x += seed % 2**64
         x ^= x >> 30

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tdual import branes, geometry
+from tdual import branes, cli, geometry
 from tdual.branes import LiftedCell
 from tdual.geometry import MirrorPoint, TangentVector, symplectic_form_eval
 
@@ -224,46 +225,97 @@ def test_separation_probe_shares_one_sample(n, seed):
 def test_separation_probe_draws_from_the_seeded_stream(n, seed, monkeypatch):
     """Row i of stream `seed` gives sample i's flat Dirichlet weight, and row i
     of stream seed + 1 its flow times, scaled and sorted.  Each witness is the
-    sample of least defect among those rows, at the default `CHUNK_POINTS`
-    and when the probe takes the defects 7 samples at a time."""
-    num, delta = 800, 0.05
-    gammas = -dirichlet_rows(geometry.uniform_draws(seed, (num, n + 1)))[:, :n]
-    times = np.sort(geometry.uniform_draws(seed + 1, (num, 2)) * delta, axis=1)
-    y = 0.5 * np.log(-gammas / (1.0 + gammas.sum(axis=1, keepdims=True)))
-    flowed = gammas + (times[:, 1] - times[:, 0])[:, None] * y / np.linalg.norm(y, axis=1)[:, None]
+    first sample of least defect among those rows, when the probe draws and
+    flows the default CHUNK_POINTS samples at a time (one chunk, then two with
+    a partial last one), 7 at a time (800 is no multiple of 7) and one at a
+    time."""
+    delta = 0.05
     points = branes.domain_face_midpoints(n) + [(-0.25,) * n]
-    for chunk in (branes.CHUNK_POINTS, 7):
+    default = branes.CHUNK_POINTS
+    for chunk, num in [(default, 800), (default, default + 5), (7, 800), (1, 800)]:
+        gammas = -dirichlet_rows(geometry.uniform_draws(seed, (num, n + 1)))[:, :n]
+        times = np.sort(geometry.uniform_draws(seed + 1, (num, 2)) * delta, axis=1)
+        y = 0.5 * np.log(-gammas / (1.0 + gammas.sum(axis=1, keepdims=True)))
+        flowed = gammas + (times[:, 1] - times[:, 0])[:, None] * y / np.linalg.norm(y, axis=1)[:, None]
         monkeypatch.setattr(branes, "CHUNK_POINTS", chunk)
         for s, rep in zip(points, branes.separation_probe(n, points, delta, num, seed), strict=True):
             defects = np.linalg.norm(branes.wrap_to_half(np.array(s) - flowed), axis=1)
             row = int(np.argmin(defects))
-            assert rep.witness["gamma"] == gammas[row].tolist(), chunk
-            assert rep.witness["t1"] == times[row, 0], chunk
-            assert rep.witness["t2"] == times[row, 0] + (times[row, 1] - times[row, 0]), chunk
-            assert rep.witness["min_defect"] == pytest.approx(defects[row], rel=1e-12), chunk
+            assert rep.witness["gamma"] == gammas[row].tolist(), (chunk, num)
+            assert rep.witness["t1"] == times[row, 0], (chunk, num)
+            assert rep.witness["t2"] == times[row, 0] + (times[row, 1] - times[row, 0]), (chunk, num)
+            assert rep.witness["min_defect"] == pytest.approx(defects[row], rel=1e-12), (chunk, num)
+
+
+def equal_rows_at(rows, seed, num):
+    """`geometry.uniform_draws` with [0.3, 0.3] planted at the given rows of stream `seed`'s
+    first `num` pairs; the other rows of that stream are its pairs in order, and every other
+    stream is left as it is.  Equal draws put an n = 1 weight at the barycentre (-1/2, -1/2)
+    exactly, where the log radii vanish."""
+    draws = geometry.uniform_draws
+
+    def planted(s, shape, start=0):
+        if s != seed:
+            return draws(s, shape, start)
+        stream = draws(s, (num - len(rows), 2))
+        for row in sorted(rows):
+            stream = np.insert(stream, row, [0.3, 0.3], axis=0)
+        return stream.ravel()[start:start + math.prod(shape)].reshape(shape)
+
+    return planted
 
 
 @pytest.mark.parametrize("row", [0, 137, 399])
 def test_separation_probe_drops_a_sample_without_flow_direction(row, monkeypatch):
-    """Equal draws put the n = 1 weight at the barycentre (-1/2, -1/2) exactly,
-    where the log radii vanish, so the sample has no flow direction.  It is
-    dropped, and the flow times are drawn for the samples left: each report
-    equals the one whose weight stream lacks that row."""
+    """A sample at the barycentre has no flow direction.  It is dropped, and
+    kept sample j takes flow-time pair j: each report equals the one of a
+    single-chunk call whose weight stream lacks that row.  At 7 samples a
+    chunk, rows 0 and 137 lie before later chunks, whose flow times must
+    start at twice the samples kept in the chunks before them."""
     seed, num = 3, 400
-    draws = geometry.uniform_draws
-
-    def with_equal_row(s, shape):
-        out = draws(s, (shape[0] - 1, 2) if s == seed else shape)
-        return np.insert(out, row, [0.3, 0.3], axis=0) if s == seed else out
-
-    points = branes.domain_face_midpoints(1) + [(-0.25,)]
+    points = branes.domain_face_midpoints(1) + [(-0.25,), (-0.6,), (-0.9,)]
     want = branes.separation_probe(1, points, num_samples=num - 1, seed=seed)
-    monkeypatch.setattr(geometry, "uniform_draws", with_equal_row)
-    got = branes.separation_probe(1, points, num_samples=num, seed=seed)
-    for g, w in zip(got, want, strict=True):
-        assert g.parameters["num_samples"] == num
-        assert (g.witness, g.passed) == (w.witness, w.passed)
-        assert g.witness["min_defect"] > 0
+    monkeypatch.setattr(geometry, "uniform_draws", equal_rows_at([row], seed, num))
+    for chunk in (branes.CHUNK_POINTS, 7):
+        monkeypatch.setattr(branes, "CHUNK_POINTS", chunk)
+        got = branes.separation_probe(1, points, num_samples=num, seed=seed)
+        for g, w in zip(got, want, strict=True):
+            assert g.parameters["num_samples"] == num
+            assert (g.witness, g.passed) == (w.witness, w.passed), chunk
+            assert g.witness["min_defect"] > 0
+
+
+def test_separation_probe_fails_when_it_keeps_no_sample(monkeypatch, capsys):
+    """When every sample lies at the barycentre, no check passes on zero
+    samples: each report fails with no witness, and the command exits 1 with
+    its report and no traceback."""
+    seed, num = 3, 5
+    monkeypatch.setattr(geometry, "uniform_draws", equal_rows_at(range(num), seed, num))
+    points = branes.domain_face_midpoints(1) + [(-0.25,)]
+    for rep in branes.separation_probe(1, points, num_samples=num, seed=seed):
+        assert (rep.witness, rep.passed) == (None, False)
+        assert "witness" not in rep.to_dict()
+    monkeypatch.setenv("TDUAL_SEED", str(seed))
+    assert cli.main(["branes", "--n", "1", "--samples", str(num)]) == 1
+    out, err = capsys.readouterr()
+    [probe] = [c for c in json.loads(out)["checks"] if c["check"] == "branes.separation"]
+    assert probe["pass"] is False and "witness" not in probe
+    assert err == ""
+
+
+def test_separation_probe_memory_does_not_grow_with_the_sample_count():
+    """A million samples are drawn and flowed CHUNK_POINTS at a time, so the
+    traced peak stays under 8 MiB, a third of the 24 MB that the million
+    samples' weights alone would take at once."""
+    points = branes.domain_face_midpoints(2)
+    tracemalloc.start()
+    try:
+        reps = branes.separation_probe(2, points, num_samples=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reps)
+    assert peak < 8 * 2**20
 
 
 def test_separation_probe_rejects_a_short_point():

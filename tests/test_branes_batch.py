@@ -137,7 +137,7 @@ def test_exactness_levels_share_one_grid(n):
 
 @pytest.mark.parametrize("n,k,density", [(4, -5, 14), (8, -1, 2), (9, -1, 2)])
 def test_exactness_batch_equals_per_point_large_grids(n, k, density):
-    # n = 4, density 14 spans three chunks, and its witness changes if
+    # n = 4, density 14 spans more than two chunks, and its witness changes if
     # (1 + |r|^2) ** 2 is taken as a product instead of libm pow.  From n = 8
     # on, numpy sums a point's coordinates pairwise, not left to right.
     if n == 4:

@@ -345,6 +345,20 @@ def test_uniform_draws_of_a_shape_are_a_prefix_on_the_53_bit_grid(seed, a, b, ch
     assert len(set(longer.tolist())) == len(longer)
 
 
+@pytest.mark.parametrize("chunk", [geometry.DRAW_CHUNK, 7])
+@pytest.mark.parametrize("start, shape", [(0, (5, 3)), (1, (1,)), (6, (3,)), (7, (2, 7)), (13, (4, 2)), (40, (9,)), (95, (1, 1))])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_draws_from_a_start_are_a_slice_of_one_longer_call(seed, start, shape, chunk, monkeypatch):
+    """Draws from `start` on are the matching slice of a call from 0, also when
+    the start or the end falls inside a DRAW_CHUNK of the longer call."""
+    monkeypatch.setattr(geometry, "DRAW_CHUNK", chunk)
+    size = math.prod(shape)
+    longer = geometry.uniform_draws(seed, (start + size + 11,))
+    draws = geometry.uniform_draws(seed, shape, start)
+    assert draws.shape == shape and draws.dtype == np.float64
+    assert draws.tolist() == longer[start : start + size].reshape(shape).tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sampled_distributions(seed):
     """Smoke test: flat Dirichlet rows sum to 1 with means 1/(n+1); Box-Muller normals are standard."""
