@@ -45,9 +45,13 @@ the inner offset gives the hom-space dimensions that `oracle_hom_dim` reports;
 they land in degree 0 only and match the binomial counts of the quiver side.
 
 One loop, `cell_pair_profiles`, serves every margin: it builds each pair
-(X, A) once, since the pair does not depend on epsilon, and shrinks it by
-each margin it is given.  The command-line report passes epsilon and
-epsilon/2 to get the match and the stability check from a single pass.
+(X, A) once, since the pair does not depend on epsilon, and moves it to the
+inner corner, X - b and A - b with the inner cell at offset 0.  By point 2
+the moved pair shrinks to the same simplicial pair, so the profile at each
+margin is memoised on the moved pair and the margin (`_corner_profile`): at
+n = 2 the 81 pairs of the command have 32 shapes, and 64 shrinks serve both
+margins.  The command-line report passes epsilon and epsilon/2, as separate
+keys, to get the match and the stability check from a single pass.
 
 Why each pair's profile is (1, 0, ..., 0) or zero, for every n (the facet
 split).  Take the outer cell (i, a) and the inner cell (j, b).  Lift the
@@ -435,6 +439,16 @@ def relative_cohomology(sp: SimplicialPair) -> BettiProfile:
     return tuple(betti)
 
 
+@functools.lru_cache(maxsize=4096)
+def _corner_profile(pair: RegionPair, epsilon: Fraction) -> BettiProfile:
+    """The relative Betti profile of a pair moved to the inner corner, at one margin.
+
+    Memoised: the key holds X, A and the inner cell (level, (0,) * n), so it
+    fixes n, the inner level and the pair's shape, and the margin.
+    """
+    return relative_cohomology(shrink_and_triangulate(pair, epsilon))
+
+
 def cell_pair_profiles(
     i: int, j: int, n: int, margins: Sequence[Fraction | int | str]
 ) -> Iterator[tuple[tuple[int, ...], RegionPair, list[BettiProfile]]]:
@@ -442,13 +456,21 @@ def cell_pair_profiles(
 
     The outer cell sits at level i and offset 0; the inner cell runs over
     level j at every offset of `offset_window`.  Each pair is built once and
-    then shrunk by every margin in turn, so `profiles` holds one relative
-    Betti profile per margin, in the order given.
+    moved to the inner corner: X - b and A - b, with the inner cell at offset
+    0.  The shrink clips each face relative to that corner, so the moved pair
+    gives the same simplicial pair, and its profile at each margin is taken
+    from `_corner_profile`, once per shape, level and margin.  `profiles`
+    holds one relative Betti profile per margin, in the order given; the
+    yielded pair is the unmoved one.
     """
     outer = CellObject(i, (0,) * n)
+    corner = CellObject(j, (0,) * n)
+    margins = [Fraction(eps) for eps in margins]
     for offset in offset_window(n):
         pair = region_pair(outer, CellObject(j, offset))
-        profiles = [relative_cohomology(shrink_and_triangulate(pair, eps)) for eps in margins]
+        moved = {face: tuple(tuple(map(sub, v, offset)) for v in face) for face in pair.X}
+        key = RegionPair(frozenset(moved.values()), frozenset(map(moved.get, pair.A)), corner)
+        profiles = [_corner_profile(key, eps) for eps in margins]
         yield offset, pair, profiles
 
 

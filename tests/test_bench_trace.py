@@ -48,14 +48,16 @@ def test_bench_child_trace_runs_verify():
 def test_bench_child_trace_runs_oracle():
     """One traced `oracle --n 2`: the bench reads `.simplices` of each shrunk
     pair and the row list given to `matrix_rank_exact`, so the oracle's work
-    counts must come through unchanged."""
+    counts must come through unchanged.  The 81 pairs have 32 shapes at the
+    inner corner, each shrunk at two margins: 64 shrinks."""
     info = _trace("oracle", "--n", "2")
     assert info["error"] is None
     assert info["missing"] == ["oracle.hom_dim_detail"]
     counts = info["counts"]
     assert counts["oracle.region_pair.calls"] == 81
-    assert counts["oracle.simplices"] == 1622
-    assert counts["oracle.rank_entries"] == 7188
+    assert counts["oracle.simplices"] == 1142
+    assert counts["oracle.rank_entries"] == 5454
+    assert sum(span[0] == "oracle.shrink_and_triangulate" for span in info["spans"]) == 64
 
 
 def test_bench_child_trace_runs_branes():
