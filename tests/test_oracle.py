@@ -729,6 +729,73 @@ def test_oracle_rejects_unsupported_dimension():
         list(oracle.cell_pair_profiles(-1, -1, 3, (Fraction(1, 8),)))
 
 
+# --- profiles memoised at the inner corner -----------------------------------
+
+def _clear_oracle_caches():
+    for obj in vars(oracle).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "margins", [(Fraction(1, 8), Fraction(1, 16)), (Fraction(3, 13), Fraction(3, 26)), (Fraction(1, 1000),)]
+)
+def test_cell_pair_profiles_match_the_unmoved_pair(margins):
+    """Every profile `cell_pair_profiles` takes at the inner corner equals the
+    shrink and cohomology of the unmoved pair it yields, on every pair the
+    command builds at n = 1 and n = 2."""
+    _clear_oracle_caches()
+    seen = 0
+    for n in (1, 2):
+        for i in range(-n - 1, 0):
+            for j in range(-n - 1, 0):
+                for offset, pair, profiles in oracle.cell_pair_profiles(i, j, n, margins):
+                    assert pair == region_pair(CellObject(i, (0,) * n), CellObject(j, offset))
+                    expected = [relative_cohomology(shrink_and_triangulate(pair, eps)) for eps in margins]
+                    assert profiles == expected, (i, j, offset)
+                    seen += 1
+    assert seen == 8 + 81
+
+
+def test_corner_profile_key_holds_a():
+    """At n = 1 the inner cells (-2, (-1,)) and (-2, (0,)) of the outer cell
+    (-2, (0,)) have the same X at the inner corner but different A, and
+    different profiles: a memo keyed without A would give both the same."""
+    outer = CellObject(-2, (0,))
+    moved = []
+    for b in ((-1,), (0,)):
+        pair = region_pair(outer, CellObject(-2, b))
+        moved.append([frozenset(tuple((v[0] - b[0],) for v in face) for face in part) for part in (pair.X, pair.A)])
+    assert moved[0][0] == moved[1][0]
+    assert moved[0][1] != moved[1][1]
+    _clear_oracle_caches()
+    profiles = {b: betti for b, _, (betti,) in oracle.cell_pair_profiles(-2, -2, 1, (Fraction(1, 8),))}
+    assert profiles == {(-1,): (0, 0), (0,): (1, 0)}
+
+
+@pytest.mark.parametrize("n, expected", [(1, (8, 12, 12)), (2, (81, 64, 64))])
+def test_oracle_command_shrinks_once_per_shape(monkeypatch, capsys, n, expected):
+    """`oracle` builds every pair but shrinks and ranks once per pair shape at
+    the inner corner and margin: 6 shapes at n = 1 and 32 at n = 2, each at
+    epsilon and epsilon/2.  A key without the level gives fewer calls, one
+    that keeps the offset as many as the pairs, twice."""
+    _clear_oracle_caches()
+    names = ("region_pair", "shrink_and_triangulate", "relative_cohomology")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    assert cli.main(["oracle", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert tuple(calls[name] for name in names) == expected
+
+
 def test_hom_dim_detail_entries():
     detail = cli.run_oracle(cli.RunConfig(command="oracle", n=1))["detail"]
     entries = [e for e in detail if (e["i"], e["j"]) == (-2, -1)]
